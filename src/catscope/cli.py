@@ -3,8 +3,9 @@
 Every subcommand is a deterministic batch: it loads the config, folds in
 flag overrides, runs, and promotes a results/<run-id> directory.  Exit code
 0 means the run directory was written; 2 is a config or usage problem; 1 is
-a runtime failure (missing artifacts, degenerate data, and the like), with
-partial outputs left in quarantine/.
+a runtime failure (missing artifacts, degenerate data, and the like).  Every
+artifact is computed before any is staged, so a runtime failure writes no
+run directory.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--out", metavar="DIR", help="output root (default: $CATSCOPE_OUT or .)"
-    )
-    p.add_argument(
-        "--workers", type=int, metavar="N", help="worker processes for simulation"
     )
 
 
@@ -108,7 +106,6 @@ def main(argv=None) -> int:
             args.command,
             cfg,
             out_root=out_root,
-            workers=args.workers,
             which=getattr(args, "which", None),
         )
         elapsed = time.monotonic() - started

@@ -12,17 +12,18 @@ GEV_TO_RAD_PER_S exactly once, inside excitation_probability.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import e as _E_CHARGE
-from scipy.constants import hbar as _HBAR
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureFailure, UnitOverflow, ZeroDetuning
 
 C_KM_S = 299792.458  # speed of light, km/s
+_E_CHARGE = 1.602176634e-19  # elementary charge, C (exact SI)
+_HBAR = 6.62607015e-34 / (2 * math.pi)  # reduced Planck constant, J s (exact SI)
 GEV_TO_RAD_PER_S = 1e9 * _E_CHARGE / _HBAR  # 1 GeV as an angular frequency
 OMEGA_M_OFFSET = 3e-7  # peak of the energy distribution sits at (1+this)*m
 

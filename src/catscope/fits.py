@@ -584,10 +584,10 @@ def threshold_sweep(campaign, model, thresholds) -> list[SweepPoint]:
     records, _ = postselect(campaign.records)
     if not records:
         raise ConfigError("campaign has no analyzable records")
-    if any(r.truth is None for r in records):
+    if records.injected is None:
         raise ConfigError("threshold sweep needs truth-labeled records")
     _, lams = batch_posteriors(model, records)
-    injected = np.array([bool(r.truth["injected"]) for r in records])
+    injected = records.injected
     n_pos = int(np.sum(injected))
     n_neg = injected.size - n_pos
     rows = []

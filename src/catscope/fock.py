@@ -23,8 +23,7 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 from .errors import (
     DimMismatch,
@@ -194,7 +193,7 @@ def coherent_state(alpha: complex, dim: int) -> StateVector:
         raise NonFinite("alpha is not finite")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    tail = float(poisson.sf(dim - 1, abs(alpha) ** 2))
+    tail = float(pdtrc(dim - 1, abs(alpha) ** 2))
     if tail >= _TAIL_TOL:
         raise TruncationTooSmall(
             f"dim={dim} leaves tail mass {tail:.3e} for |alpha|^2={abs(alpha)**2:.3f}"
@@ -229,7 +228,7 @@ def cat_state(spec: CatSpec, dim: int) -> StateVector:
     mask = (np.arange(dim) % spec.m) == spec.j
     amps = np.where(mask, amps, 0.0)
     sector_mass = float(np.sum(np.abs(amps) ** 2))
-    tail = float(poisson.sf(dim - 1, abs(alpha) ** 2))
+    tail = float(pdtrc(dim - 1, abs(alpha) ** 2))
     if sector_mass <= 0.0 or tail >= _TAIL_TOL * (sector_mass + tail):
         raise TruncationTooSmall(
             f"dim={dim} leaves relative tail {tail:.3e} on sector j={spec.j} (mod {spec.m})"
@@ -253,7 +252,7 @@ def displacement_operator(beta: complex, dim: int) -> np.ndarray:
         raise NonFinite("beta is not finite")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    tail = float(poisson.sf(dim - 1, abs(beta) ** 2))
+    tail = float(pdtrc(dim - 1, abs(beta) ** 2))
     if tail >= _TAIL_TOL:
         raise TruncationTooSmall(
             f"dim={dim} too small for displacement |beta|={abs(beta):.3f}"

@@ -20,11 +20,14 @@ from scipy.special import logsumexp
 
 from .errors import ConfigError, DimMismatch, LeakageSymbol, NonConvergence
 from .measurement import (
-    SYMBOL_EXCITED,
-    SYMBOL_GROUND,
-    SYMBOL_LEAK,
+    CODE_LEAK,
+    CODE_UNKNOWN,
+    SYMBOL_ALPHABET,
+    SYMBOL_CODES,
     DeviceParams,
     ReadoutRecord,
+    Records,
+    as_records,
     build_emission_matrix,
     build_transition_matrix,
 )
@@ -32,7 +35,6 @@ from .measurement import (
 LAMBDA_THRESH_COMPASS = 84.0
 LAMBDA_THRESH_VACUUM = 1e5
 
-_SYMBOL_COLUMN = {SYMBOL_GROUND: 0, SYMBOL_EXCITED: 1}
 _MODES = ("compass", "vacuum")
 
 
@@ -166,18 +168,24 @@ def likelihood_ratio(post, mode: str = "compass") -> float:
     return _lambda_of(p)
 
 
-def _symbol_indices(symbols: str) -> list[int]:
-    out = []
-    for ch in symbols:
-        if ch == SYMBOL_LEAK:
-            raise LeakageSymbol("record contains a leaked readout; post-select first")
-        try:
-            out.append(_SYMBOL_COLUMN[ch])
-        except KeyError:
-            raise ConfigError(f"unknown readout symbol {ch!r}") from None
-    if not out:
+def _leak_free(codes: np.ndarray) -> np.ndarray:
+    """Symbol codes, which index the emission columns (0 = G, 1 = E) once
+    no leaked readout is left."""
+    if np.any(codes == CODE_LEAK):
+        raise LeakageSymbol("record contains a leaked readout; post-select first")
+    return codes
+
+
+def _encode(record) -> np.ndarray:
+    """uint8 symbol codes of one str or ReadoutRecord."""
+    symbols = record.symbols if isinstance(record, ReadoutRecord) else str(record)
+    if not symbols:
         raise ConfigError("empty record")
-    return out
+    codes = SYMBOL_CODES[np.frombuffer(symbols.encode("utf-8"), np.uint8)]
+    if np.any(codes == CODE_UNKNOWN):
+        ch = next(c for c in symbols if c not in SYMBOL_ALPHABET)
+        raise ConfigError(f"unknown readout symbol {ch!r}")
+    return _leak_free(codes)
 
 
 def forward_backward(model: HmmModel, record) -> Posterior:
@@ -187,8 +195,7 @@ def forward_backward(model: HmmModel, record) -> Posterior:
     evaluated with a log-domain backward recursion, marginalized over the
     qubit at slot 0, and renormalized once at the end.
     """
-    symbols = record.symbols if isinstance(record, ReadoutRecord) else str(record)
-    idx = _symbol_indices(symbols)
+    idx = _encode(record)
     with np.errstate(divide="ignore"):
         log_t = np.log(model.transition)
         log_e = np.log(model.emission)
@@ -210,55 +217,59 @@ def forward_backward(model: HmmModel, record) -> Posterior:
 def batch_posteriors(model: HmmModel, records) -> tuple[np.ndarray, np.ndarray]:
     """forward_backward over many records at once.
 
-    Records are grouped by length and each group runs one vectorized
-    backward recursion; the per-step normalization is the same max-shift
-    used by logsumexp, so the results match the scalar routine to rounding.
-    Returns (p_phi, lam) arrays ordered like the input, shapes
-    (n_records, n_sectors) and (n_records,).
+    records is a columnar Records set, whose uint8 codes index the emission
+    table directly, or an iterable of str / ReadoutRecord, encoded once and
+    grouped by length.  Each group runs one vectorized backward recursion;
+    the per-step normalization is the same max-shift used by logsumexp, so
+    the results match the scalar routine to rounding.  Returns (p_phi, lam)
+    arrays ordered like the input, shapes (n_records, n_sectors) and
+    (n_records,).
     """
-    records = list(records)
+    if isinstance(records, Records):
+        groups = [(np.arange(len(records)), _leak_free(records.symbols))]
+    else:
+        encoded = [_encode(r) for r in records]
+        by_length: dict[int, list[int]] = {}
+        for i, codes in enumerate(encoded):
+            by_length.setdefault(codes.size, []).append(i)
+        groups = [
+            (np.array(members), np.stack([encoded[i] for i in members]))
+            for members in by_length.values()
+        ]
+    n_records = sum(len(rows) for rows, _ in groups)
     n = model.n_states
     n_sec = model.n_sectors
-    p_out = np.zeros((len(records), n_sec))
-    lam_out = np.zeros(len(records))
-    if not records:
-        return p_out, lam_out
-    idx_list = []
-    for r in records:
-        symbols = r.symbols if isinstance(r, ReadoutRecord) else str(r)
-        idx_list.append(_symbol_indices(symbols))
+    p_out = np.zeros((n_records, n_sec))
+    lam_out = np.zeros(n_records)
     with np.errstate(divide="ignore"):
-        log_e = np.log(model.emission)
+        log_e = np.log(model.emission).T  # row c: log emission of symbol c
         log_p = np.log(model.prior)
     t_lin = model.transition
-    groups: dict[int, list[int]] = {}
-    for i, idx in enumerate(idx_list):
-        groups.setdefault(len(idx), []).append(i)
-    for length, members in groups.items():
-        idx = np.array([idx_list[i] for i in members])
-        log_beta = np.zeros((len(members), n))
-        for k in range(length - 1, 0, -1):
-            tail = log_e[:, idx[:, k]].T + log_beta
+    for rows, idx in groups:
+        if not rows.size:
+            continue
+        log_beta = np.zeros((rows.size, n))
+        for k in range(idx.shape[1] - 1, 0, -1):
+            tail = log_e[idx[:, k]] + log_beta
             shift = tail.max(axis=1, keepdims=True)
             shift = np.where(np.isfinite(shift), shift, 0.0)
             acc = np.exp(tail - shift) @ t_lin.T
             with np.errstate(divide="ignore"):
                 log_beta = shift + np.log(acc)
-        log_joint = log_p[None, :] + log_e[:, idx[:, 0]].T + log_beta
+        log_joint = log_p[None, :] + log_e[idx[:, 0]] + log_beta
         shift = log_joint.max(axis=1, keepdims=True)
         shift = np.where(np.isfinite(shift), shift, 0.0)
         un = np.exp(log_joint - shift)
         norm = un.sum(axis=1)
         if np.any(norm <= 0.0):
-            bad = members[int(np.argmax(norm <= 0.0))]
+            bad = rows[int(np.argmax(norm <= 0.0))]
             raise NonConvergence(f"record {bad} has zero probability under this model")
         weights = un / norm[:, None]
-        sectors = weights.reshape(len(members), n_sec, 2).sum(axis=2)
+        sectors = weights.reshape(rows.size, n_sec, 2).sum(axis=2)
         sectors = sectors / sectors.sum(axis=1, keepdims=True)
         p1 = sectors[:, 1]
         den = sectors.sum(axis=1) - p1
         lam = np.where(den > 0.0, p1 / np.where(den > 0.0, den, 1.0), np.inf)
-        rows = np.asarray(members)
         p_out[rows] = sectors
         lam_out[rows] = lam
     return p_out, lam_out
@@ -280,10 +291,12 @@ def threshold_complement(threshold: float) -> float:
     return 1.0 / (1.0 + threshold)
 
 
-def postselect(records) -> tuple[list, int]:
-    """Drop records containing leaked readouts; keep order."""
-    kept = [r for r in records if SYMBOL_LEAK not in r.symbols]
-    return kept, len(records) - len(kept)
+def postselect(records) -> tuple[Records, int]:
+    """Drop records containing leaked readouts; keep order.  Returns the
+    kept rows as a Records set and the number dropped."""
+    records = as_records(records)
+    keep = ~records.leaked
+    return records[keep], len(records) - int(keep.sum())
 
 
 def posteriors_to_csv(trial_ids, posteriors, threshold: float) -> str:

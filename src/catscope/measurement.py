@@ -10,19 +10,19 @@ qubit, photon 0 does not.  Each step ends with a readout that reports G or
 E, or leaks out of the readable subspace (symbol L) with probability
 p_leak; records containing L are meant to be dropped downstream.
 
-simulate_record draws hidden paths from the transition matrix augmented
-with a per-step demolition channel (the sector is scrambled uniformly with
-probability p_d).  build_transition_matrix returns the pure, un-augmented
-matrix, which is what the inference side assumes; the mismatch is
-deliberate and mirrors how the demolition probability is calibrated
-separately from the sector-transition rates.
+run_campaign draws hidden paths for every trial of a campaign together
+from the transition matrix augmented with a per-step demolition channel
+(the sector is scrambled uniformly with probability p_d), and returns them
+as one columnar Records set.  build_transition_matrix returns the pure,
+un-augmented matrix, which is what the inference side assumes; the
+mismatch is deliberate and mirrors how the demolition probability is
+calibrated separately from the sector-transition rates.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +43,15 @@ SYMBOL_GROUND = "G"
 SYMBOL_EXCITED = "E"
 SYMBOL_LEAK = "L"
 _SYMBOLS = frozenset((SYMBOL_GROUND, SYMBOL_EXCITED, SYMBOL_LEAK))
+
+# Columnar symbol codes: code k stands for SYMBOL_ALPHABET[k].  Bytes that
+# are not a readout symbol map to CODE_UNKNOWN.
+SYMBOL_ALPHABET = SYMBOL_GROUND + SYMBOL_EXCITED + SYMBOL_LEAK
+CODE_LEAK = 2
+CODE_UNKNOWN = 3
+SYMBOL_CODES = np.full(256, CODE_UNKNOWN, dtype=np.uint8)
+SYMBOL_CODES[[ord(c) for c in SYMBOL_ALPHABET]] = (0, 1, CODE_LEAK)
+SYMBOL_CODES.setflags(write=False)
 
 _MODES = ("compass", "vacuum")
 
@@ -152,6 +161,102 @@ class ReadoutRecord:
     @property
     def leaked(self) -> bool:
         return SYMBOL_LEAK in self.symbols
+
+
+def _code_strings(codes: np.ndarray, alphabet: str) -> list[str]:
+    """One string per row of a small-integer code matrix."""
+    chars = np.frombuffer(alphabet.encode("ascii"), np.uint8)[codes]
+    width = chars.shape[1]
+    return [b.decode("ascii") for b in chars.view(f"S{width}").ravel().tolist()]
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Columnar record set, one row per trial.
+
+    symbols holds the codes of SYMBOL_ALPHABET (0 = G, 1 = E, 2 = L) as a
+    uint8 (n, repeats) array.  For simulated data mode names the probe and
+    the truth columns carry the hidden path: init_sector and injected per
+    trial, sectors and qubits (0 = g, 1 = e) per readout slot.  Without
+    truth they are all None.  len, iteration and integer indexing give
+    ReadoutRecords; any other index (slice, mask) selects rows.
+    """
+
+    symbols: np.ndarray
+    trial_ids: np.ndarray
+    mode: str | None = None
+    init_sector: np.ndarray | None = None
+    injected: np.ndarray | None = None
+    sectors: np.ndarray | None = None
+    qubits: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.symbols.shape[0]
+
+    @property
+    def leaked(self) -> np.ndarray:
+        """Per-row flag: the record holds a leaked readout."""
+        return (self.symbols == CODE_LEAK).any(axis=1)
+
+    def _truth(self, i: int) -> dict | None:
+        if self.mode is None:
+            return None
+        return {
+            "mode": self.mode,
+            "init_sector": int(self.init_sector[i]),
+            "injected": bool(self.injected[i]),
+            "sectors": self.sectors[i].tolist(),
+            "qubits": _code_strings(self.qubits[i : i + 1], "ge")[0],
+        }
+
+    def __iter__(self):
+        strings = _code_strings(self.symbols, SYMBOL_ALPHABET)
+        for i, (symbols, trial_id) in enumerate(zip(strings, self.trial_ids.tolist())):
+            yield ReadoutRecord(symbols, trial_id, self._truth(i))
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return next(iter(self[i : i + 1]))
+        truth = [
+            None if col is None else col[key]
+            for col in (self.init_sector, self.injected, self.sectors, self.qubits)
+        ]
+        return Records(self.symbols[key], self.trial_ids[key], self.mode, *truth)
+
+
+def as_records(records) -> Records:
+    """records itself when columnar; otherwise the ReadoutRecords packed
+    into columns.  All records must have the same length; the truth
+    columns are filled only when every record carries truth."""
+    if isinstance(records, Records):
+        return records
+    records = list(records)
+    lengths = {len(r.symbols) for r in records}
+    if len(lengths) > 1:
+        raise ConfigError(
+            f"records of different lengths {sorted(lengths)} do not form columns"
+        )
+    shape = (len(records), lengths.pop() if lengths else 1)
+    text = "".join(r.symbols for r in records).encode("ascii")
+    symbols = SYMBOL_CODES[np.frombuffer(text, np.uint8)].reshape(shape)
+    trial_ids = np.array([r.trial_id for r in records], dtype=np.int64)
+    truths = [r.truth for r in records]
+    if not truths or any(t is None for t in truths):
+        return Records(symbols, trial_ids)
+    modes = {t["mode"] for t in truths}
+    if len(modes) > 1:
+        raise ConfigError(f"records mix probe modes {sorted(modes)}")
+    qubits = "".join(t["qubits"] for t in truths).encode("ascii")
+    return Records(
+        symbols,
+        trial_ids,
+        modes.pop(),
+        np.array([t["init_sector"] for t in truths], dtype=np.uint8),
+        np.array([t["injected"] for t in truths], dtype=bool),
+        np.array([t["sectors"] for t in truths], dtype=np.uint8).reshape(shape),
+        (np.frombuffer(qubits, np.uint8) == ord("e")).astype(np.uint8).reshape(shape),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +442,12 @@ def simulate_record(
 ) -> ReadoutRecord:
     """Draw one record: hidden (sector, qubit) path plus readout symbols.
 
-    The per-trial stream is seeded as SeedSequence([cfg.rng_seed, trial_id])
-    so campaigns are reproducible under any parallel schedule.  The sector
-    chain uses the demolition-augmented kernel (uniform scramble with
-    probability p_d per step); the first symbol is emitted from the
-    post-preparation state (qubit g) before any transition.
+    The scalar reference that run_campaign is tested against, trial for
+    trial; no command calls it.  The per-trial stream is seeded as
+    SeedSequence([cfg.rng_seed, trial_id]).  The sector chain uses the
+    demolition-augmented kernel (uniform scramble with probability p_d per
+    step); the first symbol is emitted from the post-preparation state
+    (qubit g) before any transition.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, trial_id]))
     mode = cfg.mode
@@ -391,61 +497,83 @@ def simulate_record(
     return ReadoutRecord("".join(symbols), trial_id=trial_id, truth=truth)
 
 
-def _simulate_chunk(
-    cfg: TrialConfig, device: DeviceParams, ids: list[int]
-) -> list[ReadoutRecord]:
-    return [simulate_record(cfg, device, trial_id=i) for i in ids]
-
-
 @dataclass(frozen=True)
 class CampaignResult:
-    records: tuple[ReadoutRecord, ...]
+    records: Records
     truth_summary: dict
 
 
+def _trial_uniforms(cfg: TrialConfig, n_trials: int) -> np.ndarray:
+    """(n, 1 + 4 repeats) uniforms: trial k's stream SeedSequence([rng_seed,
+    k]) gives the initial-sector draw, then the (repeats, 4) step draws."""
+    u = np.empty((n_trials, 1 + 4 * cfg.repeats))
+    for k in range(n_trials):
+        # PCG64 seeds itself through SeedSequence([rng_seed, k]), as
+        # default_rng does, without default_rng's dispatch
+        np.random.Generator(np.random.PCG64([cfg.rng_seed, k])).random(out=u[k])
+    return u
+
+
 def run_campaign(
-    n_trials: int,
-    cfg: TrialConfig,
-    device: DeviceParams,
-    workers: int | None = None,
+    n_trials: int, cfg: TrialConfig, device: DeviceParams
 ) -> CampaignResult:
     """Simulate n_trials independent records from one trial template.
 
-    Trial k is seeded by SeedSequence([cfg.rng_seed, k]); the result is
-    byte-identical for any workers setting.  The truth summary aggregates
-    the hidden-path annotations for oracle checks.
+    Trial k draws from SeedSequence([cfg.rng_seed, k]) exactly what
+    simulate_record(cfg, device, k) draws, and the hidden chain of every
+    trial advances together, one vectorized step per readout slot, with
+    the same comparisons in the same order; so row k equals that record.
+    The truth summary aggregates the hidden-path columns for oracle checks.
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials!r}")
-    ids = list(range(n_trials))
-    if workers is not None and workers > 1:
-        chunks = [ids[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_simulate_chunk, [cfg] * len(chunks), [device] * len(chunks), chunks)
-            )
-        records = [r for part in parts for r in part]
-        records.sort(key=lambda r: r.trial_id)
-    else:
-        records = _simulate_chunk(cfg, device, ids)
+    mode = cfg.mode
+    alpha_sq = abs(cfg.init.alpha) ** 2 if cfg.init is not None else 1.0
+    probs = _initial_sector_probs(cfg)
+    n_sec = probs.size
+    cav = _cavity_matrix(device, alpha_sq, mode)
+    if device.p_d > 0.0:
+        cav = (1.0 - device.p_d) * cav + device.p_d / n_sec
+    cav_cum = np.cumsum(cav, axis=1)
+    factors = _qubit_factors(device)
+    # P(qubit' = g | dest sector, qubit)
+    to_g = np.array([_qubit_kernel(k, factors)[:, 0] for k in _sector_kinds(mode)])
+    p_read_g = np.array([1.0 - device.readout_Fge_inv, device.readout_Fge])
 
-    n_sec = 4 if cfg.mode == "compass" else 2
-    counts = [0] * n_sec
-    n_injected = 0
-    n_leaked = 0
-    for r in records:
-        counts[r.truth["init_sector"]] += 1
-        n_injected += r.truth["injected"]
-        n_leaked += r.leaked
+    u = _trial_uniforms(cfg, n_trials)
+    steps = u[:, 1:].reshape(n_trials, cfg.repeats, 4)  # sector, qubit, leak, symbol
+    sectors = np.empty((n_trials, cfg.repeats), dtype=np.uint8)
+    qubits = np.zeros((n_trials, cfg.repeats), dtype=np.uint8)
+    # a pick is the count of cumulative weights <= u, clamped to the last sector
+    first = np.searchsorted(np.cumsum(probs), u[:, 0], side="right")
+    sectors[:, 0] = np.minimum(first, n_sec - 1)
+    for k in range(1, cfg.repeats):
+        hop = (cav_cum[sectors[:, k - 1]] <= steps[:, k, 0, None]).sum(axis=1)
+        sectors[:, k] = np.minimum(hop, n_sec - 1)
+        qubits[:, k] = ~(steps[:, k, 1] < to_g[sectors[:, k], qubits[:, k - 1]])
+    symbols = np.where(steps[:, :, 3] < p_read_g[qubits], 0, 1).astype(np.uint8)
+    symbols[steps[:, :, 2] < device.p_leak] = CODE_LEAK
+
+    base = cfg.init.j if mode == "compass" else 0
+    init_sector = sectors[:, 0].copy()
+    records = Records(
+        symbols,
+        np.arange(n_trials, dtype=np.int64),
+        mode,
+        init_sector,
+        init_sector != base,
+        sectors,
+        qubits,
+    )
     summary = {
         "n_trials": n_trials,
-        "mode": cfg.mode,
+        "mode": mode,
         "repeats": cfg.repeats,
-        "n_injected": int(n_injected),
-        "n_leaked_records": int(n_leaked),
-        "init_sector_counts": counts,
+        "n_injected": int(records.injected.sum()),
+        "n_leaked_records": int(records.leaked.sum()),
+        "init_sector_counts": np.bincount(init_sector, minlength=n_sec).tolist(),
     }
-    return CampaignResult(tuple(records), summary)
+    return CampaignResult(records, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +668,27 @@ def prepare_compass(
 
 
 def records_to_jsonl(records, include_truth: bool = True) -> str:
-    """One JSON object per line: {trial_id, symbols, truth?}."""
-    lines = []
-    for r in records:
-        obj = {"trial_id": r.trial_id, "symbols": r.symbols}
-        if include_truth and r.truth is not None:
-            obj["truth"] = r.truth
-        lines.append(json.dumps(obj, sort_keys=True))
+    """One JSON object per line, {symbols, trial_id, truth?}: per record the
+    text json.dumps(obj, sort_keys=True) gives, formatted from the columns."""
+    recs = as_records(records)
+    symbols = _code_strings(recs.symbols, SYMBOL_ALPHABET)
+    ids = recs.trial_ids.tolist()
+    if not include_truth or recs.mode is None:
+        lines = [f'{{"symbols": "{s}", "trial_id": {t}}}' for s, t in zip(symbols, ids)]
+        return "\n".join(lines) + "\n"
+    columns = zip(
+        symbols,
+        ids,
+        recs.init_sector.tolist(),
+        np.where(recs.injected, "true", "false").tolist(),
+        _code_strings(recs.qubits, "ge"),
+        map(str, recs.sectors.tolist()),
+    )
+    lines = [
+        f'{{"symbols": "{s}", "trial_id": {t}, "truth": {{"init_sector": {i}, '
+        f'"injected": {j}, "mode": "{recs.mode}", "qubits": "{q}", "sectors": {c}}}}}'
+        for s, t, i, j, q, c in columns
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -485,11 +485,25 @@ def _count_positives(model, threshold: float, campaign):
     return int(np.sum(lam > threshold)), len(kept), dropped
 
 
+def _calibrated_eta(etas_by_label: dict, label: str, hint: str = "") -> float:
+    """The probe's calibrated efficiency; a missing or non-positive one
+    cannot scale a signal rate."""
+    if label not in etas_by_label:
+        raise MissingCalibration(f"calibration has no entry for probe {label!r}{hint}")
+    eta = etas_by_label[label]
+    if not eta > 0.0:
+        raise MissingCalibration(
+            f"calibrated efficiency for {label!r} is {eta!r}; "
+            "rerun calibration with more trials"
+        )
+    return eta
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def run_calibrate(cfg: dict, workers=None):
+def run_calibrate(cfg: dict):
     """Mimic-displacement response curves, eta/delta fits per probe, and the
     cat enhancement against the vacuum probe.
 
@@ -518,7 +532,7 @@ def run_calibrate(cfg: dict, workers=None):
                 repeats=repeats,
                 rng_seed=seed,
             )
-            camp = run_campaign(trials, tc, device, workers=workers)
+            camp = run_campaign(trials, tc, device)
             k, n_kept, n_drop = _count_positives(model, thr, camp)
             n_inj = applied * applied
             pts.append((n_inj, k, n_kept))
@@ -557,7 +571,7 @@ def run_calibrate(cfg: dict, workers=None):
     return files, summary
 
 
-def _load_calibration(cfg: dict, workers=None):
+def _load_calibration(cfg: dict):
     """eta per probe label.  calibration.path wins; otherwise self-calibrate
     (reusing the calibrate seeds, so the artifacts match a standalone run);
     otherwise there is nothing to analyze against."""
@@ -575,7 +589,7 @@ def _load_calibration(cfg: dict, workers=None):
             ) from None
         return etas, {}
     if cal["self_calibrate"]:
-        files, _ = run_calibrate(cfg, workers=workers)
+        files, _ = run_calibrate(cfg)
         report = json.loads(files["calibration.json"])
         etas = {r["label"]: float(r["eta"]) for r in report["probes"]}
         return etas, files
@@ -584,7 +598,7 @@ def _load_calibration(cfg: dict, workers=None):
     )
 
 
-def run_search(cfg: dict, workers=None):
+def run_search(cfg: dict):
     """Integration-time scan per probe, the pooled signal fit, and the
     kinetic-mixing exclusion point at the configured mass."""
     device = build_device(cfg)
@@ -595,16 +609,17 @@ def run_search(cfg: dict, workers=None):
     sr = cfg["search"]
     taus = [float(t) for t in sr["tau_grid"]]
     eps = sr["inject_epsilon"]
-    etas_by_label, files = _load_calibration(cfg, workers=workers)
+    etas_by_label, files = _load_calibration(cfg)
+    # every probe's efficiency is checked before any campaign runs
+    etas = [
+        _calibrated_eta(etas_by_label, _probe_parts(probe)[2])
+        for probe in cfg["probes"]
+    ]
     series = []
-    etas = []
     rate_lines = ["probe,alpha_sq,tau,k_pos,n_kept,n_dropped,eta"]
     record_chunks = []
-    for pi, probe in enumerate(cfg["probes"]):
+    for pi, (probe, eta) in enumerate(zip(cfg["probes"], etas)):
         init, mode, label, a2 = _probe_parts(probe)
-        if label not in etas_by_label:
-            raise MissingCalibration(f"calibration has no entry for probe {label!r}")
-        eta = etas_by_label[label]
         model = build_model(device, alpha_sq=a2, mode=mode)
         thr = float(cfg["thresholds"][mode])
         ks, ns = [], []
@@ -612,7 +627,7 @@ def run_search(cfg: dict, workers=None):
             seed = derive_seed(master, "search", pi, ti)
             dm = DMInjection(float(eps), point, tau, halo) if eps else None
             tc = TrialConfig(init=init, dm=dm, repeats=repeats, rng_seed=seed)
-            camp = run_campaign(sr["trials"], tc, device, workers=workers)
+            camp = run_campaign(sr["trials"], tc, device)
             k, n_kept, n_drop = _count_positives(model, thr, camp)
             ks.append(k)
             ns.append(n_kept)
@@ -621,7 +636,6 @@ def run_search(cfg: dict, workers=None):
             )
             record_chunks.append(records_to_jsonl(camp.records))
         series.append(SearchSeries(a2, tuple(taus), tuple(ks), tuple(ns)))
-        etas.append(eta)
     tau_dm = coherence_time(point, halo)
     fit = search_fit(
         series, lambda t: g_of_t(t, point, halo), tuple(etas), tau_warn=tau_dm
@@ -642,7 +656,7 @@ def run_search(cfg: dict, workers=None):
     return files, summary
 
 
-def run_tune_scan(cfg: dict, workers=None):
+def run_tune_scan(cfg: dict):
     """Frequency-bin scan: one campaign per cavity tuning, background
     subtraction across bins, and a per-bin limit at each bin's own resonant
     mass."""
@@ -656,18 +670,8 @@ def run_tune_scan(cfg: dict, workers=None):
     spacing = 2.0 * math.pi * float(sc["spacing_hz"])
     t1c = float(sc["t1c"])
     a2 = float(sc["alpha_sq"])
-    etas_by_label, files = _load_calibration(cfg, workers=workers)
-    label = f"a{a2:g}"
-    if label not in etas_by_label:
-        raise MissingCalibration(
-            f"calibration has no entry for probe {label!r}; add it to probes"
-        )
-    eta = etas_by_label[label]
-    if not eta > 0.0:
-        raise MissingCalibration(
-            f"calibrated efficiency for {label!r} is {eta!r}; "
-            "rerun calibration with more trials"
-        )
+    etas_by_label, files = _load_calibration(cfg)
+    eta = _calibrated_eta(etas_by_label, f"a{a2:g}", "; add it to probes")
     # the calibration slope is an efficiency estimate and can overshoot 1
     # at small trial counts; project it back to the physical boundary
     eta = min(eta, 1.0)
@@ -690,7 +694,7 @@ def run_tune_scan(cfg: dict, workers=None):
             pt = SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff)
             dm = DMInjection(float(eps), pt, t1c, halo)
         tc = TrialConfig(init=init, dm=dm, repeats=repeats, rng_seed=seed)
-        camp = run_campaign(sc["trials"], tc, device, workers=workers)
+        camp = run_campaign(sc["trials"], tc, device)
         k, n_kept, n_drop = _count_positives(model, thr, camp)
         bins.append(FrequencyBin(om, k, n_kept, eta, t1c))
         counts.append((i, om, k, n_kept, n_drop))
@@ -734,7 +738,7 @@ def run_tune_scan(cfg: dict, workers=None):
     return files, summary
 
 
-def run_simulate_record(cfg: dict, workers=None):
+def run_simulate_record(cfg: dict):
     """Raw readout records for one probe, truth annotations included."""
     device = build_device(cfg)
     rc = cfg["records"]
@@ -747,7 +751,7 @@ def run_simulate_record(cfg: dict, workers=None):
         repeats=cfg["repeats"],
         rng_seed=seed,
     )
-    camp = run_campaign(rc["trials"], tc, device, workers=workers)
+    camp = run_campaign(rc["trials"], tc, device)
     _, dropped = postselect(camp.records)
     files = {"records.jsonl": records_to_jsonl(camp.records)}
     summary = [f"{rc['trials']} records ({label}), {dropped} with leakage"]
@@ -839,7 +843,7 @@ def _render_figure(fid: str, cfg: dict, out_root) -> str:
     raise ConfigError(f"unknown figure {fid!r}")
 
 
-def run_figures(cfg: dict, which=None, out_root=".", workers=None):
+def run_figures(cfg: dict, which=None, out_root="."):
     """CSV tables behind the plots.  Figures needing campaign artifacts read
     the matching run directory under out_root and fail with MissingArtifact
     when the producing command has not run with this config."""
@@ -865,21 +869,21 @@ def run_figures(cfg: dict, which=None, out_root=".", workers=None):
 # dispatcher
 
 
-def run_command(command: str, cfg: dict, out_root=".", workers=None, which=None):
+def run_command(command: str, cfg: dict, out_root=".", which=None):
     """Validate, run one command, stage and promote its artifacts.
 
     Returns (final run directory, human-readable summary lines)."""
     validate_config(cfg)
     if command == "calibrate":
-        files, summary = run_calibrate(cfg, workers=workers)
+        files, summary = run_calibrate(cfg)
     elif command == "search":
-        files, summary = run_search(cfg, workers=workers)
+        files, summary = run_search(cfg)
     elif command == "tune-scan":
-        files, summary = run_tune_scan(cfg, workers=workers)
+        files, summary = run_tune_scan(cfg)
     elif command == "figures":
         files, summary = run_figures(cfg, which=which, out_root=out_root)
     elif command == "simulate-record":
-        files, summary = run_simulate_record(cfg, workers=workers)
+        files, summary = run_simulate_record(cfg)
     else:
         raise ConfigError(f"unknown command {command!r}")
     rid = run_id(cfg, command)

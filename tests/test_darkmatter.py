@@ -234,3 +234,14 @@ def test_csv_emitters():
 def test_gev_conversion_constant():
     # 1 GeV in rad/s: 1e9 * elementary charge / hbar
     assert GEV_TO_RAD_PER_S == pytest.approx(1.5192674e24, rel=1e-7)
+
+
+def test_si_constants_match_scipy():
+    # the exact SI literals are bit-equal to scipy.constants
+    import scipy.constants
+
+    from catscope import darkmatter
+
+    assert darkmatter._E_CHARGE == scipy.constants.e
+    assert darkmatter._HBAR == scipy.constants.hbar
+    assert GEV_TO_RAD_PER_S == 1e9 * scipy.constants.e / scipy.constants.hbar

@@ -204,7 +204,7 @@ def test_postselect():
     assert dropped == 1
     assert [r.trial_id for r in kept] == [0, 2]
     kept, dropped = hmm.postselect([ms.ReadoutRecord("LLL")])
-    assert kept == [] and dropped == 1
+    assert len(kept) == 0 and dropped == 1
     kept, dropped = hmm.postselect(recs[:1])
     assert dropped == 0
 
@@ -248,6 +248,7 @@ def test_batch_posteriors_matches_scalar():
         cfg = ms.TrialConfig(init=init, injected_beta=0.1, repeats=20, rng_seed=5)
         recs, _ = hmm.postselect(ms.run_campaign(200, cfg, device).records)
         # mix in short records so several length groups are exercised
+        recs = list(recs)
         recs = recs + [type(r)(r.symbols[:4], r.trial_id, r.truth) for r in recs[:30]]
         p_all, lam_all = hmm.batch_posteriors(model, recs)
         assert p_all.shape == (len(recs), model.n_sectors)
@@ -270,6 +271,35 @@ def test_batch_posteriors_rejects_bad_records():
     with pytest.raises(NonConvergence):
         # the prior pins the first readout to G when the readout is perfect
         hmm.batch_posteriors(noiseless, ["GEGE", "EGGG"])
+
+
+def _random_model(rng, n_states):
+    t = rng.random((n_states, n_states))
+    prior = rng.random(n_states)
+    return hmm.HmmModel(
+        t / t.sum(axis=1, keepdims=True),
+        rng.random((n_states, 2)),
+        prior / prior.sum(),
+        tuple(f"s{i}" for i in range(n_states)),
+    )
+
+
+@pytest.mark.parametrize("n_states", [4, 8])
+def test_batch_posteriors_on_codes_matches_oracles(n_states):
+    rng = np.random.default_rng(600 + n_states)
+    for length in (1, 2, 5):
+        model = _random_model(rng, n_states)
+        codes = rng.integers(0, 2, size=(40, length), dtype=np.uint8)
+        recs = ms.Records(codes, np.arange(40))
+        p_all, lam_all = hmm.batch_posteriors(model, recs)
+        assert p_all.shape == (40, n_states // 2)
+        for i, r in enumerate(recs):
+            ref = hmm.forward_backward(model, r)
+            assert_allclose(p_all[i], ref.p_phi, rtol=1e-12, atol=1e-15)
+            assert_allclose(lam_all[i], ref.lam, rtol=1e-12)
+            assert_allclose(p_all[i], enumerate_posterior(model, r.symbols), rtol=1e-11)
+    with pytest.raises(LeakageSymbol):
+        hmm.batch_posteriors(model, ms.as_records([ms.ReadoutRecord("GEL")]))
 
 
 def test_posteriors_to_csv():

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import chi2
 
 from catscope import measurement as ms
 from catscope.darkmatter import SearchPoint, coherence_time
@@ -267,10 +269,8 @@ def test_campaign_determinism():
     a = ms.run_campaign(200, cfg, d)
     b = ms.run_campaign(200, cfg, d)
     assert [r.symbols for r in a.records] == [r.symbols for r in b.records]
-    c = ms.run_campaign(200, cfg, d, workers=2)
-    assert [r.symbols for r in a.records] == [r.symbols for r in c.records]
-    assert [r.trial_id for r in c.records] == list(range(200))
-    assert a.truth_summary == c.truth_summary
+    assert [r.trial_id for r in a.records] == list(range(200))
+    assert a.truth_summary == b.truth_summary
 
 
 def test_jsonl_roundtrip():
@@ -351,3 +351,121 @@ def test_mimic_populations_cached_and_normalized():
     assert pops[0] > 0.9
     again = ms._mimic_sector_populations(2.0, 4, 0, 0.1)
     assert pops == again
+
+
+# ---------------------------------------------------------------------------
+# batched campaign against the scalar oracle
+
+_POINT = SearchPoint(m_dm=2 * math.pi * 6.442e9)
+_INJECTIONS = {
+    "none": {},
+    "beta": {"injected_beta": 0.3},
+    "dm": {"dm": ms.DMInjection(2e-15, _POINT, coherence_time(_POINT))},
+}
+
+
+@pytest.mark.parametrize("repeats", [1, 20])
+@pytest.mark.parametrize("p_d", [0.0, 0.013])
+@pytest.mark.parametrize("injection", sorted(_INJECTIONS))
+@pytest.mark.parametrize("probe", ["compass", "vacuum"])
+def test_campaign_matches_simulate_record(probe, injection, p_d, repeats):
+    init = CatSpec(math.sqrt(12)) if probe == "compass" else None
+    cfg = ms.TrialConfig(
+        init=init, repeats=repeats, rng_seed=2**63 + 12345, **_INJECTIONS[injection]
+    )
+    device = ms.DeviceParams(p_d=p_d, p_leak=0.05)
+    res = ms.run_campaign(150, cfg, device)
+    assert len(res.records) == 150
+    for k, got in enumerate(res.records):
+        ref = ms.simulate_record(cfg, device, trial_id=k)
+        assert (got.symbols, got.trial_id, got.truth) == (
+            ref.symbols,
+            ref.trial_id,
+            ref.truth,
+        )
+
+
+def _hop_p_value(records, transition):
+    """Chi-square p-value of the joint (sector, qubit) hop counts against a
+    transition matrix; cells expecting fewer than 5 hops are pooled per row."""
+    n = transition.shape[0]
+    state = 2 * records.sectors.astype(int) + records.qubits
+    counts = np.zeros((n, n))
+    np.add.at(counts, (state[:, :-1].ravel(), state[:, 1:].ravel()), 1.0)
+    assert np.all(counts[transition == 0.0] == 0.0), "hop the matrix forbids"
+    expected = counts.sum(axis=1, keepdims=True) * transition
+    stat, dof = 0.0, 0
+    for obs, exp in zip(counts, expected):
+        big = exp >= 5.0
+        o = np.append(obs[big], obs[~big].sum())
+        e = np.append(exp[big], exp[~big].sum())
+        used = e > 0.0
+        stat += float(np.sum((o[used] - e[used]) ** 2 / e[used]))
+        dof += max(int(used.sum()) - 1, 0)
+    return float(chi2.sf(stat, dof))
+
+
+@pytest.mark.parametrize("probe", ["compass", "vacuum"])
+def test_campaign_hops_follow_transition_matrix(probe):
+    # fast cavity and qubit rates, so every hop is visited many times
+    fast = dict(T1c=2e-5, n_c=0.2, T1q=2e-5, n_q=0.2, T2q=1e-4, p_leak=0.0)
+    device = ms.DeviceParams(p_d=0.0, **fast)
+    init = CatSpec(2.0) if probe == "compass" else None
+    cfg = ms.TrialConfig(init=init, repeats=20, rng_seed=77)
+    records = ms.run_campaign(3000, cfg, device).records
+    t = ms.build_transition_matrix(device, alpha_sq=4.0, mode=probe)
+    assert _hop_p_value(records, t) > 1e-3
+    # the test sees a 25% error in the cavity lifetime
+    wrong = ms.build_transition_matrix(
+        ms.DeviceParams(p_d=0.0, **{**fast, "T1c": 2.5e-5}), alpha_sq=4.0, mode=probe
+    )
+    assert _hop_p_value(records, wrong) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# columnar records and the JSONL boundary
+
+
+def test_records_indexing_matches_iteration():
+    cfg = ms.TrialConfig(init=CatSpec(2.0), injected_beta=0.2, repeats=7, rng_seed=3)
+    recs = ms.run_campaign(40, cfg, ms.DeviceParams(p_leak=0.05)).records
+    rows = list(recs)
+    assert recs.symbols.dtype == np.uint8 and recs.symbols.shape == (40, 7)
+    assert recs[5] == rows[5] and recs[-1] == rows[-1]
+    mask = recs.leaked
+    assert [r.symbols for r in recs[mask]] == [r.symbols for r in rows if r.leaked]
+    assert list(recs[10:13]) == rows[10:13]
+    # packing the rows again gives the same columns
+    again = ms.as_records(rows)
+    columns = ("symbols", "trial_ids", "init_sector", "injected", "sectors", "qubits")
+    for name in columns:
+        assert np.array_equal(getattr(again, name), getattr(recs, name)), name
+    assert again.mode == recs.mode
+    with pytest.raises(ConfigError):
+        ms.as_records([ms.ReadoutRecord("GE"), ms.ReadoutRecord("GEG")])
+
+
+@pytest.mark.parametrize("probe", ["compass", "vacuum"])
+def test_jsonl_matches_json_dumps(probe):
+    init = CatSpec(2.0) if probe == "compass" else None
+    cfg = ms.TrialConfig(init=init, injected_beta=0.4, repeats=9, rng_seed=8)
+    recs = ms.run_campaign(120, cfg, ms.DeviceParams(p_leak=0.05)).records
+    rows = list(recs)
+    for include_truth in (True, False):
+        objs = []
+        for r in rows:
+            obj = {"trial_id": r.trial_id, "symbols": r.symbols}
+            if include_truth:
+                obj["truth"] = r.truth
+            objs.append(json.dumps(obj, sort_keys=True))
+        text = ms.records_to_jsonl(recs, include_truth=include_truth)
+        assert text == "\n".join(objs) + "\n"
+        back = ms.records_from_jsonl(text)
+        assert [(r.symbols, r.trial_id) for r in back] == [
+            (r.symbols, r.trial_id) for r in rows
+        ]
+        want = [r.truth if include_truth else None for r in rows]
+        assert [r.truth for r in back] == want
+    # records without truth write no truth key even when asked to
+    bare = ms.as_records([ms.ReadoutRecord(r.symbols, r.trial_id) for r in rows])
+    assert ms.records_to_jsonl(bare) == ms.records_to_jsonl(recs, include_truth=False)

@@ -172,6 +172,28 @@ def test_search_requires_calibration(tmp_path):
         pipeline.run_command("search", cfg, out_root=tmp_path)
 
 
+def test_search_rejects_nonpositive_efficiency(tmp_path, monkeypatch, capsys):
+    report = {
+        "probes": [
+            {"label": "vacuum", "mode": "vacuum", "alpha_sq": 1.0, "eta": 0.6},
+            {"label": "a12", "mode": "compass", "alpha_sq": 12.0, "eta": -0.1026},
+        ]
+    }
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(report))
+    overlay = tmp_path / "cfg.yaml"
+    overlay.write_text(f"calibration:\n  path: {str(cal)!r}\n  self_calibrate: false\n")
+    calls = []
+    monkeypatch.setattr(pipeline, "search_fit", lambda *a, **k: calls.append("fit"))
+    monkeypatch.setattr(pipeline, "run_campaign", lambda *a, **k: calls.append("sim"))
+    rc = cli.main(["search", "--config", str(overlay), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'a12'" in err and "-0.1026" in err
+    assert calls == []
+    assert not (tmp_path / "out" / "results").exists()
+
+
 # ---------------------------------------------------------------------------
 # search
 
@@ -272,13 +294,6 @@ def test_rerun_is_byte_identical(tmp_path):
         assert ta[name] == tb[name], f"{name} differs between reruns"
 
 
-def test_workers_match_serial(tmp_path):
-    cfg = _small_cfg(trials=80)
-    a, _ = pipeline.run_command("calibrate", cfg, out_root=tmp_path / "a")
-    b, _ = pipeline.run_command("calibrate", cfg, out_root=tmp_path / "b", workers=2)
-    assert _tree_bytes(a) == _tree_bytes(b)
-
-
 def test_promote_replaces_stale_run(tmp_path):
     cfg = _small_cfg(trials=16)
     final, _ = pipeline.run_command("simulate-record", cfg, out_root=tmp_path)
@@ -357,6 +372,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     # argparse handles unknown flags itself
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--no-such-flag"])
+    assert exc.value.code == 2
+    # simulation runs in one process; there is no worker pool to size
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--workers", "2"])
     assert exc.value.code == 2
 
 
