@@ -67,7 +67,8 @@ class DegenerateDesign(CatscopeError):
 
 
 class NonConvergence(CatscopeError):
-    """Every optimizer start failed to converge."""
+    """A fit missed its optimality conditions, or a record has zero
+    probability under its model."""
 
 
 class ZeroBaseline(CatscopeError):
@@ -80,10 +81,6 @@ class SingleBin(CatscopeError):
 
 class ZeroEfficiency(CatscopeError):
     """A frequency bin reports zero detection efficiency."""
-
-
-class ZeroP0(CatscopeError):
-    """Amplitude-from-ratio received a zero ground-state population."""
 
 
 class ZeroSignalDenominator(CatscopeError):

@@ -3,12 +3,14 @@ propagation to the kinetic-mixing parameter, threshold sweeps, frequency-bin
 background subtraction, and exclusion limits.
 
 Count data is fit with the exact binomial likelihood (several baseline rates
-are O(1e-3) at 1e4 trials, where a Gaussian approximation misbehaves), using
-a derivative-free simplex with multistart and Fisher-information covariances
-at the optimum.  Reported log-likelihoods omit the data-only combinatorial
-constant, which makes them invariant under rebinning trials at fixed rates.
-The one-sided 90% Gaussian quantile is hard-coded as 1.28 (not 1.2816) to
-match the published arithmetic.
+are O(1e-3) at 1e4 trials, where a Gaussian approximation misbehaves).  Both
+fits have a rate affine in the parameters and clipped to [0, 1], so their
+log-likelihood is concave; one active-set Newton solver maximizes it, and
+the covariance is the inverse Fisher information at the optimum.  Reported
+log-likelihoods omit the data-only combinatorial constant, which makes them
+invariant under rebinning trials at fixed rates.  The one-sided 90% Gaussian
+quantile is hard-coded as 1.28 (not 1.2816) to match the published
+arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+# Not used here: the benchmark's tracer (perfbench/spans.py) wraps these two
+# attributes of this module and fails if they are missing.
+from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 from scipy.special import ndtr, xlogy
 
 from .darkmatter import (
@@ -33,13 +37,11 @@ from .darkmatter import (
 from .errors import (
     ConfigError,
     DegenerateDesign,
-    NegativeProbability,
     NonConvergence,
     QuadratureFailure,
     SingleBin,
     ZeroBaseline,
     ZeroEfficiency,
-    ZeroP0,
     ZeroSignalDenominator,
 )
 from .hmm import batch_posteriors, postselect
@@ -76,13 +78,15 @@ class CalibrationCurve:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Named estimates, covariance (ordered like params), and the binomial
-    log-likelihood without its combinatorial constant."""
+    """Named estimates, covariance (ordered like params), the binomial
+    log-likelihood without its combinatorial constant, and the number of
+    solver iterations."""
 
     params: dict
     covariance: np.ndarray
     log_likelihood: float
     boundary_hit: bool = False
+    iterations: int = 0
 
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)
@@ -189,10 +193,6 @@ def _binom_ll(k, n, p) -> float:
     return val
 
 
-def _guarded_nll(val: float) -> float:
-    return val if np.isfinite(val) else 1e300
-
-
 def _binomial_information(design, k, n, p_lin) -> np.ndarray:
     """Exact observed information for a binomial likelihood whose rate is
     linear in the parameters: sum of w x x^T with w = k/p^2 + (n-k)/(1-p)^2.
@@ -206,6 +206,14 @@ def _binomial_information(design, k, n, p_lin) -> np.ndarray:
     pm = p[mask]
     w[mask] = k[mask] / pm**2 + (n[mask] - k[mask]) / (1.0 - pm) ** 2
     return (design * w[:, None]).T @ design
+
+
+def _column_scales(design) -> np.ndarray:
+    """1 / the largest |entry| of each design column (1 for a zero column):
+    the units, with every column of order one, that the solver and the
+    covariance work in."""
+    top = np.max(np.abs(design), axis=0, initial=0.0)
+    return 1.0 / np.where(top > 0.0, top, 1.0)
 
 
 def _invert_information(info, scales) -> np.ndarray:
@@ -226,36 +234,101 @@ def _invert_information(info, scales) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _simplex(nll, start, scales, maxiter=40000):
-    scales = np.asarray(scales, dtype=float)
+_MAX_ITERATIONS = 200
 
-    def scaled(z):
-        return nll(z * scales)
 
-    res = minimize(
-        scaled,
-        np.asarray(start, dtype=float) / scales,
-        method="Nelder-Mead",
-        options={
-            "maxiter": maxiter,
-            "maxfev": maxiter,
-            "xatol": 1e-9,
-            "fatol": 1e-11,
-        },
+def _maximize(design, k, n, start, nonneg_first: bool = False):
+    """theta maximizing sum k log p + (n - k) log(1 - p), p = clip(design @
+    theta, 0, 1), with theta[0] >= 0 if nonneg_first; start must put every
+    row with 0 < k < n strictly inside (0, 1).  Returns (theta, iterations).
+
+    The objective is concave but kinked where a row with k = 0 meets the
+    clip at rate 0 (k = n: at 1), and projected Newton zigzags across the
+    kink.  Each such row gets a slack u >= max(y, 0), y = rate (k = 0) or
+    1 - rate (k = n), and contributes n log(1 - u): a smooth objective under
+    linear constraints A z >= b on z = (column-scaled theta, u).  Active-set
+    Newton (Boyd & Vandenberghe, Convex Optimization, ch. 10-11) steps in the
+    null space of the working set, stops at the first blocking constraint,
+    backtracks to sufficient ascent, and frees a constraint whose multiplier
+    is negative.  It returns once the predicted gain is below 1e-12 with no
+    negative multiplier (the KKT conditions), and raises NonConvergence if
+    that takes more than _MAX_ITERATIONS steps."""
+    n = np.asarray(n, dtype=float)
+    rows = n > 0.0  # a row with no trials carries no likelihood
+    scale = _column_scales(design)
+    x = np.asarray(design, dtype=float)[rows] * scale
+    k, n = np.asarray(k, dtype=float)[rows], n[rows]
+    inner = (k > 0.0) & (k < n)
+    xi, ki, ni = x[inner], k[inner], n[inner]
+    xk, nk = x[~inner], n[~inner]
+    sign = np.where(k[~inner] == 0.0, 1.0, -1.0)  # y = sign * rate + (1 - sign) / 2
+    p, q = x.shape[1], nk.size
+    a = np.vstack(
+        [
+            np.eye(1, p + q)[: int(nonneg_first)],
+            np.hstack([np.zeros((q, p)), np.eye(q)]),
+            np.hstack([-sign[:, None] * xk, np.eye(q)]),
+        ]
     )
-    return res.x * scales, float(res.fun)
+    b = np.concatenate([np.zeros(int(nonneg_first) + q), (1.0 - sign) / 2.0])
+    theta = np.asarray(start, dtype=float) / scale
+    z = np.concatenate([theta, np.maximum(sign * (xk @ theta) + (1.0 - sign) / 2.0, 0.0)])
+    work: list[int] = []
+    for j in np.flatnonzero(a @ z - b <= 1e-12):
+        if np.linalg.matrix_rank(a[work + [j]]) > len(work):
+            work.append(int(j))
+
+    def change(z, d) -> float:
+        """f(z + d) - f(z), summed term by term so it stays exact when tiny."""
+        r, dr, u, du = xi @ z[:p], xi @ d[:p], z[p:], d[p:]
+        if np.any(r + dr <= 0.0) or np.any(r + dr >= 1.0) or np.any(u + du >= 1.0):
+            return -math.inf
+        return float(
+            np.sum(ki * np.log1p(dr / r) + (ni - ki) * np.log1p(-dr / (1.0 - r)))
+            + np.sum(nk * np.log1p(-du / (1.0 - u)))
+        )
+
+    for it in range(1, _MAX_ITERATIONS + 1):
+        r, u = xi @ z[:p], z[p:]
+        grad = np.concatenate([xi.T @ (ki / r - (ni - ki) / (1.0 - r)), -nk / (1.0 - u)])
+        curv = np.zeros((p + q, p + q))  # minus the Hessian
+        curv[:p, :p] = _binomial_information(xi, ki, ni, r)
+        curv[p:, p:] = np.diag(nk / (1.0 - u) ** 2)
+        null = np.linalg.svd(a[work])[2][len(work):].T
+        w, v = np.linalg.eigh(null.T @ curv @ null)
+        w = np.maximum(w, 1e-12 * np.max(w, initial=1.0))
+        d = null @ (v @ ((v.T @ (null.T @ grad)) / w))
+        slope = float(grad @ d)
+        if slope <= 2e-12:
+            if not work:
+                return z[:p] * scale, it
+            mu = np.linalg.lstsq(a[work].T, curv @ d - grad, rcond=None)[0]
+            if mu.min() >= -1e-9 * (1.0 + np.abs(grad).max()):
+                return z[:p] * scale, it
+            work.pop(int(np.argmin(mu)))
+            continue
+        ad = a @ d
+        hit = ad < -1e-12 * np.abs(d).max()
+        hit[work] = False
+        steps = np.maximum(a[hit] @ z - b[hit], 0.0) / -ad[hit]
+        t, block = 1.0, None
+        if steps.size and steps.min() < 1.0:
+            t, block = float(steps.min()), int(np.flatnonzero(hit)[np.argmin(steps)])
+        reach = t
+        while t > 0.0 and change(z, t * d) < 1e-4 * t * slope:
+            t *= 0.5
+            if t < 1e-12 * reach:
+                raise NonConvergence(f"fit line search stalled at iteration {it}")
+        z = z + t * d
+        if block is not None and t == reach:
+            work.append(block)
+    raise NonConvergence(f"fit did not converge in {_MAX_ITERATIONS} iterations")
 
 
-def _polish(nll, theta, fval, scales):
-    """Restart the simplex at the incumbent; a fresh simplex routinely shakes
-    off small stalls and tightens optima to near machine-level consistency."""
-    for _ in range(2):
-        sol, f2 = _simplex(nll, theta, scales)
-        if f2 < fval:
-            theta, fval = sol, f2
-        else:
-            break
-    return theta, fval
+def _covariance(design, k, n, theta) -> np.ndarray:
+    """Inverse observed information at theta."""
+    info = _binomial_information(design, k, n, design @ theta)
+    return _invert_information(info, _column_scales(design))
 
 
 # ---------------------------------------------------------------------------
@@ -271,38 +344,11 @@ def calibrate_detector(curve: CalibrationCurve, alpha_sq: float | None = None) -
     n_inj, k, n = pts[:, 0], pts[:, 1], pts[:, 2]
     if np.unique(n_inj).size < 3:
         raise DegenerateDesign("need at least 3 distinct n_inj values")
-
-    x = a2 * n_inj
-
-    def nll(theta):
-        p = np.clip(theta[0] * x + theta[1], 0.0, 1.0)
-        return _guarded_nll(-_binom_ll(k, n, p))
-
-    y = k / n
-    design = np.column_stack([x, np.ones_like(x)])
-    theta0, *_ = np.linalg.lstsq(design, y, rcond=None)
-    scales = np.maximum(np.abs(theta0), [1e-3 / max(x.max(), 1e-12), 1e-4])
-    starts = [
-        theta0,
-        theta0 * [2.0, 1.0],
-        theta0 * [0.5, 1.0],
-        [0.0, float(np.mean(y))],
-        [theta0[0], 0.0],
-    ]
-    best = None
-    for s in starts:
-        sol, fval = _simplex(nll, s, scales)
-        if best is None or fval < best[1]:
-            best = (sol, fval)
-    if best is None or not np.isfinite(best[1]) or best[1] >= 1e300:
-        raise NonConvergence("calibration fit did not converge")
-    theta_hat, fval = best
-    theta_hat, fval = _polish(nll, theta_hat, fval, scales)
-    design = np.column_stack([x, np.ones_like(x)])
-    info = _binomial_information(design, k, n, theta_hat[0] * x + theta_hat[1])
-    cov = _invert_information(info, scales)
-    params = {"eta": float(theta_hat[0]), "delta": float(theta_hat[1])}
-    return FitResult(params, cov, -fval)
+    design = np.column_stack([a2 * n_inj, np.ones_like(n_inj)])
+    theta, iterations = _maximize(design, k, n, [0.0, k.sum() / n.sum()])
+    ll = _binom_ll(k, n, np.clip(design @ theta, 0.0, 1.0))
+    params = {"eta": float(theta[0]), "delta": float(theta[1])}
+    return FitResult(params, _covariance(design, k, n, theta), ll, iterations=iterations)
 
 
 def enhancement_factor(eta_alpha: float, alpha_sq: float, eta_0: float) -> float:
@@ -317,26 +363,15 @@ def enhancement_factor(eta_alpha: float, alpha_sq: float, eta_0: float) -> float
 # joint search fit
 
 
-def search_log_likelihood(series, g, eta_alpha, a0, bs, cs) -> float:
-    """Binomial log-likelihood of the joint search model
-    rate = a0*eta*alpha_sq*g(tau) + b*tau + c (clipped to [0,1]),
-    without the combinatorial constant."""
-    total = 0.0
-    for i, s in enumerate(series):
-        taus = np.array(s.taus)
-        gv = np.array([g(t) for t in taus])
-        p = np.clip(a0 * eta_alpha[i] * s.alpha_sq * gv + bs[i] * taus + cs[i], 0.0, 1.0)
-        total += _binom_ll(np.array(s.k_pos), np.array(s.n_trials), p)
-    return total
-
-
 def search_fit(series, g, eta_alpha, tau_warn: float | None = None) -> FitResult:
     """Joint MLE over all probe amplitudes with a shared signal strength a0.
 
-    Params come out as {'a0', 'b_<alpha_sq>', 'c_<alpha_sq>', ...}.  a0 >= 0
-    is enforced by optimizing a reflected variable |u|; when the optimum pins
-    a0 at zero the result carries boundary_hit=True.  Covariance is the
-    Fisher information in the original (a0, b, c) coordinates.
+    The rate of series i at tau is a0*eta_i*alpha_sq_i*g(tau) + b_i*tau + c_i,
+    clipped to [0, 1]; params come out as {'a0', 'b_<alpha_sq>',
+    'c_<alpha_sq>', ...}.  a0 >= 0 is a constraint of the fit.  When a0 ends
+    within 1e-6 sigma of zero it is reported as exactly 0 with
+    boundary_hit=True, and log_likelihood is taken at the reported
+    parameters.  Covariance is the inverse Fisher information in (a0, b, c).
     """
     series = list(series)
     eta_alpha = [float(e) for e in eta_alpha]
@@ -360,142 +395,31 @@ def search_fit(series, g, eta_alpha, tau_warn: float | None = None) -> FitResult
                 stacklevel=2,
             )
 
-    coefs = []
-    taus_l, k_l, n_l = [], [], []
-    for i, s in enumerate(series):
-        taus = np.array(s.taus)
-        gv = np.array([float(g(t)) for t in taus])
-        coefs.append(eta_alpha[i] * s.alpha_sq * gv)
-        taus_l.append(taus)
-        k_l.append(np.array(s.k_pos, dtype=float))
-        n_l.append(np.array(s.n_trials, dtype=float))
-
     m = len(series)
-
-    def nll(theta):
-        a0 = abs(theta[0])
-        total = 0.0
-        for i in range(m):
-            b, c = theta[1 + 2 * i], theta[2 + 2 * i]
-            p = np.clip(a0 * coefs[i] + b * taus_l[i] + c, 0.0, 1.0)
-            total -= _binom_ll(k_l[i], n_l[i], p)
-        return _guarded_nll(total)
-
-    # pooled linear start
-    rows, ys = [], []
-    for i in range(m):
-        block = np.zeros((taus_l[i].size, 1 + 2 * m))
-        block[:, 0] = coefs[i]
-        block[:, 1 + 2 * i] = taus_l[i]
-        block[:, 2 + 2 * i] = 1.0
-        rows.append(block)
-        ys.append(k_l[i] / n_l[i])
-    theta0, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(ys), rcond=None)
-
-    max_coef = max(float(np.max(c)) for c in coefs)
-    max_tau = max(float(np.max(t)) for t in taus_l)
-    scales = np.empty(1 + 2 * m)
-    scales[0] = max(abs(theta0[0]), 1e-3 / max(max_coef, 1e-300))
-    for i in range(m):
-        scales[1 + 2 * i] = max(abs(theta0[1 + 2 * i]), 1e-3 / max_tau)
-        scales[2 + 2 * i] = max(abs(theta0[2 + 2 * i]), 1e-4)
-
-    # The surface has a curved valley: raising a0 while lowering the slopes
-    # changes the likelihood slowly, and a simplex started off the valley
-    # floor stalls partway along it.  Profiling out the per-series (b, c)
-    # pairs reduces the problem to one dimension in a0, whose bounded scan is
-    # reliable; the full simplex then starts from the profiled solution.
-    def _inner_fit(i, a0):
-        design = np.column_stack([taus_l[i], np.ones_like(taus_l[i])])
-        resid = k_l[i] / n_l[i] - a0 * coefs[i]
-        start, *_ = np.linalg.lstsq(design, resid, rcond=None)
-        sc = [
-            max(abs(start[0]), 1e-3 / max_tau),
-            max(abs(start[1]), 1e-4),
-        ]
-
-        def fn(th):
-            p = np.clip(a0 * coefs[i] + th[0] * taus_l[i] + th[1], 0.0, 1.0)
-            return _guarded_nll(-_binom_ll(k_l[i], n_l[i], p))
-
-        return _simplex(fn, start, sc, maxiter=4000)
-
-    def _profile(a0):
-        total = 0.0
-        sols = []
-        for i in range(m):
-            sol, fval = _inner_fit(i, a0)
-            total += fval
-            sols.append(sol)
-        # cap far above any real nll: the bounded scalar minimizer does
-        # arithmetic on objective values and overflows on the 1e300 guard
-        return min(total, 1e15), sols
-
-    hi = max(3.0 * abs(theta0[0]), 1e-2 / max(max_coef, 1e-300))
-    for _ in range(3):
-        prof = minimize_scalar(
-            lambda u: _profile(u)[0],
-            bounds=(0.0, hi),
-            method="bounded",
-            options={"xatol": 1e-7 * hi, "maxiter": 80},
-        )
-        if prof.x < 0.99 * hi:
-            break
-        hi *= 10.0  # optimum pressed against the scan ceiling; widen it
-    a0_prof = float(prof.x)
-    _, prof_sols = _profile(a0_prof)
-    theta_prof = np.concatenate([[a0_prof]] + [np.asarray(s) for s in prof_sols])
-    scales[0] = max(scales[0], abs(a0_prof))
-
-    perturbed = theta_prof.copy()
-    perturbed[1:] *= 1.05
-    starts = [
-        theta_prof,
-        theta0,
-        theta_prof * np.concatenate([[1.3], np.ones(2 * m)]),
-        theta_prof * np.concatenate([[0.7], np.ones(2 * m)]),
-        perturbed,
-    ]
-    best = None
-    for s0 in starts:
-        sol, fval = _simplex(nll, s0, scales)
-        if best is None or fval < best[1]:
-            best = (sol, fval)
-    if best is None or best[1] >= 1e300:
-        raise NonConvergence("search fit did not converge")
-    theta_hat, fval = best
-    theta_hat, fval = _polish(nll, theta_hat, fval, scales)
-    theta_hat = theta_hat.copy()
-    theta_hat[0] = abs(theta_hat[0])  # report a0, not the reflected variable
-
-    design = np.zeros((sum(t.size for t in taus_l), 1 + 2 * m))
-    p_lin = np.zeros(design.shape[0])
-    k_all = np.zeros(design.shape[0])
-    n_all = np.zeros(design.shape[0])
-    row = 0
-    for i in range(m):
-        npts = taus_l[i].size
-        sl = slice(row, row + npts)
-        design[sl, 0] = coefs[i]
-        design[sl, 1 + 2 * i] = taus_l[i]
-        design[sl, 2 + 2 * i] = 1.0
-        p_lin[sl] = (
-            theta_hat[0] * coefs[i]
-            + theta_hat[1 + 2 * i] * taus_l[i]
-            + theta_hat[2 + 2 * i]
-        )
-        k_all[sl] = k_l[i]
-        n_all[sl] = n_l[i]
-        row += npts
-    info = _binomial_information(design, k_all, n_all, p_lin)
-    cov = _invert_information(info, scales)
-    params = {"a0": float(theta_hat[0])}
+    blocks = []
+    start = np.zeros(1 + 2 * m)  # a0 = 0, no slope, each series' pooled rate
     for i, s in enumerate(series):
-        params[f"b_{s.alpha_sq:g}"] = float(theta_hat[1 + 2 * i])
-        params[f"c_{s.alpha_sq:g}"] = float(theta_hat[2 + 2 * i])
-    sigma_a0 = float(math.sqrt(max(cov[0, 0], 0.0)))
-    boundary = theta_hat[0] <= 1e-6 * max(sigma_a0, 1e-300)
-    return FitResult(params, cov, -fval, boundary_hit=bool(boundary))
+        block = np.zeros((len(s.taus), 1 + 2 * m))
+        block[:, 0] = [eta_alpha[i] * s.alpha_sq * float(g(t)) for t in s.taus]
+        block[:, 1 + 2 * i] = s.taus
+        block[:, 2 + 2 * i] = 1.0
+        blocks.append(block)
+        start[2 + 2 * i] = sum(s.k_pos) / max(sum(s.n_trials), 1)
+    design = np.vstack(blocks)
+    k = np.concatenate([s.k_pos for s in series]).astype(float)
+    n = np.concatenate([s.n_trials for s in series]).astype(float)
+
+    theta, iterations = _maximize(design, k, n, start, nonneg_first=True)
+    cov = _covariance(design, k, n, theta)
+    boundary = theta[0] <= 1e-6 * max(math.sqrt(max(cov[0, 0], 0.0)), 1e-300)
+    if boundary:
+        theta[0] = 0.0
+    ll = _binom_ll(k, n, np.clip(design @ theta, 0.0, 1.0))
+    params = {"a0": float(theta[0])}
+    for i, s in enumerate(series):
+        params[f"b_{s.alpha_sq:g}"] = float(theta[1 + 2 * i])
+        params[f"c_{s.alpha_sq:g}"] = float(theta[2 + 2 * i])
+    return FitResult(params, cov, ll, boundary_hit=bool(boundary), iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -699,51 +623,6 @@ def background_subtract(
 
 
 # ---------------------------------------------------------------------------
-# small calibration utilities
-
-
-def zne_extrapolate(durations, populations):
-    """Linear extrapolation of (P0, P1) to zero pulse duration.
-
-    Returns ((P0, err0), (P1, err1)); negative intercepts are clipped to 0
-    with a warning.  With exactly two durations the fit is exact and the
-    errors are 0."""
-    d = np.asarray(durations, dtype=float)
-    pops = np.asarray(populations, dtype=float)
-    if d.size < 2 or np.unique(d).size < 2:
-        raise DegenerateDesign("need >= 2 distinct durations")
-    if pops.shape != (d.size, 2):
-        raise ConfigError(f"populations must be ({d.size}, 2), got {pops.shape}")
-    design = np.column_stack([d, np.ones_like(d)])
-    gram_inv = np.linalg.inv(design.T @ design)
-    out = []
-    for col in range(2):
-        coef, *_ = np.linalg.lstsq(design, pops[:, col], rcond=None)
-        resid = pops[:, col] - design @ coef
-        dof = d.size - 2
-        s2 = float(resid @ resid) / dof if dof > 0 else 0.0
-        err = math.sqrt(s2 * gram_inv[1, 1])
-        intercept = float(coef[1])
-        if intercept < 0.0:
-            warnings.warn(
-                f"extrapolated population {intercept:.3e} clipped to 0", stacklevel=2
-            )
-            intercept = 0.0
-        out.append((intercept, err))
-    return tuple(out)
-
-
-def beta_from_ratio(p1: float, p0: float) -> float:
-    """|beta| from the one- to zero-photon population ratio of a weak
-    coherent state: p1/p0 = |beta|^2."""
-    if not p0 > 0.0:
-        raise ZeroP0(f"P0 must be > 0, got {p0!r}")
-    if p1 < 0.0:
-        raise NegativeProbability(f"P1 must be >= 0, got {p1!r}")
-    return math.sqrt(p1 / p0)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -753,6 +632,7 @@ def fit_result_to_json(fit: FitResult) -> str:
         "covariance": fit.covariance.tolist(),
         "log_likelihood": fit.log_likelihood,
         "boundary_hit": fit.boundary_hit,
+        "iterations": fit.iterations,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -550,6 +550,7 @@ def run_calibrate(cfg: dict):
                 "delta": fit.params["delta"],
                 "delta_err": fit.stderr("delta"),
                 "log_likelihood": fit.log_likelihood,
+                "iterations": fit.iterations,
             }
         )
     eta0 = next((r["eta"] for r in rows if r["mode"] == "vacuum"), None)

@@ -2,23 +2,26 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import xlogy
 from scipy.stats import truncnorm
 
+from catscope import pipeline
 from catscope.darkmatter import SearchPoint, coherence_time, g_of_t, rho_m_veff
 from catscope.errors import (
     ConfigError,
     DegenerateDesign,
-    NegativeProbability,
     SingleBin,
     ZeroBaseline,
     ZeroEfficiency,
-    ZeroP0,
     ZeroSignalDenominator,
 )
 from catscope.fits import (
@@ -30,7 +33,6 @@ from catscope.fits import (
     SearchSeries,
     _truncated_gauss_q90,
     background_subtract,
-    beta_from_ratio,
     calibrate_detector,
     enhancement_factor,
     epsilon_limit,
@@ -38,12 +40,10 @@ from catscope.fits import (
     fit_result_to_json,
     off_resonance_limit,
     search_fit,
-    search_log_likelihood,
     sweep_to_csv,
     threshold_sweep,
-    zne_extrapolate,
 )
-from catscope.fock import CatSpec, coherent_state
+from catscope.fock import CatSpec
 from catscope.hmm import build_model
 from catscope.measurement import CampaignResult, DeviceParams, TrialConfig, run_campaign
 
@@ -176,6 +176,39 @@ def _make_search_series(rng, a0, taus, trials_per_point):
     return series
 
 
+def _binomial_ll(k, n, p):
+    k, n = np.asarray(k, dtype=float), np.asarray(n, dtype=float)
+    return float(np.sum(xlogy(k, p) + xlogy(n - k, 1.0 - p)))
+
+
+def _search_ll(series, g, eta_alpha, a0, bs, cs):
+    """Joint search log-likelihood, rate clipped to [0, 1], without the
+    combinatorial constant."""
+    total = 0.0
+    for s, eta, b, c in zip(series, eta_alpha, bs, cs):
+        taus = np.array(s.taus)
+        gv = np.array([g(t) for t in taus])
+        total += _binomial_ll(
+            s.k_pos, s.n_trials, np.clip(a0 * eta * s.alpha_sq * gv + b * taus + c, 0.0, 1.0)
+        )
+    return total
+
+
+def _assert_no_better_neighbour(ll_at, theta, widths, rng, nonneg_first=False):
+    """No small feasible step along a coordinate or a random direction
+    raises the log-likelihood.  It is concave, so this makes theta the
+    global maximum."""
+    theta = np.asarray(theta, dtype=float)
+    best = ll_at(theta)
+    directions = list(np.eye(theta.size)) + list(rng.normal(size=(2, theta.size)))
+    for d in directions:
+        for step in (1e-2, 1e-4, 1e-6, -1e-6, -1e-4, -1e-2):
+            trial = theta + step * d * widths
+            if nonneg_first and trial[0] < 0.0:
+                continue
+            assert ll_at(trial) <= best + 1e-9 * (1.0 + abs(best)), (d, step)
+
+
 def test_search_fit_recovers_reference_parameters():
     rng = np.random.default_rng(21)
     # the grid must straddle the coherence-time knee; below it the signal
@@ -205,7 +238,7 @@ def test_search_fit_order_and_rebinning_invariance():
     # the likelihood itself must not care about dataset order
     order = [3, 0, 4, 1, 2]
     shuffled = [series[i] for i in order]
-    ll_shuffled = search_log_likelihood(
+    ll_shuffled = _search_ll(
         shuffled, g, [ETAS[i] for i in order], a0, [bs[i] for i in order], [cs[i] for i in order]
     )
     assert abs(ll_shuffled - fit.log_likelihood) < 1e-9 * max(1.0, abs(fit.log_likelihood))
@@ -219,7 +252,7 @@ def test_search_fit_order_and_rebinning_invariance():
             k2 += [k // 2, k - k // 2]
             n2 += [n // 2, n - n // 2]
         rebinned.append(SearchSeries(s.alpha_sq, tuple(taus2), tuple(k2), tuple(n2)))
-    ll_rebinned = search_log_likelihood(rebinned, g, ETAS, a0, bs, cs)
+    ll_rebinned = _search_ll(rebinned, g, ETAS, a0, bs, cs)
     assert abs(ll_rebinned - fit.log_likelihood) < 1e-9 * max(1.0, abs(fit.log_likelihood))
 
     # and the fitted optimum agrees to the same precision
@@ -248,6 +281,96 @@ def test_search_fit_warns_past_coherence_time():
     g = lambda t: g_of_t(t, POINT)
     with pytest.warns(UserWarning, match="coherence"):
         search_fit(series, g, ETAS, tau_warn=tdm)
+
+
+def test_search_fit_sparse_counts_converge():
+    # a 100-trial toy search (planted eps = 2e-15, supplied calibration):
+    # sparse counts, several k = 0 rows on the clip kink at the optimum
+    cfg = pipeline.default_config()
+    point, halo = pipeline.build_point(cfg), pipeline.build_halo(cfg)
+    taus = tuple(float(t) for t in cfg["search"]["tau_grid"])
+    series = [
+        SearchSeries(1.0, taus, (0, 0, 1, 2, 2, 2), (93, 96, 97, 99, 94, 98)),
+        SearchSeries(12.0, taus, (0, 0, 1, 0, 0, 8), (94, 95, 97, 97, 96, 95)),
+    ]
+    etas = (0.6817656641694978, 0.689713184364616)
+    g = lambda t: g_of_t(t, point, halo)
+    fit = search_fit(series, g, etas)
+    theta = np.array(list(fit.params.values()))
+
+    def ll_at(th):
+        return _search_ll(series, g, etas, th[0], th[1::2], th[2::2])
+
+    assert abs(ll_at(theta) - fit.log_likelihood) < 1e-9 * abs(fit.log_likelihood)
+    pooled = [sum(s.k_pos) / sum(s.n_trials) for s in series]
+    assert fit.log_likelihood > _search_ll(series, g, etas, 0.0, [0.0, 0.0], pooled)
+    coef = max(e * s.alpha_sq * g(t) for e, s in zip(etas, series) for t in taus)
+    widths = np.array([1.0 / coef] + [1.0 / max(taus), 1.0] * 2)
+    _assert_no_better_neighbour(ll_at, theta, widths, np.random.default_rng(97), True)
+
+
+TAU_GRID = tuple(float(t) for t in np.geomspace(2e-5, 1.4e-4, 6))
+
+
+@functools.lru_cache(maxsize=None)
+def _g_cached(t):
+    return g_of_t(t, POINT)
+
+
+def _draw_counts(data, size, min_n):
+    """(k, n) rows with n in [min_n, 150] and k often on 0 or n; one table
+    in three is all zeros."""
+    n = data.draw(st.lists(st.integers(min_n, 150), min_size=size, max_size=size))
+    if data.draw(st.integers(0, 2)) == 0:
+        return [0] * size, n
+    k = [data.draw(st.one_of(st.just(0), st.just(m), st.integers(0, m))) for m in n]
+    return k, n
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_search_fit_is_the_constrained_maximum(data):
+    alphas = data.draw(st.permutations([1.0, 4.0, 12.0]))[: data.draw(st.integers(1, 3))]
+    series, etas = [], []
+    for a2 in alphas:
+        taus = TAU_GRID[: data.draw(st.integers(2, 6))]
+        k, n = _draw_counts(data, len(taus), 0)
+        series.append(SearchSeries(a2, taus, tuple(k), tuple(n)))
+        etas.append(data.draw(st.floats(0.05, 1.0)))
+    fit = search_fit(series, _g_cached, etas)
+    theta = np.array(list(fit.params.values()))
+
+    def ll_at(th):
+        return _search_ll(series, _g_cached, etas, th[0], th[1::2], th[2::2])
+
+    assert abs(ll_at(theta) - fit.log_likelihood) <= 1e-9 * (1.0 + abs(fit.log_likelihood))
+    assert theta[0] >= 0.0
+    if fit.boundary_hit:
+        assert theta[0] == 0.0
+    coef = max(e * s.alpha_sq * _g_cached(t) for e, s in zip(etas, series) for t in s.taus)
+    widths = np.array([1.0 / coef] + [1.0 / max(TAU_GRID), 1.0] * len(series))
+    _assert_no_better_neighbour(ll_at, theta, widths, np.random.default_rng(0), True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_calibrate_is_the_maximum(data):
+    levels = data.draw(
+        st.lists(st.sampled_from([0.0, 0.002, 0.005, 0.01, 0.02, 0.04]),
+                 min_size=3, max_size=6, unique=True)
+    )
+    a2 = data.draw(st.sampled_from([1.0, 4.0, 12.0]))
+    k, n = _draw_counts(data, len(levels), 1)
+    fit = calibrate_detector(CalibrationCurve(tuple(zip(levels, k, n)), a2))
+    theta = np.array([fit.params["eta"], fit.params["delta"]])
+    x = a2 * np.array(levels)
+
+    def ll_at(th):
+        return _binomial_ll(k, n, np.clip(th[0] * x + th[1], 0.0, 1.0))
+
+    assert abs(ll_at(theta) - fit.log_likelihood) <= 1e-9 * (1.0 + abs(fit.log_likelihood))
+    widths = np.array([1.0 / x.max(), 1.0])
+    _assert_no_better_neighbour(ll_at, theta, widths, np.random.default_rng(0))
 
 
 def test_search_fit_validation():
@@ -473,51 +596,6 @@ def test_truncated_quantile_against_scipy():
         want = truncnorm.ppf(0.9, a=(0.0 - mu) / sigma, b=np.inf, loc=mu, scale=sigma)
         got = _truncated_gauss_q90(mu, sigma)
         assert_allclose(got, want, rtol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# small utilities
-
-
-def test_zne_exact_line_and_noise():
-    d = np.array([1e-6, 2e-6, 3e-6])
-    pops = np.column_stack([0.9 - 1e4 * d, 0.05 + 2e4 * d])
-    (p0, e0), (p1, e1) = zne_extrapolate(d, pops)
-    assert_allclose(p0, 0.9, rtol=1e-9)
-    assert_allclose(p1, 0.05, rtol=1e-9)
-    assert e0 < 1e-12 and e1 < 1e-12
-
-    rng = np.random.default_rng(51)
-    noisy = pops + rng.normal(0.0, 1e-3, pops.shape)
-    (q0, f0), (q1, f1) = zne_extrapolate(d, noisy)
-    assert abs(q0 - 0.9) < 6.0 * max(f0, 1e-3)
-    assert f0 > 0.0 and f1 > 0.0
-
-
-def test_zne_two_points_and_clip():
-    (p0, e0), (p1, e1) = zne_extrapolate(
-        [1e-6, 2e-6], [[0.8, 0.1], [0.7, 0.2]]
-    )
-    assert_allclose(p0, 0.9, rtol=1e-9)
-    assert_allclose(p1, 0.0, atol=1e-15)  # raw intercept 0 stays 0
-    assert e0 == 0.0
-
-    with pytest.warns(UserWarning, match="clipped"):
-        (neg, _), _ = zne_extrapolate([1e-6, 2e-6], [[0.1, 0.5], [0.3, 0.5]])
-    assert neg == 0.0
-
-    with pytest.raises(DegenerateDesign):
-        zne_extrapolate([1e-6, 1e-6], [[0.8, 0.1], [0.7, 0.2]])
-
-
-def test_beta_from_ratio_coherent():
-    psi = coherent_state(0.3, dim=30)
-    pops = psi.populations()
-    assert_allclose(beta_from_ratio(pops[1], pops[0]), 0.3, rtol=1e-10)
-    with pytest.raises(ZeroP0):
-        beta_from_ratio(0.1, 0.0)
-    with pytest.raises(NegativeProbability):
-        beta_from_ratio(-0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------

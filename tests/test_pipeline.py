@@ -207,6 +207,12 @@ def test_search_zero_signal_sets_finite_limit(tmp_path):
     assert len(rows) == 1
     eps90 = float(rows[0]["eps90"])
     assert math.isfinite(eps90) and eps90 > 0.0
+    if fit["boundary_hit"]:
+        # a0 on its bound takes the pure-sigma limit, not a0 -> 0 in eps0
+        assert fit["params"]["a0"] == 0.0
+        sigma = math.sqrt(fit["covariance"][0][0])
+        rmv = rho_m_veff(pipeline.build_point(cfg), pipeline.build_halo(cfg))
+        assert abs(eps90 - math.sqrt(1.28 * sigma / rmv)) <= 1e-9 * eps90
 
     rates = _read_csv(final / "rates.csv")
     taus = [float(r["tau"]) for r in rates]
