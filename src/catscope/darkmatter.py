@@ -149,12 +149,23 @@ def g_of_t(t: float, point: SearchPoint, halo: HaloParams = HaloParams()) -> flo
     m = point.m_dm
     wc = point.effective_omega_c()
     vmax = _v_max(halo)
+    v_g = halo.v_g
+    v_vir_sq = halo.v_vir**2
+    pdf_norm = math.sqrt(math.pi) * halo.v_vir * v_g
+    exp = np.exp  # not math.exp: the two differ in the last ulp on some inputs
 
+    # halo_speed_pdf(v * C_KM_S) * C_KM_S times t^2 sinc^2(x), on Python
+    # floats, with every operation in the order of those two numpy routines,
+    # so the values are bit-identical to theirs at a fraction of the cost
     def integrand(v: float) -> float:
-        f_v = float(halo_speed_pdf(v * C_KM_S, halo)) * C_KM_S
+        s = v * C_KM_S
+        up = float(exp(-((s - v_g) ** 2) / v_vir_sq))
+        down = float(exp(-((s + v_g) ** 2) / v_vir_sq))
+        f_v = s / pdf_norm * (up - down) * C_KM_S
         delta = m * (1.0 + v * v / 2.0) - wc
-        x = delta * t / 2.0
-        return f_v * t * t * float(np.sinc(x / np.pi)) ** 2
+        y = math.pi * (delta * t / 2.0 / math.pi)
+        sinc = math.sin(y) / y if y else 1.0
+        return f_v * t * t * sinc**2
 
     # breakpoints at the sinc nulls omega = omega_c + 2 pi k / t
     breaks = [0.0, vmax]

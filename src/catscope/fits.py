@@ -396,11 +396,13 @@ def search_fit(series, g, eta_alpha, tau_warn: float | None = None) -> FitResult
             )
 
     m = len(series)
+    # g does not depend on the probe: one evaluation per distinct tau
+    g_at = {t: float(g(t)) for t in {t for s in series for t in s.taus}}
     blocks = []
     start = np.zeros(1 + 2 * m)  # a0 = 0, no slope, each series' pooled rate
     for i, s in enumerate(series):
         block = np.zeros((len(s.taus), 1 + 2 * m))
-        block[:, 0] = [eta_alpha[i] * s.alpha_sq * float(g(t)) for t in s.taus]
+        block[:, 0] = [eta_alpha[i] * s.alpha_sq * g_at[t] for t in s.taus]
         block[:, 1 + 2 * i] = s.taus
         block[:, 2 + 2 * i] = 1.0
         blocks.append(block)

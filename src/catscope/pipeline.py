@@ -208,6 +208,10 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_probe(p, where: str) -> None:
     _require(isinstance(p, dict), f"{where} must be a mapping")
     kind = p.get("kind")
@@ -235,7 +239,7 @@ def build_device(cfg: dict) -> DeviceParams:
 def build_halo(cfg: dict) -> HaloParams:
     try:
         return HaloParams(**cfg["halo"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section 'halo': {exc}") from None
 
 
@@ -243,7 +247,7 @@ def build_point(cfg: dict) -> SearchPoint:
     d = cfg["point"]
     try:
         return SearchPoint(m_dm=d["m_dm"], omega_c=d["omega_c"], v_eff=d["v_eff"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config section 'point': {exc}") from None
 
 
@@ -252,7 +256,7 @@ def validate_config(cfg: dict) -> None:
     reaches beyond the DM coherence time (allowed, but worth flagging)."""
     seed = cfg.get("master_seed")
     _require(
-        isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+        _is_int(seed) and seed >= 0,
         f"master_seed must be a non-negative integer, got {seed!r}",
     )
     device = build_device(cfg)
@@ -265,7 +269,7 @@ def validate_config(cfg: dict) -> None:
     labels = [_probe_parts(p)[2] for p in probes]
     _require(len(set(labels)) == len(labels), "probes must be distinct")
     _require(
-        isinstance(cfg["repeats"], int) and cfg["repeats"] >= 1,
+        _is_int(cfg["repeats"]) and cfg["repeats"] >= 1,
         f"repeats must be an integer >= 1, got {cfg['repeats']!r}",
     )
     for mode in ("compass", "vacuum"):
@@ -273,7 +277,7 @@ def validate_config(cfg: dict) -> None:
         _require(_is_num(t) and t > 0, f"thresholds.{mode} must be > 0, got {t!r}")
     cal = cfg["calibration"]
     _require(
-        isinstance(cal["trials"], int) and cal["trials"] >= 1,
+        _is_int(cal["trials"]) and cal["trials"] >= 1,
         f"calibration.trials must be an integer >= 1, got {cal['trials']!r}",
     )
     betas = cal["betas"]
@@ -296,7 +300,7 @@ def validate_config(cfg: dict) -> None:
     )
     sr = cfg["search"]
     _require(
-        isinstance(sr["trials"], int) and sr["trials"] >= 1,
+        _is_int(sr["trials"]) and sr["trials"] >= 1,
         f"search.trials must be an integer >= 1, got {sr['trials']!r}",
     )
     taus = sr["tau_grid"]
@@ -309,11 +313,11 @@ def validate_config(cfg: dict) -> None:
     )
     sc = cfg["scan"]
     _require(
-        isinstance(sc["trials"], int) and sc["trials"] >= 1,
+        _is_int(sc["trials"]) and sc["trials"] >= 1,
         f"scan.trials must be an integer >= 1, got {sc['trials']!r}",
     )
     _require(
-        isinstance(sc["bins"], int) and sc["bins"] >= 2,
+        _is_int(sc["bins"]) and sc["bins"] >= 2,
         f"scan.bins must be an integer >= 2, got {sc['bins']!r}",
     )
     _require(
@@ -335,12 +339,12 @@ def validate_config(cfg: dict) -> None:
     )
     jbin = sc["inject_bin"]
     _require(
-        jbin is None or (isinstance(jbin, int) and 0 <= jbin < sc["bins"]),
+        jbin is None or (_is_int(jbin) and 0 <= jbin < sc["bins"]),
         f"scan.inject_bin must be a bin index below scan.bins, got {jbin!r}",
     )
     rc = cfg["records"]
     _require(
-        isinstance(rc["trials"], int) and rc["trials"] >= 1,
+        _is_int(rc["trials"]) and rc["trials"] >= 1,
         f"records.trials must be an integer >= 1, got {rc['trials']!r}",
     )
     _check_probe(rc["probe"], "records.probe")

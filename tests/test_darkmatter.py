@@ -135,6 +135,47 @@ def test_g_of_t_asymptote_crossover_near_tau():
     assert tau / 2.0 < crossing < 2.0 * tau
 
 
+def _reference_integrand(t, point, halo):
+    """The g(t) integrand written on the public numpy routines:
+    halo_speed_pdf on 0-d arrays and np.sinc."""
+    m = point.m_dm
+    wc = point.effective_omega_c()
+
+    def integrand(v):
+        f_v = float(halo_speed_pdf(v * C_KM_S, halo)) * C_KM_S
+        x = (m * (1.0 + v * v / 2.0) - wc) * t / 2.0
+        return f_v * t * t * float(np.sinc(x / np.pi)) ** 2
+
+    return integrand
+
+
+def test_g_of_t_matches_reference_integrand(monkeypatch):
+    # g_of_t's scalar integrand agrees bit for bit with the numpy route, on
+    # the sensitivity-growth times and the default search tau grid: each
+    # quadrature segment is integrated again with the reference integrand,
+    # and both integrands are compared at points across the segment
+    from catscope import darkmatter, pipeline
+
+    cfg = pipeline.default_config()
+    point = pipeline.build_point(cfg)
+    halo = pipeline.build_halo(cfg)
+    tau = coherence_time(point, halo)
+    times = [float(t) for t in np.geomspace(tau / 100.0, 20.0 * tau, 81)]
+    times += [float(t) for t in cfg["search"]["tau_grid"]]
+    for t in times:
+        ref = _reference_integrand(t, point, halo)
+
+        def reference_quad(func, a, b, **kwargs):
+            for v in np.linspace(a, b, 7)[1:-1]:
+                assert func(float(v)) == ref(float(v))
+            return quad(ref, a, b, **kwargs)
+
+        monkeypatch.setattr(darkmatter, "quad", reference_quad)
+        expected = g_of_t(t, point, halo)
+        monkeypatch.undo()
+        assert g_of_t(t, point, halo) == expected
+
+
 def test_excitation_probability_prefactor_anchor():
     # rho_DM * m_DM * V_eff for the defaults lands on the published
     # 1.10e35 1/s^2 (we keep more digits than the rounded table value)

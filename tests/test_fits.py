@@ -262,6 +262,13 @@ def test_search_fit_order_and_rebinning_invariance():
     )
     assert_allclose(fit2.params["a0"], fit.params["a0"], rtol=1e-3)
 
+    # g does not depend on the probe, so the fit evaluates it once per
+    # distinct tau, also when a tau repeats within a series
+    calls = []
+    fit3 = search_fit(rebinned, lambda t: calls.append(t) or g(t), ETAS)
+    assert sorted(calls) == sorted(set(taus))
+    assert fit3.log_likelihood == pytest.approx(fit.log_likelihood, rel=1e-7)
+
 
 def test_search_fit_zero_signal_is_consistent_with_zero():
     rng = np.random.default_rng(23)

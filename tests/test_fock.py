@@ -200,21 +200,44 @@ def test_wigner_coherent_peak_location():
     assert w[i, k] == pytest.approx(2.0 / np.pi, rel=1e-6)
 
 
-def test_wigner_matches_expm_route():
-    # spectral displacement inside wigner() agrees with the expm-built
-    # operator applied by hand
-    alpha = 0.9
-    dim = 48
-    psi = coherent_state(alpha, dim)
-    signs = (-1.0) ** np.arange(dim)
-    rng = np.random.default_rng(7)
-    for _ in range(4):
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+def _expm_wigner(rho, zs):
+    """W on the points zs from expm-built displacement operators:
+    (2/pi) Tr[P D(-z) rho D(-z)^dag], one operator per point."""
+    dim = rho.shape[0]
+    parity = np.diag((-1.0) ** np.arange(dim))
+    w = np.zeros(zs.shape)
+    for idx, z in np.ndenumerate(zs):
         d = displacement_operator(-z, dim)
-        expected = 2.0 / np.pi * np.sum(signs * np.abs(d @ psi.amps) ** 2)
-        grid = PhaseGrid(z.real, z.real + 1.0, 2, z.imag, z.imag + 1.0, 2)
-        got = wigner(psi, grid)[0, 0]
-        assert_allclose(got, expected, atol=1e-10)
+        w[idx] = 2.0 / np.pi * np.real(np.trace(parity @ d @ rho @ d.conj().T))
+    return w
+
+
+def test_wigner_matches_expm_route():
+    # the row-batched spectral displacement inside wigner() agrees with the
+    # expm-built operator at every point of a non-square, off-centre grid,
+    # so a swapped or transposed axis cannot pass
+    dim = 48
+    psi = coherent_state(0.9 - 0.4j, dim)
+    grid = PhaseGrid(-0.7, 0.5, 3, 0.2, 1.3, 4)
+    got = wigner(psi, grid)
+    assert got.shape == (3, 4)
+    expected = _expm_wigner(np.outer(psi.amps, psi.amps.conj()), grid.points())
+    assert_allclose(got, expected, atol=1e-10)
+
+
+def test_wigner_mixed_state_matches_expm_route():
+    # a genuinely mixed state, two unequal eigen-weights, against the same
+    # expm oracle at every grid point
+    dim = 48
+    a = coherent_state(0.8 + 0.3j, dim).amps
+    b = cat_state(CatSpec(alpha=1.1, m=2, j=1), dim).amps
+    rho = 0.7 * np.outer(a, a.conj()) + 0.3 * np.outer(b, b.conj())
+    state = fock.DensityMatrix(dim, rho)
+    evals = np.linalg.eigvalsh(rho)
+    kept = evals[evals > 1e-14]
+    assert len(kept) == 2 and abs(kept[1] - kept[0]) > 0.1  # unequal weights
+    grid = PhaseGrid(-1.2, 0.9, 4, -0.6, 1.0, 3)
+    assert_allclose(wigner(state, grid), _expm_wigner(rho, grid.points()), atol=1e-10)
 
 
 def test_wigner_even_cat_fringe_period():

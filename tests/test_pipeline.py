@@ -375,6 +375,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
+    # out-of-range halo and point values from a config file are exit 2 too
+    for i, text in enumerate(
+        ("halo:\n  rho_dm: -1\n", "point:\n  m_dm: -5\n", "halo:\n  v_vir: .nan\n")
+    ):
+        p = tmp_path / f"bad{i}.yaml"
+        p.write_text(text)
+        rc = cli.main(["figures", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: config section" in capsys.readouterr().err
+
     # argparse handles unknown flags itself
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--no-such-flag"])
@@ -383,6 +393,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--workers", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (None, "repeats"),
+        ("calibration", "trials"),
+        ("search", "trials"),
+        ("scan", "trials"),
+        ("scan", "bins"),
+        ("scan", "inject_bin"),
+        ("records", "trials"),
+    ],
+)
+def test_cli_rejects_bool_counts(tmp_path, capsys, section, key):
+    # YAML true is a bool, not a count, although bool subclasses int
+    text = f"{key}: true\n" if section is None else f"{section}:\n  {key}: true\n"
+    p = tmp_path / "cfg.yaml"
+    p.write_text(text)
+    rc = cli.main(["simulate-record", "--config", str(p), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_cli_env_out_root(tmp_path, monkeypatch, capsys):
