@@ -1,8 +1,7 @@
 """Dark-photon signal model.
 
 Halo velocity and energy distributions, the dark-matter coherence time, the
-signal accumulation function g(t), cavity excitation probabilities, and the
-drive-induced cavity frequency shift used for tuning.
+signal accumulation function g(t), and cavity excitation probabilities.
 
 Unit conventions: every frequency and mass is angular (rad/s); velocities
 are km/s at the interface and converted to fractions of c internally; the
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import QuadratureFailure, UnitOverflow, ZeroDetuning
+from .errors import QuadratureFailure, UnitOverflow
 
 C_KM_S = 299792.458  # speed of light, km/s
 _E_CHARGE = 1.602176634e-19  # elementary charge, C (exact SI)
@@ -65,24 +64,6 @@ class SearchPoint:
         if self.omega_c is not None:
             return self.omega_c
         return omega_m(self.m_dm)
-
-
-@dataclass(frozen=True)
-class TuningDrive:
-    """Detuned sideband drive: Rabi rate and detuning, both rad/s."""
-
-    rabi: float
-    detuning: float
-
-    def __post_init__(self):
-        if not self.rabi > 0.0:
-            raise ValueError(f"rabi must be > 0, got {self.rabi!r}")
-        if abs(self.detuning) < 5.0 * self.rabi:
-            warnings.warn(
-                "detuning below 5x the Rabi rate: the dispersive shift "
-                "formula degrades",
-                stacklevel=2,
-            )
 
 
 def omega_m(m_dm: float) -> float:
@@ -238,14 +219,6 @@ def rho_m_veff(point: SearchPoint, halo: HaloParams = HaloParams()) -> float:
     """The combined constant rho_DM * m_DM * V_eff in 1/s^2; the exclusion
     arithmetic anchors on this quantity."""
     return halo.rho_dm * point.v_eff * GEV_TO_RAD_PER_S * point.m_dm
-
-
-def tuned_shift(drive: TuningDrive) -> float:
-    """Dispersive frequency shift Omega^2 / (4 Delta) from a detuned
-    sideband drive; sign follows the detuning."""
-    if drive.detuning == 0.0:
-        raise ZeroDetuning("tuned shift diverges at zero detuning")
-    return drive.rabi**2 / (4.0 * drive.detuning)
 
 
 def lineshape_to_csv(

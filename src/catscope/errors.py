@@ -46,10 +46,6 @@ class UnitOverflow(CatscopeError):
     """A unit conversion produced a non-finite intermediate value."""
 
 
-class ZeroDetuning(CatscopeError):
-    """Parametric drive shift requested with zero detuning."""
-
-
 class PrepFailed(CatscopeError):
     """State preparation post-selection missed on every allowed attempt."""
 

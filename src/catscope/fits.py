@@ -30,7 +30,6 @@ from .darkmatter import (
     OMEGA_M_OFFSET,
     HaloParams,
     SearchPoint,
-    g_of_t,
     lineshape,
     rho_m_veff,
 )
@@ -38,7 +37,6 @@ from .errors import (
     ConfigError,
     DegenerateDesign,
     NonConvergence,
-    QuadratureFailure,
     SingleBin,
     ZeroBaseline,
     ZeroEfficiency,
@@ -457,38 +455,6 @@ def epsilon_limit(
     eps0 = math.sqrt(a0 / denom)
     sigma = eps0 * sigma_a0 / (2.0 * a0)
     return ExclusionPoint(point.m_dm, eps0, sigma, eps0 + GAUSS_90 * sigma)
-
-
-def off_resonance_limit(
-    eps90_on,
-    m_grid,
-    point: SearchPoint,
-    halo: HaloParams = HaloParams(),
-    tau: float = 1e-4,
-) -> list[ExclusionPoint]:
-    """Exclusion curve away from resonance: the on-resonance limit rescaled
-    by sqrt(g_resonant / g(m)) with the cavity frequency held fixed.
-
-    eps90_on may be a float (pure limit) or an ExclusionPoint (central value
-    and sigma are rescaled together)."""
-    wc = point.effective_omega_c()
-    g_res = g_of_t(tau, point, halo)
-    if not g_res > 0.0:
-        raise QuadratureFailure("no on-resonance response")
-    if isinstance(eps90_on, ExclusionPoint):
-        base0, base_sig = eps90_on.epsilon0, eps90_on.sigma_eps
-    else:
-        base0, base_sig = float(eps90_on), 0.0
-    out = []
-    for m in np.atleast_1d(np.asarray(m_grid, dtype=float)):
-        probe = SearchPoint(m_dm=float(m), omega_c=wc, v_eff=point.v_eff)
-        g_m = g_of_t(tau, probe, halo)
-        if not g_m > 0.0:
-            raise QuadratureFailure(f"no response at m_dm = {m!r}")
-        scale = math.sqrt(g_res / g_m)
-        e0, sig = base0 * scale, base_sig * scale
-        out.append(ExclusionPoint(float(m), e0, sig, e0 + GAUSS_90 * sig))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ A run is fully specified by one hierarchical config: built-in defaults
 overlaid with an optional YAML file and then with CLI flags.  Every random
 draw derives from master_seed through a labeled SeedSequence path, so two
 runs of the same command from the same config produce byte-identical
-artifacts.  Outputs are staged under quarantine/<run-id> and promoted to
+artifacts.  Outputs are staged under quarantine/ and promoted to
 results/<run-id> only once every file is written; the run id hashes the
 canonical config text together with the command name, so different commands
 from one config land in sibling directories.
@@ -13,12 +13,17 @@ from one config land in sibling directories.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import errno
 import hashlib
+import itertools
 import json
 import math
 import platform
 import shutil
+import sys
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,162 +204,137 @@ def apply_overrides(
     return out
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
+# Every config leaf outside the probe lists: path -> (kind, bound).  A kind
+# ending in "?" also admits null; a list kind applies the bound to each item.
+CONFIG_SCHEMA = {
+    "master_seed": ("int", ">= 0"),
+    **{
+        f"device.{k}": ("num", "> 0")
+        for k in ("omega_c", "chi", "T1c", "T1q", "T2q", "t_m")
+    },
+    **{
+        f"device.{k}": ("num", "in [0, 1]")
+        for k in ("n_c", "n_q", "readout_Fge", "readout_Fge_inv", "p_d", "p_leak")
+    },
+    **{f"halo.{k}": ("num", "> 0") for k in ("rho_dm", "v_vir", "v_g")},
+    "point.m_dm": ("num", "> 0"),
+    "point.omega_c": ("num?", "> 0"),
+    "point.v_eff": ("num", "> 0"),
+    "repeats": ("int", ">= 1"),
+    "thresholds.compass": ("num", "> 0"),
+    "thresholds.vacuum": ("num", "> 0"),
+    "calibration.trials": ("int", ">= 1"),
+    "calibration.betas": ("nums", ">= 0"),
+    "calibration.self_calibrate": ("bool", None),
+    "calibration.path": ("str?", None),
+    "search.trials": ("int", ">= 1"),
+    "search.tau_grid": ("nums", "> 0"),
+    "search.inject_epsilon": ("num?", ">= 0"),
+    "scan.trials": ("int", ">= 1"),
+    "scan.bins": ("int", ">= 2"),
+    "scan.spacing_hz": ("num", "> 0"),
+    "scan.t1c": ("num", "> 0"),
+    "scan.alpha_sq": ("num", "> 0"),
+    "scan.inject_epsilon": ("num?", ">= 0"),
+    "scan.inject_bin": ("int?", ">= 0"),
+    "records.trials": ("int", ">= 1"),
+    "records.injected_beta": ("num", ">= 0"),
+}
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite(x) -> bool:
+    # bool subclasses int but is never a number here; the float-range test
+    # also rejects NaN, infinities and integers too large to convert
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+_KINDS = {
+    "int": ("an integer", lambda x: type(x) is int),
+    "num": ("a finite number", _is_finite),
+    "nums": (
+        "a non-empty list of finite numbers",
+        lambda x: isinstance(x, list) and bool(x) and all(map(_is_finite, x)),
+    ),
+    "bool": ("true or false", lambda x: isinstance(x, bool)),
+    "str": ("a string", lambda x: isinstance(x, str)),
+}
+_BOUNDS = {
+    "> 0": lambda x: x > 0,
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    ">= 2": lambda x: x >= 2,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+}
+
+
+def _check_leaf(where: str, value, kind: str, bound) -> None:
+    base = kind.rstrip("?")
+    nullable = base != kind
+    if value is None and nullable:
+        return
+    text, is_kind = _KINDS[base]
+    ok = is_kind(value)
+    if ok and bound is not None:
+        ok = all(map(_BOUNDS[bound], value if base == "nums" else [value]))
+    if not ok:
+        rule = " ".join(filter(None, (text, bound, "or null" if nullable else "")))
+        raise ConfigError(f"{where} must be {rule}, got {value!r}")
 
 
 def _check_probe(p, where: str) -> None:
-    _require(isinstance(p, dict), f"{where} must be a mapping")
+    if not isinstance(p, dict):
+        raise ConfigError(f"{where} must be a mapping")
     kind = p.get("kind")
-    _require(
-        kind in ("vacuum", "compass"),
-        f"{where}.kind must be 'vacuum' or 'compass', got {kind!r}",
-    )
+    if kind not in ("vacuum", "compass"):
+        raise ConfigError(f"{where}.kind must be 'vacuum' or 'compass', got {kind!r}")
     extra = set(p) - {"kind", "alpha_sq"}
-    _require(not extra, f"{where} has unknown keys {sorted(extra)}")
+    if extra:
+        raise ConfigError(f"{where} has unknown keys {sorted(extra)}")
     if kind == "compass":
-        a2 = p.get("alpha_sq")
-        _require(
-            _is_num(a2) and a2 > 0,
-            f"{where}.alpha_sq must be > 0 for compass probes, got {a2!r}",
-        )
+        _check_leaf(f"{where}.alpha_sq", p.get("alpha_sq"), "num", "> 0")
 
 
 def build_device(cfg: dict) -> DeviceParams:
-    try:
-        return DeviceParams(**cfg["device"])
-    except TypeError as exc:
-        raise ConfigError(f"config section 'device': {exc}") from None
+    return DeviceParams(**cfg["device"])
 
 
 def build_halo(cfg: dict) -> HaloParams:
-    try:
-        return HaloParams(**cfg["halo"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section 'halo': {exc}") from None
+    return HaloParams(**cfg["halo"])
 
 
 def build_point(cfg: dict) -> SearchPoint:
-    d = cfg["point"]
-    try:
-        return SearchPoint(m_dm=d["m_dm"], omega_c=d["omega_c"], v_eff=d["v_eff"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config section 'point': {exc}") from None
+    return SearchPoint(**cfg["point"])
 
 
 def validate_config(cfg: dict) -> None:
     """Raise ConfigError on a bad config; warn when the search schedule
-    reaches beyond the DM coherence time (allowed, but worth flagging)."""
-    seed = cfg.get("master_seed")
-    _require(
-        _is_int(seed) and seed >= 0,
-        f"master_seed must be a non-negative integer, got {seed!r}",
-    )
-    device = build_device(cfg)
-    halo = build_halo(cfg)
-    point = build_point(cfg)
+    reaches beyond the DM coherence time (allowed, but worth flagging).
+
+    Each leaf is checked against CONFIG_SCHEMA; only the rules that span
+    several fields are spelled out here."""
+    for where, (kind, bound) in CONFIG_SCHEMA.items():
+        value = cfg
+        for key in where.split("."):
+            value = value[key]
+        _check_leaf(where, value, kind, bound)
     probes = cfg["probes"]
-    _require(isinstance(probes, list) and probes, "probes must be a non-empty list")
+    if not (isinstance(probes, list) and probes):
+        raise ConfigError("probes must be a non-empty list")
     for i, p in enumerate(probes):
         _check_probe(p, f"probes[{i}]")
     labels = [_probe_parts(p)[2] for p in probes]
-    _require(len(set(labels)) == len(labels), "probes must be distinct")
-    _require(
-        _is_int(cfg["repeats"]) and cfg["repeats"] >= 1,
-        f"repeats must be an integer >= 1, got {cfg['repeats']!r}",
-    )
-    for mode in ("compass", "vacuum"):
-        t = cfg["thresholds"][mode]
-        _require(_is_num(t) and t > 0, f"thresholds.{mode} must be > 0, got {t!r}")
-    cal = cfg["calibration"]
-    _require(
-        _is_int(cal["trials"]) and cal["trials"] >= 1,
-        f"calibration.trials must be an integer >= 1, got {cal['trials']!r}",
-    )
-    betas = cal["betas"]
-    _require(isinstance(betas, list) and betas, "calibration.betas must be non-empty")
-    _require(
-        all(_is_num(b) and b >= 0 for b in betas),
-        "calibration.betas must all be >= 0",
-    )
-    _require(
-        len({float(b) for b in betas}) >= 3,
-        "calibration.betas needs at least 3 distinct values",
-    )
-    _require(
-        isinstance(cal["self_calibrate"], bool),
-        f"calibration.self_calibrate must be true or false, got {cal['self_calibrate']!r}",
-    )
-    _require(
-        cal["path"] is None or isinstance(cal["path"], str),
-        f"calibration.path must be a string or null, got {cal['path']!r}",
-    )
-    sr = cfg["search"]
-    _require(
-        _is_int(sr["trials"]) and sr["trials"] >= 1,
-        f"search.trials must be an integer >= 1, got {sr['trials']!r}",
-    )
-    taus = sr["tau_grid"]
-    _require(isinstance(taus, list) and taus, "search.tau_grid must be non-empty")
-    _require(all(_is_num(t) and t > 0 for t in taus), "search.tau_grid must be > 0")
-    eps = sr["inject_epsilon"]
-    _require(
-        eps is None or (_is_num(eps) and eps >= 0),
-        f"search.inject_epsilon must be >= 0 or null, got {eps!r}",
-    )
-    sc = cfg["scan"]
-    _require(
-        _is_int(sc["trials"]) and sc["trials"] >= 1,
-        f"scan.trials must be an integer >= 1, got {sc['trials']!r}",
-    )
-    _require(
-        _is_int(sc["bins"]) and sc["bins"] >= 2,
-        f"scan.bins must be an integer >= 2, got {sc['bins']!r}",
-    )
-    _require(
-        _is_num(sc["spacing_hz"]) and sc["spacing_hz"] > 0,
-        f"scan.spacing_hz must be > 0, got {sc['spacing_hz']!r}",
-    )
-    _require(
-        _is_num(sc["t1c"]) and sc["t1c"] > 0,
-        f"scan.t1c must be > 0, got {sc['t1c']!r}",
-    )
-    _require(
-        _is_num(sc["alpha_sq"]) and sc["alpha_sq"] > 0,
-        f"scan.alpha_sq must be > 0, got {sc['alpha_sq']!r}",
-    )
-    seps = sc["inject_epsilon"]
-    _require(
-        seps is None or (_is_num(seps) and seps >= 0),
-        f"scan.inject_epsilon must be >= 0 or null, got {seps!r}",
-    )
-    jbin = sc["inject_bin"]
-    _require(
-        jbin is None or (_is_int(jbin) and 0 <= jbin < sc["bins"]),
-        f"scan.inject_bin must be a bin index below scan.bins, got {jbin!r}",
-    )
-    rc = cfg["records"]
-    _require(
-        _is_int(rc["trials"]) and rc["trials"] >= 1,
-        f"records.trials must be an integer >= 1, got {rc['trials']!r}",
-    )
-    _check_probe(rc["probe"], "records.probe")
-    _require(
-        _is_num(rc["injected_beta"]) and rc["injected_beta"] >= 0,
-        f"records.injected_beta must be >= 0, got {rc['injected_beta']!r}",
-    )
-    del device
-    tau_dm = coherence_time(point, halo)
-    worst = max(float(t) for t in taus)
+    if len(set(labels)) != len(labels):
+        raise ConfigError("probes must be distinct")
+    _check_probe(cfg["records"]["probe"], "records.probe")
+    if len(set(cfg["calibration"]["betas"])) < 3:
+        raise ConfigError("calibration.betas needs at least 3 distinct values")
+    jbin = cfg["scan"]["inject_bin"]
+    if jbin is not None and jbin >= cfg["scan"]["bins"]:
+        raise ConfigError(
+            f"scan.inject_bin must be a bin index below scan.bins, got {jbin!r}"
+        )
+    tau_dm = coherence_time(build_point(cfg), build_halo(cfg))
+    worst = max(cfg["search"]["tau_grid"])
     if worst >= tau_dm:
         warnings.warn(
             f"search times reach {worst:.3g} s, at or beyond the DM "
@@ -437,21 +417,26 @@ class RunManifest:
 
 
 class RunWriter:
-    """Stage artifacts in quarantine/<run-id>, promote on success.
+    """Stage artifacts under quarantine/, promote to results/<run-id> on
+    success.
 
-    A failure mid-run leaves the quarantine directory behind for inspection
-    and never touches results/; promote replaces any previous result
-    directory atomically (rename within the same tree)."""
+    Each writer stages in a directory of its own, so concurrent runs of one
+    config never touch each other's files.  A failure mid-run leaves the
+    staged files behind for inspection and never touches results/."""
 
     def __init__(self, out_root, run_id: str):
         self.out_root = Path(out_root)
         self.run_id = run_id
-        self.stage_dir = self.out_root / "quarantine" / run_id
         self.final_dir = self.out_root / "results" / run_id
         self.hashes: dict[str, str] = {}
-        if self.stage_dir.exists():
-            shutil.rmtree(self.stage_dir)
-        self.stage_dir.mkdir(parents=True)
+        quarantine = self.out_root / "quarantine"
+        quarantine.mkdir(parents=True, exist_ok=True)
+        # mkdtemp makes a mode-0700 holder, so the staged directory inside it
+        # is made with plain mkdir and keeps the umask's permissions; the
+        # holder also receives the result this run replaces
+        self._holder = Path(tempfile.mkdtemp(prefix=f"{run_id}-", dir=quarantine))
+        self.stage_dir = self._holder / run_id
+        self.stage_dir.mkdir()
 
     def write(self, name: str, text: str) -> None:
         if "/" in name or name.startswith("."):
@@ -461,10 +446,22 @@ class RunWriter:
         self.hashes[name] = hashlib.sha256(data).hexdigest()
 
     def promote(self) -> Path:
+        """Rename the staged directory to results/<run-id>.  A previous
+        result is first renamed aside and deleted only afterwards, so the
+        directory never holds a partial or mixed set of files; between
+        concurrent promotes of one run id the last one wins."""
         self.final_dir.parent.mkdir(parents=True, exist_ok=True)
-        if self.final_dir.exists():
-            shutil.rmtree(self.final_dir)
-        self.stage_dir.replace(self.final_dir)
+        for attempt in itertools.count():
+            try:
+                self.stage_dir.rename(self.final_dir)
+                break
+            except OSError as exc:
+                if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                    raise
+            # a concurrent promote may move the old result first
+            with contextlib.suppress(FileNotFoundError):
+                self.final_dir.rename(self._holder / f"replaced-{attempt}")
+        shutil.rmtree(self._holder)
         return self.final_dir
 
 

@@ -8,7 +8,6 @@ from catscope.darkmatter import (
     GEV_TO_RAD_PER_S,
     HaloParams,
     SearchPoint,
-    TuningDrive,
     coherence_time,
     excitation_probability,
     g_curve_to_csv,
@@ -18,9 +17,7 @@ from catscope.darkmatter import (
     lineshape_to_csv,
     omega_m,
     rho_m_veff,
-    tuned_shift,
 )
-from catscope.errors import ZeroDetuning
 
 M_REF = 2.0 * np.pi * 6.442e9  # rad/s, the cavity band probed in the search
 
@@ -210,42 +207,6 @@ def test_excitation_probability_perturbative_warning():
     tau = coherence_time(pt)
     with pytest.warns(UserWarning):
         excitation_probability(1e-13, pt, HaloParams(), 20.0 * tau)
-
-
-def test_tuned_shift_reference():
-    # the demonstration point sits below the 5x dispersive margin, so the
-    # constructor flags it
-    with pytest.warns(UserWarning):
-        drive = TuningDrive(rabi=2 * np.pi * 0.51e6, detuning=2 * np.pi * 1.0e6)
-    assert tuned_shift(drive) == pytest.approx(2 * np.pi * 65.025e3, rel=1e-9)
-    # sign tracks the detuning; magnitude dies off as 1/Delta
-    with pytest.warns(UserWarning):
-        down = TuningDrive(rabi=2 * np.pi * 0.51e6, detuning=-2 * np.pi * 1.0e6)
-    assert tuned_shift(down) == -tuned_shift(drive)
-    far = TuningDrive(rabi=2 * np.pi * 0.51e6, detuning=2 * np.pi * 100.0e6)
-    assert abs(tuned_shift(far)) < abs(tuned_shift(drive)) / 50.0
-
-
-def test_tuned_shift_against_two_level_diagonalization():
-    # the |n=1,g> <-> |0,f> block has H = [[0, O/2], [O/2, -D]]; the branch
-    # connected to |1,g> is repelled by O^2/(4D) + O(O^4/D^3)
-    omega = 2 * np.pi * 0.51e6
-    for ratio in (20.0, 50.0, 100.0):
-        delta = ratio * omega
-        h = np.array([[0.0, omega / 2.0], [omega / 2.0, -delta]])
-        evals = np.linalg.eigvalsh(h)
-        exact = evals[-1]  # upper branch for positive detuning
-        disp = tuned_shift(TuningDrive(rabi=omega, detuning=delta))
-        assert disp == pytest.approx(exact, rel=2.0 / ratio**2)
-
-
-def test_tuned_shift_errors_and_warning():
-    with pytest.warns(UserWarning):
-        drive = TuningDrive(rabi=1.0, detuning=0.0)
-    with pytest.raises(ZeroDetuning):
-        tuned_shift(drive)
-    with pytest.warns(UserWarning):
-        TuningDrive(rabi=2 * np.pi * 1e6, detuning=2 * np.pi * 2e6)
 
 
 def test_search_point_omega_default():

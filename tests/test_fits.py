@@ -38,7 +38,6 @@ from catscope.fits import (
     epsilon_limit,
     exclusion_to_csv,
     fit_result_to_json,
-    off_resonance_limit,
     search_fit,
     sweep_to_csv,
     threshold_sweep,
@@ -423,27 +422,6 @@ def test_epsilon_limit_scaling_and_edges():
         epsilon_limit(0.0, 0.0, POINT)
     with pytest.raises(ConfigError):
         epsilon_limit(-1.0, 1.0, POINT)
-
-
-def test_off_resonance_limit_degrades_asymmetrically():
-    m0 = POINT.m_dm
-    rel = np.array([-2e-6, -1e-6, 0.0, 1e-6, 2e-6])
-    grid = m0 * (1.0 + rel)
-    pts = off_resonance_limit(7.32e-16, grid, POINT, tau=1e-4)
-    vals = np.array([p.eps90 for p in pts])
-    assert_allclose(vals[2], 7.32e-16, rtol=1e-9)
-    assert np.all(vals >= vals[2] * (1.0 - 1e-12))
-    assert vals[0] > vals[1] > vals[2]
-    assert vals[4] > vals[3] > vals[2]
-    # detuning the mass above the cavity loses the whole line, below only part
-    assert vals[3] > 1.01 * vals[1]
-
-    scaled = off_resonance_limit(
-        ExclusionPoint(m0, 5e-16, 1e-16, 5e-16 + 1.28e-16), grid[:2], POINT, tau=1e-4
-    )
-    ratio = scaled[0].eps90 / (5e-16 + 1.28e-16)
-    assert_allclose(scaled[0].epsilon0 / 5e-16, ratio, rtol=1e-12)
-    assert_allclose(scaled[0].sigma_eps / 1e-16, ratio, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

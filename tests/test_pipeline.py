@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from catscope import cli, pipeline
 from catscope.darkmatter import coherence_time, rho_m_veff
@@ -310,6 +316,64 @@ def test_promote_replaces_stale_run(tmp_path):
     assert not any((tmp_path / "quarantine").iterdir())
 
 
+def test_interleaved_writers_of_one_run_id(tmp_path):
+    # two runs of one config stage side by side; the later promote wins
+    # and results/<run-id> holds exactly one run's files
+    rid = "0123456789ab"
+    a = pipeline.RunWriter(tmp_path, rid)
+    b = pipeline.RunWriter(tmp_path, rid)
+    a.write("x.csv", "from a\n")
+    b.write("x.csv", "from b\n")
+    b.write("y.csv", "only in b\n")
+    for w in (a, b):
+        man = pipeline.RunManifest("figures", rid, "0" * 64, 1, {}, dict(w.hashes))
+        w.write("manifest.json", man.to_json())
+    assert b.promote() == tmp_path / "results" / rid
+    final = a.promote()
+    assert final == tmp_path / "results" / rid
+    files = json.loads((final / "manifest.json").read_text())["files"]
+    assert files == {"x.csv": hashlib.sha256(b"from a\n").hexdigest()}
+    assert sorted(p.name for p in final.iterdir()) == ["manifest.json", "x.csv"]
+    assert not any((tmp_path / "quarantine").iterdir())
+
+
+_PROMOTE_LOOP = """
+import sys
+from catscope import pipeline
+root, rid, tag, n = sys.argv[1:]
+for i in range(int(n)):
+    w = pipeline.RunWriter(root, rid)
+    for name in ("a.csv", "b.csv"):
+        w.write(name, f"{tag} {i}\\n")
+    man = pipeline.RunManifest("figures", rid, "0" * 64, 1, {}, dict(w.hashes))
+    w.write("manifest.json", man.to_json())
+    w.promote()
+"""
+
+
+def test_concurrent_processes_promote_one_run_id(tmp_path):
+    # more writer processes than cores, all promoting one run id in a loop
+    rid = "0123456789ab"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(pipeline.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _PROMOTE_LOOP, str(tmp_path), rid]
+    procs = [
+        subprocess.Popen(argv + [str(k), "100"], env=env, stderr=subprocess.PIPE)
+        for k in range(3)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+    final = tmp_path / "results" / rid
+    files = json.loads((final / "manifest.json").read_text())["files"]
+    assert sorted(p.name for p in final.iterdir()) == ["a.csv", "b.csv", "manifest.json"]
+    for name, digest in files.items():
+        assert hashlib.sha256((final / name).read_bytes()).hexdigest() == digest
+    assert (final / "a.csv").read_text() == (final / "b.csv").read_text()
+    assert not any((tmp_path / "quarantine").iterdir())
+
+
 # ---------------------------------------------------------------------------
 # figures
 
@@ -375,15 +439,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
-    # out-of-range halo and point values from a config file are exit 2 too
-    for i, text in enumerate(
-        ("halo:\n  rho_dm: -1\n", "point:\n  m_dm: -5\n", "halo:\n  v_vir: .nan\n")
-    ):
+    # bad values from a config file are exit 2 too, and name the leaf; the
+    # last four once ran (a boolean frequency) or ended in a traceback
+    cases = [
+        ("figures", "halo.rho_dm", "halo:\n  rho_dm: -1\n"),
+        ("figures", "point.m_dm", "point:\n  m_dm: -5\n"),
+        ("figures", "halo.v_vir", "halo:\n  v_vir: .nan\n"),
+        ("figures", "device.omega_c", "device:\n  omega_c: true\n"),
+        (
+            "simulate-record",
+            "records.injected_beta",
+            "records:\n  injected_beta: .inf\n",
+        ),
+        ("figures", "halo.v_g", "halo:\n  v_g: .inf\n"),
+        ("calibrate", "calibration.betas", "calibration:\n  betas: [0.0, 0.1, .inf]\n"),
+    ]
+    for i, (command, leaf, text) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
         p.write_text(text)
-        rc = cli.main(["figures", "--config", str(p), "--out", str(tmp_path)])
-        assert rc == 2
-        assert "error: config section" in capsys.readouterr().err
+        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2, leaf
+        assert f"error: {leaf} must be" in capsys.readouterr().err
 
     # argparse handles unknown flags itself
     with pytest.raises(SystemExit) as exc:
@@ -415,6 +491,116 @@ def test_cli_rejects_bool_counts(tmp_path, capsys, section, key):
     rc = cli.main(["simulate-record", "--config", str(p), "--out", str(tmp_path)])
     assert rc == 2
     assert "must be" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+
+def _leaf_paths(tree, prefix=""):
+    for key, val in tree.items():
+        if isinstance(val, dict):
+            yield from _leaf_paths(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def _overlay(tmp_path, path, value):
+    """A config file that sets one leaf, given as a dotted path."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    p = tmp_path / "cfg.yaml"
+    p.write_text(yaml.safe_dump(value))
+    return p
+
+
+def test_config_schema_covers_every_default_leaf():
+    leaves = {
+        p
+        for p in _leaf_paths(pipeline.DEFAULT_CONFIG)
+        if p != "probes" and not p.startswith("records.probe.")
+    }
+    assert set(pipeline.CONFIG_SCHEMA) == leaves
+
+
+HOSTILE = [0, -1, math.nan, math.inf, -math.inf, "x", True, None, [1.0]]
+
+# Which hostile values each leaf may legitimately take, written out here
+# rather than read from the schema under test.
+ZERO_OK = {
+    "master_seed",
+    "device.n_c",
+    "device.n_q",
+    "device.readout_Fge",
+    "device.readout_Fge_inv",
+    "device.p_d",
+    "device.p_leak",
+    "search.inject_epsilon",
+    "scan.inject_epsilon",
+    "scan.inject_bin",
+    "records.injected_beta",
+}
+NULL_OK = {
+    "point.omega_c",
+    "calibration.path",
+    "search.inject_epsilon",
+    "scan.inject_epsilon",
+    "scan.inject_bin",
+}
+
+
+def _accepts(leaf, value):
+    if value is None:
+        return leaf in NULL_OK
+    if leaf == "calibration.self_calibrate":
+        return value is True
+    if leaf == "calibration.path":
+        return value == "x"
+    if leaf in ("calibration.betas", "search.tau_grid"):
+        return value == [1.0]
+    return type(value) is int and value == 0 and leaf in ZERO_OK
+
+
+@pytest.mark.parametrize("leaf", sorted(pipeline.CONFIG_SCHEMA))
+def test_config_schema_rejects_hostile_values(tmp_path, capsys, leaf):
+    for value in HOSTILE:
+        if _accepts(leaf, value):
+            cfg = pipeline.load_config(_overlay(tmp_path, leaf, value))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    pipeline.validate_config(cfg)
+                except ConfigError as exc:
+                    # only a rule spanning several leaves may still object
+                    assert not str(exc).startswith(f"{leaf} must be"), value
+            continue
+        cfg_file = _overlay(tmp_path, leaf, value)
+        rc = cli.main(
+            ["simulate-record", "--config", str(cfg_file), "--out", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2, value
+        assert err.startswith(f"error: {leaf} must be"), (value, err)
+        assert "Traceback" not in err
+
+
+def test_config_probe_alpha_sq_rejects_hostile_values(tmp_path, capsys):
+    overlays = {
+        "probes[1].alpha_sq": lambda v: _overlay(
+            tmp_path, "probes", [{"kind": "vacuum"}, {"kind": "compass", "alpha_sq": v}]
+        ),
+        "records.probe.alpha_sq": lambda v: _overlay(
+            tmp_path, "records.probe.alpha_sq", v
+        ),
+    }
+    for leaf, overlay in overlays.items():
+        for value in HOSTILE:
+            cfg_file = overlay(value)
+            rc = cli.main(
+                ["simulate-record", "--config", str(cfg_file), "--out", str(tmp_path)]
+            )
+            assert rc == 2, (leaf, value)
+            assert capsys.readouterr().err.startswith(f"error: {leaf} must be"), value
 
 
 def test_cli_env_out_root(tmp_path, monkeypatch, capsys):
