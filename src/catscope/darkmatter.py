@@ -192,19 +192,22 @@ def excitation_probability(
     halo: HaloParams = HaloParams(),
     t: float = 0.0,
     alpha_sq: float = 1.0,
+    g: float | None = None,
 ) -> float:
     """Probability that the DM drive moves the detector up one sector:
 
         p = epsilon^2 m^2 rho_DM V_eff / omega_c * g(t) * alpha_sq
 
     with alpha_sq = 1 for a vacuum probe and |alpha|^2 for a compass probe.
+    g is g_of_t(t, point, halo) when the caller already has it.
     Perturbative expression: warns above 0.1.
     """
     if epsilon == 0.0:
         return 0.0
+    g = g_of_t(t, point, halo) if g is None else g
     rho_rad = point.v_eff * halo.rho_dm * GEV_TO_RAD_PER_S  # rad/s
     wc = point.effective_omega_c()
-    p = epsilon**2 * point.m_dm**2 * rho_rad / wc * g_of_t(t, point, halo) * alpha_sq
+    p = epsilon**2 * point.m_dm**2 * rho_rad / wc * g * alpha_sq
     if not np.isfinite(p):
         raise UnitOverflow(f"excitation probability overflowed: {p!r}")
     if p > 0.1:

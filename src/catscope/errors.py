@@ -34,10 +34,6 @@ class StepFailure(CatscopeError):
     """The adaptive integrator could not meet its tolerance."""
 
 
-class ZeroAmplitude(CatscopeError):
-    """An operation that divides by |alpha|^2 received alpha = 0."""
-
-
 class QuadratureFailure(CatscopeError):
     """Adaptive quadrature did not converge."""
 

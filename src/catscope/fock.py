@@ -1,10 +1,9 @@
 """Exact linear algebra on a truncated Fock space.
 
-Coherent, cat, and compass states, displacement operators, generalized
-parity projectors, sinusoidal photon-number filters, Wigner functions, and
-overlap/fidelity measures.  All states are stored as complex amplitude
-vectors over Fock levels n = 0..dim-1; all operators are dense matrices on
-the same space.
+Coherent, cat, and compass states, displacement operators, sinusoidal
+photon-number filters, Wigner functions, and overlap/fidelity measures.
+All states are stored as complex amplitude vectors over Fock levels
+n = 0..dim-1; all operators are dense matrices on the same space.
 
 Truncation rule: a state assembled from amplitudes up to |alpha_max| needs
 
@@ -270,17 +269,6 @@ def displacement_operator(beta: complex, dim: int) -> np.ndarray:
     return d
 
 
-def generalized_parity(m: int, dim: int) -> np.ndarray:
-    """P_M = exp(i 2 pi n / M) as a diagonal matrix; cat states |phi_{M,j}>
-    are eigenstates with eigenvalue e^{i 2 pi j / M}."""
-    if m < 1:
-        raise InvalidIndex(f"M must be >= 1, got {m}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    n = np.arange(dim)
-    return np.diag(np.exp(2j * np.pi * n / m))
-
-
 def sine_filter(theta: float, dim: int) -> np.ndarray:
     """Sinusoidal photon-number filter diag(cos(n theta / 2)).
 
@@ -407,14 +395,6 @@ def population_fidelity(p_meas: np.ndarray, p_ideal: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def state_to_csv(state: StateVector) -> str:
-    """CSV dump (n, Re amp, Im amp), one Fock level per row."""
-    lines = ["n,re_amp,im_amp"]
-    for n, c in enumerate(state.amps):
-        lines.append(f"{n},{float(c.real)!r},{float(c.imag)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def wigner_to_csv(grid: PhaseGrid, w: np.ndarray) -> str:

@@ -5,9 +5,8 @@ states with one readout symbol per step.  forward_backward returns the
 posterior of the sector at the first slot, marginalized over the qubit,
 computed in log-domain so the extreme likelihood ratios that the vacuum
 threshold (1e5) relies on do not underflow.  The likelihood ratio compares
-the signal sector against everything else; classification is a strict
-threshold cut, and records containing leakage symbols are dropped before
-inference.
+the signal sector against everything else; records containing leakage
+symbols are dropped before inference.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ from .measurement import (
     build_emission_matrix,
     build_transition_matrix,
 )
-
-LAMBDA_THRESH_COMPASS = 84.0
-LAMBDA_THRESH_VACUUM = 1e5
 
 _MODES = ("compass", "vacuum")
 
@@ -157,17 +153,6 @@ def _lambda_of(p) -> float:
     return num / den
 
 
-def likelihood_ratio(post, mode: str = "compass") -> float:
-    """lam from a Posterior or a bare probability vector."""
-    p = post.p_phi if isinstance(post, Posterior) else tuple(float(x) for x in post)
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    want = 4 if mode == "compass" else 2
-    if len(p) != want:
-        raise DimMismatch(f"{mode} mode expects {want} sector entries, got {len(p)}")
-    return _lambda_of(p)
-
-
 def _leak_free(codes: np.ndarray) -> np.ndarray:
     """Symbol codes, which index the emission columns (0 = G, 1 = E) once
     no leaked readout is left."""
@@ -275,13 +260,6 @@ def batch_posteriors(model: HmmModel, records) -> tuple[np.ndarray, np.ndarray]:
     return p_out, lam_out
 
 
-def classify(lam: float, threshold: float) -> bool:
-    """Positive iff lam exceeds the threshold strictly; ties are negative."""
-    if not threshold > 0.0:
-        raise ConfigError(f"threshold must be > 0, got {threshold!r}")
-    return lam > threshold
-
-
 def threshold_complement(threshold: float) -> float:
     """Background posterior mass at the decision boundary, 1/(1+threshold):
     a record sits exactly at lam = threshold when the non-signal sectors
@@ -298,25 +276,3 @@ def postselect(records) -> tuple[Records, int]:
     keep = ~records.leaked
     return records[keep], len(records) - int(keep.sum())
 
-
-def posteriors_to_csv(trial_ids, posteriors, threshold: float) -> str:
-    """CSV dump: trial_id, sector posteriors, lambda, class."""
-    posts = list(posteriors)
-    ids = list(trial_ids)
-    if len(posts) != len(ids):
-        raise DimMismatch(f"{len(ids)} ids vs {len(posts)} posteriors")
-    if not posts:
-        raise ConfigError("nothing to dump")
-    n = len(posts[0].p_phi)
-    names = [f"p_phi{j}" for j in range(4)] if n == 4 else ["p_n0", "p_n1"]
-    lines = ["trial_id," + ",".join(names) + ",lambda,class"]
-    for tid, post in zip(ids, posts):
-        if len(post.p_phi) != n:
-            raise DimMismatch("mixed posterior sizes")
-        tag = "positive" if classify(post.lam, threshold) else "negative"
-        cells = [str(int(tid))]
-        cells += [f"{float(x)!r}" for x in post.p_phi]
-        cells.append(f"{float(post.lam)!r}")
-        cells.append(tag)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

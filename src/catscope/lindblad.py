@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import InvalidIndex, StepFailure, ZeroAmplitude
+from .errors import InvalidIndex, StepFailure
 from .fock import DensityMatrix, annihilation_operator
 
 
@@ -149,17 +149,6 @@ def cat_transition_probability(
     if not -1e-9 <= prob <= 1.0 + 1e-9:
         raise ValueError(f"transition probability {prob!r} outside [0, 1]")
     return min(max(prob, 0.0), 1.0)
-
-
-def effective_lifetime(alpha: complex, t1c: float) -> float:
-    """Cat-state lifetime T1 / |alpha|^2: each of the |alpha|^2 photons can
-    be lost, and a single loss flips the modular sector."""
-    a2 = abs(complex(alpha)) ** 2
-    if a2 <= 0.0:
-        raise ZeroAmplitude("effective lifetime needs |alpha|^2 > 0")
-    if not t1c > 0.0:
-        raise ValueError(f"t1c must be > 0, got {t1c!r}")
-    return t1c / a2
 
 
 def transition_curves_to_csv(

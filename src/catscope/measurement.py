@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .darkmatter import HaloParams, SearchPoint, excitation_probability
+from .darkmatter import HaloParams, SearchPoint, excitation_probability, g_of_t
 from .errors import ConfigError, InvalidMode, PrepFailed
 from .fock import (
     CatSpec,
@@ -366,11 +366,15 @@ def build_emission_matrix(device: DeviceParams, mode: str = "compass") -> np.nda
 
 
 @lru_cache(maxsize=64)
+def _dm_g(dm: DMInjection) -> float:
+    """g(t) of an injection: one quadrature for all probes that share it."""
+    return g_of_t(dm.integration_time, dm.point, dm.halo)
+
+
 def _dm_probability(dm: DMInjection, alpha_sq: float) -> float:
-    """excitation_probability with the lineshape quadrature cached per
-    (injection, probe) pair, so per-record calls stay cheap."""
+    """The probe's excitation_probability, with g(t) from _dm_g."""
     return excitation_probability(
-        dm.epsilon, dm.point, dm.halo, dm.integration_time, alpha_sq=alpha_sq
+        dm.epsilon, dm.point, dm.halo, dm.integration_time, alpha_sq, _dm_g(dm)
     )
 
 
@@ -503,30 +507,100 @@ class CampaignResult:
     truth_summary: dict
 
 
+# numpy's SeedSequence hash constants and the PCG64 multiplier (O'Neill,
+# PCG, HMC-CS-2014-0905), which _trial_uniforms runs on arrays
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_BLOCK = 128  # trials, and draws, computed at once: bounds the scratch memory
+
+
+def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words; h is the running hash constant."""
+    value = value ^ h
+    h = h * mult & _M32
+    value = value * h
+    return value ^ value >> 16, h
+
+
+def _seed_states(rng_seed: int, n: int) -> list[np.ndarray]:
+    """SeedSequence([rng_seed, k]).generate_state(4, np.uint64) for k < n,
+    as four uint64 columns; rng_seed's (at most two) words and k fit the pool."""
+    shifts = range(0, max(rng_seed.bit_length(), 1), 32)
+    pool = [np.full(n, rng_seed >> s & _M32, np.uint32) for s in shifts]
+    pool += [np.arange(n, dtype=np.uint32)] + [np.zeros(n, np.uint32)] * (3 - len(pool))
+    h = _INIT_A
+    for i in range(4):
+        pool[i], h = _hashmix(pool[i], h, _MULT_A)
+    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
+        mixed, h = _hashmix(pool[src], h, _MULT_A)
+        r = pool[dst] * _MIX_MULT_L - mixed * _MIX_MULT_R
+        pool[dst] = r ^ r >> 16
+    h, words = _INIT_B, []
+    for i in range(8):
+        word, h = _hashmix(pool[i % 4], h, _MULT_B)
+        words.append(word.astype(np.uint64))
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _mulhi(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products of uint64 words, by 32-bit limbs."""
+    k_hi, k_lo, x_hi, x_lo = k >> 32, k & _M32, x >> 32, x & _M32
+    lo_hi, hi_lo = k_lo * x_hi, k_hi * x_lo
+    mid = (k_lo * x_lo >> 32) + (lo_hi & _M32) + (hi_lo & _M32)
+    return k_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+
+
 def _trial_uniforms(cfg: TrialConfig, n_trials: int) -> np.ndarray:
-    """(n, 1 + 4 repeats) uniforms: trial k's stream SeedSequence([rng_seed,
-    k]) gives the initial-sector draw, then the (repeats, 4) step draws."""
-    u = np.empty((n_trials, 1 + 4 * cfg.repeats))
-    for k in range(n_trials):
-        # PCG64 seeds itself through SeedSequence([rng_seed, k]), as
-        # default_rng does, without default_rng's dispatch
-        np.random.Generator(np.random.PCG64([cfg.rng_seed, k])).random(out=u[k])
+    """(n, 1 + 4 repeats) uniforms: row k is what
+    Generator(PCG64(SeedSequence([rng_seed, k]))).random(1 + 4 repeats)
+    gives, the initial-sector draw and then the (repeats, 4) step draws.
+
+    With s, q the 128-bit halves of the seed state, inc = 2 q + 1 and the
+    setseq init x0 = M s + (M + 1) inc, draw j is the XSL-RR output of x0
+    stepped j + 1 times, M^(j+2) s + (1 + M + ... + M^(j+2)) inc, held as
+    (hi, lo) uint64 pairs and jumped to for tiles of _BLOCK by _BLOCK."""
+    n_draws = 1 + 4 * cfg.repeats
+    s_hi, s_lo, q_hi, q_lo = _seed_states(cfg.rng_seed, n_trials)
+    i_hi, i_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    u = np.empty((n_trials, n_draws))
+    power, total = _PCG_MULT, 1 + _PCG_MULT
+    for first in range(0, n_draws, _BLOCK):
+        jumps = []  # (M^(j+2), 1 + M + ... + M^(j+2)) for the tile's draws
+        for _ in range(min(_BLOCK, n_draws - first)):
+            power = power * _PCG_MULT & _M128
+            total = total + power & _M128
+            jumps.append((power, total))
+        halves = ([v[i] >> s & _M64 for v in jumps] for i in (0, 1) for s in (64, 0))
+        a_hi, a_lo, b_hi, b_lo = (np.array(w, np.uint64) for w in halves)
+        for start in range(0, n_trials, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            sh, sl, ih, il = (w[rows, None] for w in (s_hi, s_lo, i_hi, i_lo))
+            lo_s = a_lo * sl
+            lo = lo_s + b_lo * il
+            hi = _mulhi(a_lo, sl) + _mulhi(b_lo, il) + (lo < lo_s)
+            hi += a_lo * sh + a_hi * sl + b_lo * ih + b_hi * il
+            out, rot = hi ^ lo, hi >> 58
+            out = out >> rot | out << (64 - rot & 63)
+            u[rows, first : first + _BLOCK] = (out >> 11) * 2.0**-53
     return u
 
 
 def run_campaign(
     n_trials: int, cfg: TrialConfig, device: DeviceParams
 ) -> CampaignResult:
-    """Simulate n_trials independent records from one trial template.
+    """Simulate n_trials <= 2**32 independent records from one template.
 
-    Trial k draws from SeedSequence([cfg.rng_seed, k]) exactly what
-    simulate_record(cfg, device, k) draws, and the hidden chain of every
-    trial advances together, one vectorized step per readout slot, with
-    the same comparisons in the same order; so row k equals that record.
-    The truth summary aggregates the hidden-path columns for oracle checks.
+    Trial k draws from PCG64(SeedSequence([cfg.rng_seed, k])) exactly what
+    simulate_record(cfg, device, k) draws (see _trial_uniforms), and the
+    hidden chain of every trial advances together, one vectorized step per
+    readout slot, with the same comparisons in the same order; so row k
+    equals that record.  The truth summary aggregates the hidden-path
+    columns for oracle checks.
     """
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials!r}")
+    if not 1 <= n_trials <= 2**32:
+        raise ConfigError(f"n_trials must lie in [1, 2**32], got {n_trials!r}")
     mode = cfg.mode
     alpha_sq = abs(cfg.init.alpha) ** 2 if cfg.init is not None else 1.0
     probs = _initial_sector_probs(cfg)

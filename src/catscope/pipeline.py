@@ -334,6 +334,8 @@ def validate_config(cfg: dict) -> None:
             f"scan.inject_bin must be a bin index below scan.bins, got {jbin!r}"
         )
     tau_dm = coherence_time(build_point(cfg), build_halo(cfg))
+    if not (math.isfinite(tau_dm) and tau_dm > 0.0):
+        raise ConfigError(f"DM coherence time must be finite and > 0, got {tau_dm!r}")
     worst = max(cfg["search"]["tau_grid"])
     if worst >= tau_dm:
         warnings.warn(

@@ -16,11 +16,9 @@ from catscope.fock import (
     cat_state,
     coherent_state,
     displacement_operator,
-    generalized_parity,
     population_fidelity,
     required_dim,
     sine_filter,
-    state_to_csv,
     transition_probability,
     wigner,
     wigner_to_csv,
@@ -144,16 +142,6 @@ def test_cat_ladder_steps_down():
         lowered /= np.linalg.norm(lowered)
         overlap = abs(np.vdot(dst.amps, lowered))
         assert overlap == pytest.approx(1.0, abs=1e-9)
-
-
-def test_generalized_parity_eigenvalues():
-    alpha = np.sqrt(10.0)
-    dim = required_dim(alpha)
-    p4 = generalized_parity(4, dim)
-    for j in range(4):
-        psi = cat_state(CatSpec(alpha, 4, j), dim)
-        out = p4 @ psi.amps
-        assert_allclose(out, np.exp(2j * np.pi * j / 4) * psi.amps, atol=1e-12)
 
 
 def test_sine_filter_zeros():
@@ -347,17 +335,6 @@ def test_population_fidelity_basics():
 def test_population_fidelity_clips_rounding_noise():
     f = population_fidelity([1.0 - 1e-13, -1e-13], [1.0, 0.0])
     assert 0.0 <= f <= 1.0
-
-
-def test_state_csv_roundtrip():
-    psi = coherent_state(0.5 + 0.25j, 12)
-    text = state_to_csv(psi)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,re_amp,im_amp"
-    assert len(lines) == 13
-    parts = lines[3].split(",")
-    assert int(parts[0]) == 2
-    assert float(parts[1]) == pytest.approx(psi.amps[2].real, abs=0)
 
 
 def test_wigner_csv_layout():

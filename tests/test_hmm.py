@@ -66,7 +66,7 @@ def test_noiseless_alternating_record():
     assert post.p_phi[1] == pytest.approx(expected, rel=1e-12)
     # the tiny denominator picks up log-domain rounding at the 1e-11 level
     assert post.lam == pytest.approx(2.0**18, rel=1e-9)
-    assert hmm.classify(post.lam, hmm.LAMBDA_THRESH_COMPASS)
+    assert post.lam > 84.0
 
 
 def test_noiseless_constant_record():
@@ -81,7 +81,7 @@ def test_noiseless_vacuum_sentinels():
     alt = hmm.forward_backward(model, "GE" * 10)
     assert math.isinf(alt.lam)
     assert alt.p_phi[1] == pytest.approx(1.0)
-    assert hmm.classify(alt.lam, hmm.LAMBDA_THRESH_VACUUM)
+    assert alt.lam > 1e5
     const = hmm.forward_backward(model, "G" * 20)
     assert const.lam == 0.0
 
@@ -158,17 +158,6 @@ def test_permutation_equivariance():
         )
 
 
-def test_likelihood_ratio_values():
-    assert hmm.likelihood_ratio([0.25, 0.25, 0.25, 0.25]) == pytest.approx(1 / 3)
-    assert hmm.likelihood_ratio([0.5, 0.0, 0.3, 0.2]) == 0.0
-    assert math.isinf(hmm.likelihood_ratio([0.0, 1.0], mode="vacuum"))
-    assert hmm.likelihood_ratio([0.2, 0.8], mode="vacuum") == pytest.approx(4.0)
-    with pytest.raises(DimMismatch):
-        hmm.likelihood_ratio([0.5, 0.5], mode="compass")
-    with pytest.raises(ConfigError):
-        hmm.likelihood_ratio([0.5, 0.5], mode="parity")
-
-
 def test_posterior_consistency_check():
     hmm.Posterior((0.1, 0.6, 0.2, 0.1), 1.5)
     with pytest.raises(ConfigError):
@@ -177,15 +166,6 @@ def test_posterior_consistency_check():
         hmm.Posterior((0.7, 0.6, -0.2, -0.1), 1.0)
     with pytest.raises(DimMismatch):
         hmm.Posterior((0.4, 0.3, 0.3), 0.5)
-
-
-def test_classify_rules():
-    assert hmm.classify(85.0, 84.0)
-    assert not hmm.classify(84.0, 84.0)
-    assert hmm.classify(math.inf, 1e5)
-    assert not hmm.classify(0.0, 84.0)
-    with pytest.raises(ConfigError):
-        hmm.classify(1.0, 0.0)
 
 
 def test_threshold_complement():
@@ -230,12 +210,12 @@ def test_roc_monotonicity():
         lam_sets.append([hmm.forward_backward(model, r).lam for r in recs])
     for lams in lam_sets:
         counts = [
-            sum(hmm.classify(lam, th) for lam in lams)
+            sum(lam > th for lam in lams)
             for th in (0.5, 2.0, 10.0, 84.0, 1e3)
         ]
         assert counts == sorted(counts, reverse=True)
     # the injected set must actually fire at the working threshold
-    assert sum(hmm.classify(lam, 84.0) for lam in lam_sets[0]) > 0
+    assert sum(lam > 84.0 for lam in lam_sets[0]) > 0
 
 
 def test_batch_posteriors_matches_scalar():
@@ -301,21 +281,3 @@ def test_batch_posteriors_on_codes_matches_oracles(n_states):
     with pytest.raises(LeakageSymbol):
         hmm.batch_posteriors(model, ms.as_records([ms.ReadoutRecord("GEL")]))
 
-
-def test_posteriors_to_csv():
-    model = hmm.build_model(ms.DeviceParams(), alpha_sq=4.0)
-    posts = [hmm.forward_backward(model, s) for s in ("GEGE", "GGGG")]
-    text = hmm.posteriors_to_csv([4, 9], posts, threshold=84.0)
-    lines = text.strip().split("\n")
-    assert lines[0] == "trial_id,p_phi0,p_phi1,p_phi2,p_phi3,lambda,class"
-    first = lines[1].split(",")
-    assert first[0] == "4"
-    assert first[-1] in ("positive", "negative")
-    assert sum(float(x) for x in first[1:5]) == pytest.approx(1.0, abs=1e-9)
-    vac = hmm.build_model(ms.DeviceParams(), mode="vacuum")
-    vtext = hmm.posteriors_to_csv(
-        [0], [hmm.forward_backward(vac, "GE")], threshold=1e5
-    )
-    assert vtext.startswith("trial_id,p_n0,p_n1,lambda,class")
-    with pytest.raises(DimMismatch):
-        hmm.posteriors_to_csv([1, 2], posts[:1], threshold=84.0)

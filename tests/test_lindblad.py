@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from catscope.errors import InvalidIndex, ZeroAmplitude
+from catscope.errors import InvalidIndex
 from catscope.fock import CatSpec, cat_state, coherent_state, required_dim
 from catscope.lindblad import (
     EvolutionResult,
     LossChannel,
     cat_transition_probability,
-    effective_lifetime,
     lindblad_evolve,
     transition_curves_to_csv,
 )
@@ -158,15 +157,6 @@ def test_transition_probability_index_errors():
         cat_transition_probability(1, 0, 0, 2.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         cat_transition_probability(4, 0, 0, 2.0, 1.0, -0.1)
-
-
-def test_effective_lifetime():
-    assert effective_lifetime(np.sqrt(12.0), 4.6e-3) == pytest.approx(383.33e-6, rel=1e-4)
-    assert effective_lifetime(1.0, 4.6e-3) == 4.6e-3
-    r = effective_lifetime(2.0, 1.0) / effective_lifetime(np.sqrt(8.0), 1.0)
-    assert r == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ZeroAmplitude):
-        effective_lifetime(0.0, 4.6e-3)
 
 
 def test_transition_curves_csv():

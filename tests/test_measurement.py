@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
@@ -271,6 +274,65 @@ def test_campaign_determinism():
     assert [r.symbols for r in a.records] == [r.symbols for r in b.records]
     assert [r.trial_id for r in a.records] == list(range(200))
     assert a.truth_summary == b.truth_summary
+
+
+# ---------------------------------------------------------------------------
+# per-trial streams against numpy's own generator
+
+
+def _numpy_streams(rng_seed, n_trials, n_draws):
+    """Row k: Generator(PCG64([rng_seed, k])).random(n_draws), one
+    generator per trial as numpy builds it."""
+    return np.array(
+        [
+            np.random.Generator(np.random.PCG64([rng_seed, k])).random(n_draws)
+            for k in range(n_trials)
+        ]
+    )
+
+
+def _vector_streams(rng_seed, n_trials, repeats):
+    """_trial_uniforms with every warning raised: its uint64 arithmetic
+    must wrap silently, without numpy's overflow warnings."""
+    cfg = ms.TrialConfig(repeats=repeats, rng_seed=rng_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return ms._trial_uniforms(cfg, n_trials)
+
+
+@pytest.mark.parametrize("repeats", [1, 20, 32])
+@pytest.mark.parametrize("n_trials", [1, 127, 128, 129, 257])
+@pytest.mark.parametrize("rng_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_trial_uniforms_match_numpy_streams(rng_seed, n_trials, repeats):
+    # seeds of one and two uint32 words, k = 0 and both sides of the tile
+    # edges (128 trials, 128 draws: repeats 32 gives 129 draws); a change
+    # to numpy's SeedSequence or PCG64 also trips this
+    got = _vector_streams(rng_seed, n_trials, repeats)
+    assert got.shape == (n_trials, 1 + 4 * repeats)
+    assert np.array_equal(got, _numpy_streams(rng_seed, n_trials, 1 + 4 * repeats))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    rng_seed=st.integers(0, 2**64 - 1),
+    n_trials=st.integers(1, 300),
+    repeats=st.integers(1, 40),
+)
+def test_trial_uniforms_match_numpy_for_any_seed(rng_seed, n_trials, repeats):
+    expected = _numpy_streams(rng_seed, n_trials, 1 + 4 * repeats)
+    assert np.array_equal(_vector_streams(rng_seed, n_trials, repeats), expected)
+
+
+def test_campaign_rejects_trial_ids_beyond_uint32(monkeypatch):
+    # trial ids are single uint32 entropy words; the guard must fire before
+    # the draws (terabytes at this size) are built, which the stub refuses
+    def refuse(cfg, n_trials):
+        raise AssertionError(f"drawing {n_trials} trials")
+
+    monkeypatch.setattr(ms, "_trial_uniforms", refuse)
+    cfg = ms.TrialConfig(init=CatSpec(2.0), repeats=20)
+    with pytest.raises(ConfigError, match="n_trials"):
+        ms.run_campaign(2**32 + 1, cfg, ms.DeviceParams())
 
 
 def test_jsonl_roundtrip():

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 import yaml
 
-from catscope import cli, pipeline
-from catscope.darkmatter import coherence_time, rho_m_veff
+from catscope import cli, darkmatter, measurement, pipeline
+from catscope.darkmatter import coherence_time, g_of_t, rho_m_veff
 from catscope.errors import (
     ConfigError,
     MissingArtifact,
@@ -247,6 +247,28 @@ def test_search_recovers_injected_signal(tmp_path):
     assert eps90 > eps  # the quoted limit cannot exclude the injected value
 
 
+def test_injected_search_integrates_each_tau_once(monkeypatch):
+    # both probes share one g(t) quadrature per search time; only the
+    # probe's alpha_sq differs between their excitation probabilities
+    cfg = _small_cfg(seed=11, trials=50)
+    cfg["calibration"]["trials"] = 200
+    cfg["search"]["inject_epsilon"] = 1e-15
+    cfg["search"]["tau_grid"] = [float(t) for t in np.geomspace(3e-5, 1.3e-4, 6)]
+    seen = []
+
+    def counting(t, point, halo=darkmatter.HaloParams()):
+        seen.append(t)
+        return g_of_t(t, point, halo)
+
+    monkeypatch.setattr(darkmatter, "g_of_t", counting)
+    monkeypatch.setattr(measurement, "g_of_t", counting)
+    measurement._dm_g.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pipeline.run_search(cfg)
+    assert sorted(seen) == cfg["search"]["tau_grid"]
+
+
 # ---------------------------------------------------------------------------
 # tune-scan
 
@@ -460,6 +482,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2, leaf
         assert f"error: {leaf} must be" in capsys.readouterr().err
+
+    # extreme halo speeds pass every leaf bound but leave a coherence time
+    # of 0 s, which once ended in a traceback from np.geomspace
+    extreme = ["halo:\n  v_g: 1.0e+300\n", "halo:\n  v_vir: 1.0e-300\n"]
+    for i, text in enumerate(extreme):
+        p = tmp_path / f"tau{i}.yaml"
+        p.write_text(text)
+        rc = cli.main(["figures", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2, text
+        err = capsys.readouterr().err
+        assert "error: DM coherence time must be finite and > 0" in err
+        assert "Traceback" not in err
 
     # argparse handles unknown flags itself
     with pytest.raises(SystemExit) as exc:
