@@ -7,6 +7,16 @@ Unit conventions: every frequency and mass is angular (rad/s); velocities
 are km/s at the interface and converted to fractions of c internally; the
 halo energy density stays in GeV/cm^3 and is converted to rad/s via
 GEV_TO_RAD_PER_S exactly once, inside excitation_probability.
+
+g(t) is QUADPACK's QAGS over the sinc-null segments (quadpack.qagse), with
+an array integrand that follows halo_speed_pdf operation for operation and
+takes the sine from libm's math.sin, node by node, so its values do not
+depend on how numpy vectorizes sin.  Its squares are x*x, the correctly
+rounded product; libm's pow, behind Python's x**2 and numpy's scalar **,
+differs from it in the last ulp on about 1 argument in 1,200.
+halo_speed_pdf squares v_vir by x*x too, and v -+ v_g with numpy's **,
+which is x*x on arrays (so the integrand equals halo_speed_pdf on arrays
+bit for bit) but pow on 0-d input.
 """
 
 from __future__ import annotations
@@ -16,9 +26,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureFailure, UnitOverflow
+from .quadpack import qagse
 
 C_KM_S = 299792.458  # speed of light, km/s
 _E_CHARGE = 1.602176634e-19  # elementary charge, C (exact SI)
@@ -75,11 +85,14 @@ def halo_speed_pdf(v, halo: HaloParams = HaloParams()):
     """Boosted Maxwellian speed distribution, v in km/s, density in s/km.
 
     Written as a difference of Gaussians (the exponential product expanded)
-    so large speeds underflow gracefully instead of overflowing.
+    so large speeds underflow gracefully instead of overflowing; a square
+    that overflows makes its Gaussian exp(-inf) = 0, as intended.
     """
     v = np.asarray(v, dtype=float)
-    up = np.exp(-((v - halo.v_g) ** 2) / halo.v_vir**2)
-    down = np.exp(-((v + halo.v_g) ** 2) / halo.v_vir**2)
+    v_vir_sq = halo.v_vir * halo.v_vir
+    with np.errstate(over="ignore"):
+        up = np.exp(-((v - halo.v_g) ** 2) / v_vir_sq)
+        down = np.exp(-((v + halo.v_g) ** 2) / v_vir_sq)
     out = v / (np.sqrt(np.pi) * halo.v_vir * halo.v_g) * (up - down)
     return out if out.ndim else float(out)
 
@@ -112,44 +125,14 @@ def coherence_time(point: SearchPoint, halo: HaloParams = HaloParams()) -> float
     return 2.0 * np.pi * float(lineshape(omega_m(point.m_dm), point, halo))
 
 
-def g_of_t(t: float, point: SearchPoint, halo: HaloParams = HaloParams()) -> float:
-    """Signal accumulation integral (seconds^2):
-
-        g(t) = integral d(omega) f(omega) [sin((omega-omega_c)t/2) /
-                                           ((omega-omega_c)/2)]^2
-
-    evaluated in the speed variable (where the lineshape is a smooth
-    Maxwellian), splitting the domain at the oscillation nulls of the sinc
-    factor when t is large.  Grows as t^2 below the coherence time and as
-    tau_DM * t above it.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
+def _sinc_nulls(t: float, point: SearchPoint, halo: HaloParams) -> np.ndarray:
+    """Breakpoints of the g(t) integral in the speed variable: 0, the cutoff
+    and, between them, the nulls of the sinc factor at
+    omega = omega_c + 2 pi k / t, ascending (each step from k to v is
+    monotone).  A repeated breakpoint only adds a segment of length 0."""
     m = point.m_dm
     wc = point.effective_omega_c()
     vmax = _v_max(halo)
-    v_g = halo.v_g
-    v_vir_sq = halo.v_vir**2
-    pdf_norm = math.sqrt(math.pi) * halo.v_vir * v_g
-    exp = np.exp  # not math.exp: the two differ in the last ulp on some inputs
-
-    # halo_speed_pdf(v * C_KM_S) * C_KM_S times t^2 sinc^2(x), on Python
-    # floats, with every operation in the order of those two numpy routines,
-    # so the values are bit-identical to theirs at a fraction of the cost
-    def integrand(v: float) -> float:
-        s = v * C_KM_S
-        up = float(exp(-((s - v_g) ** 2) / v_vir_sq))
-        down = float(exp(-((s + v_g) ** 2) / v_vir_sq))
-        f_v = s / pdf_norm * (up - down) * C_KM_S
-        delta = m * (1.0 + v * v / 2.0) - wc
-        y = math.pi * (delta * t / 2.0 / math.pi)
-        sinc = math.sin(y) / y if y else 1.0
-        return f_v * t * t * sinc**2
-
-    # breakpoints at the sinc nulls omega = omega_c + 2 pi k / t
-    breaks = [0.0, vmax]
     spacing = 2.0 * np.pi / t
     w_lo, w_hi = m, m * (1.0 + vmax * vmax / 2.0)
     k_lo = int(np.ceil((w_lo - wc) / spacing))
@@ -159,31 +142,89 @@ def g_of_t(t: float, point: SearchPoint, halo: HaloParams = HaloParams()) -> flo
             f"t={t!r} produces {k_hi - k_lo} oscillation nodes; "
             "use the incoherent asymptote instead"
         )
-    for k in range(k_lo, k_hi + 1):
-        w_node = wc + spacing * k
-        rel = 2.0 * (w_node / m - 1.0)
-        if rel > 0.0:
-            v = float(np.sqrt(rel))
-            if 0.0 < v < vmax:
-                breaks.append(v)
-    breaks = sorted(set(breaks))
-    total = 0.0
-    err = 0.0
-    # per-segment tolerance warnings are advisory; the accumulated error is
-    # checked against the total below and failures raise
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            if b - a < 1e-18:
-                continue
-            val, e = quad(integrand, a, b, epsabs=0.0, epsrel=1e-9, limit=200)
+    w_node = wc + spacing * np.arange(k_lo, k_hi + 1, dtype=float)
+    rel = 2.0 * (w_node / m - 1.0)
+    v = np.sqrt(rel[rel > 0.0])
+    v = v[(0.0 < v) & (v < vmax)]
+    return np.concatenate([[0.0], v, [vmax]])
+
+
+def g_of_t(t, point: SearchPoint, halo: HaloParams = HaloParams()):
+    """Signal accumulation integral (seconds^2):
+
+        g(t) = integral d(omega) f(omega) [sin((omega-omega_c)t/2) /
+                                           ((omega-omega_c)/2)]^2
+
+    evaluated in the speed variable (where the lineshape is a smooth
+    Maxwellian), splitting the domain at the oscillation nulls of the sinc
+    factor when t is large.  Grows as t^2 below the coherence time and as
+    tau_DM * t above it.
+
+    t is one time (a float comes back) or a sequence of times (a list comes
+    back).  The segments of all times go to one quadpack.qagse call
+    (QUADPACK's QAGS, bit-equal to SciPy's quad), to epsrel 1e-9; each
+    time's values and error estimates are summed in segment order.  The
+    integrand squares by x*x (see the module docstring).
+    """
+    one = np.ndim(t) == 0
+    times = [float(t)] if one else [float(x) for x in t]
+    for x in times:
+        if x < 0.0:
+            raise ValueError(f"t must be >= 0, got {x!r}")
+    m = point.m_dm
+    wc = point.effective_omega_c()
+    v_g = halo.v_g
+    v_vir_sq = halo.v_vir * halo.v_vir
+    pdf_norm = math.sqrt(math.pi) * halo.v_vir * v_g
+
+    # halo_speed_pdf(v * C_KM_S) * C_KM_S times t^2 sinc^2(x), elementwise,
+    # t being each segment's time; inf and NaN from extreme inputs reach the
+    # error check below unannounced
+    def integrand(v: np.ndarray, t) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            s = v * C_KM_S
+            shifted = np.stack((s - v_g, s + v_g))
+            up, down = np.exp(-(shifted * shifted) / v_vir_sq)
+            f_v = s / pdf_norm * (up - down) * C_KM_S
+            delta = m * (1.0 + v * v / 2.0) - wc
+            y = np.pi * (delta * t / 2.0 / np.pi)
+            sin_y = np.fromiter(map(math.sin, y.ravel().tolist()), float, y.size)
+            sinc = np.where(y != 0.0, sin_y.reshape(y.shape) / y, 1.0)
+            return f_v * t * t * (sinc * sinc)
+
+    lo, hi, counts = [], [], []
+    for x in times:
+        if x == 0.0:
+            counts.append(0)
+            continue
+        breaks = _sinc_nulls(x, point, halo)
+        a, b = breaks[:-1], breaks[1:]
+        keep = b - a >= 1e-18
+        lo.append(a[keep])
+        hi.append(b[keep])
+        counts.append(int(keep.sum()))
+    values = errors = []
+    if lo:
+        values, errors, _, _ = qagse(
+            integrand, np.concatenate(lo), np.concatenate(hi), 0.0, 1e-9, 200,
+            arg=np.repeat(times, counts),
+        )
+        values, errors = values.tolist(), errors.tolist()
+    out = []
+    start = 0
+    for x, n in zip(times, counts):
+        total = 0.0
+        err = 0.0
+        for val, e in zip(values[start : start + n], errors[start : start + n]):
             total += val
             err += e
-    if not np.isfinite(total) or (total > 0.0 and err > 1e-6 * total):
-        raise QuadratureFailure(
-            f"accumulated quadrature error {err!r} on g({t!r}) = {total!r}"
-        )
-    return total
+        start += n
+        if not np.isfinite(total) or (total > 0.0 and err > 1e-6 * total):
+            raise QuadratureFailure(
+                f"accumulated quadrature error {err!r} on g({x!r}) = {total!r}"
+            )
+        out.append(total)
+    return out[0] if one else out
 
 
 def excitation_probability(
@@ -238,8 +279,8 @@ def g_curve_to_csv(times, point: SearchPoint, halo: HaloParams = HaloParams()) -
     """CSV dump (t, g, coherent and incoherent asymptotes) of the
     accumulation function."""
     tau = coherence_time(point, halo)
+    times = np.asarray(times, dtype=float)
     lines = ["t,g,coherent_t_sq,incoherent_tau_t"]
-    for t in np.asarray(times, dtype=float):
-        g = g_of_t(float(t), point, halo)
+    for t, g in zip(times, g_of_t(times, point, halo)):
         lines.append(f"{float(t)!r},{g!r},{float(t * t)!r},{float(tau * t)!r}")
     return "\n".join(lines) + "\n"

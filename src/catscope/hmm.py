@@ -1,7 +1,7 @@
 """Posterior reconstruction over initial cavity sectors from readout records.
 
 The generative model is a hidden Markov chain over joint (sector, qubit)
-states with one readout symbol per step.  forward_backward returns the
+states with one readout symbol per step.  batch_posteriors returns the
 posterior of the sector at the first slot, marginalized over the qubit,
 computed in log-domain so the extreme likelihood ratios that the vacuum
 threshold (1e5) relies on do not underflow.  The likelihood ratio compares
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DimMismatch, LeakageSymbol, NonConvergence
 from .measurement import (
@@ -173,42 +172,19 @@ def _encode(record) -> np.ndarray:
     return _leak_free(codes)
 
 
-def forward_backward(model: HmmModel, record) -> Posterior:
-    """Posterior over the sector at the first readout slot.
+def batch_posteriors(model: HmmModel, records) -> tuple[np.ndarray, np.ndarray]:
+    """Sector posteriors and likelihood ratios of many records at once.
 
     The path sum prior[s0] E[s0,r0] prod_k T[s_{k-1},s_k] E[s_k,r_k] is
     evaluated with a log-domain backward recursion, marginalized over the
-    qubit at slot 0, and renormalized once at the end.
-    """
-    idx = _encode(record)
-    with np.errstate(divide="ignore"):
-        log_t = np.log(model.transition)
-        log_e = np.log(model.emission)
-        log_p = np.log(model.prior)
-    log_beta = np.zeros(model.n_states)
-    for k in range(len(idx) - 1, 0, -1):
-        tail = log_e[:, idx[k]] + log_beta
-        log_beta = logsumexp(log_t + tail[None, :], axis=1)
-    log_joint = log_p + log_e[:, idx[0]] + log_beta
-    total = logsumexp(log_joint)
-    if not np.isfinite(total):
-        raise NonConvergence("record has zero probability under this model")
-    weights = np.exp(log_joint - total)
-    p_phi = weights.reshape(model.n_sectors, 2).sum(axis=1)
-    p_phi = p_phi / p_phi.sum()
-    return Posterior(tuple(float(x) for x in p_phi), _lambda_of(p_phi))
-
-
-def batch_posteriors(model: HmmModel, records) -> tuple[np.ndarray, np.ndarray]:
-    """forward_backward over many records at once.
-
-    records is a columnar Records set, whose uint8 codes index the emission
-    table directly, or an iterable of str / ReadoutRecord, encoded once and
-    grouped by length.  Each group runs one vectorized backward recursion;
-    the per-step normalization is the same max-shift used by logsumexp, so
-    the results match the scalar routine to rounding.  Returns (p_phi, lam)
-    arrays ordered like the input, shapes (n_records, n_sectors) and
-    (n_records,).
+    qubit at slot 0, and renormalized once at the end.  records is a
+    columnar Records set, whose uint8 codes index the emission table
+    directly, or an iterable of str / ReadoutRecord, encoded once and
+    grouped by length.  Each group runs one vectorized backward recursion
+    with a max-shift normalization per step, so the results match the
+    logsumexp recursion of the tests' forward_backward oracle to rounding.
+    Returns (p_phi, lam) arrays ordered like the input, shapes
+    (n_records, n_sectors) and (n_records,).
     """
     if isinstance(records, Records):
         groups = [(np.arange(len(records)), _leak_free(records.symbols))]

@@ -1,100 +1,17 @@
-"""Single-photon loss (and weak heating) dynamics for the cavity mode.
+"""Single-photon loss dynamics for the cavity mode.
 
-Provides a dense Lindblad integrator for density matrices plus the exact
-closed-form transition probabilities between multi-component cat states
-under pure loss, which serve as an independent validation route for the
-integrator.
+The exact closed-form transition probabilities between multi-component cat
+states under pure loss.  The tests check them against a dense Lindblad
+integrator for density matrices, an independent route.
 
 Conventions: amplitude decays as e^{-kappa t / 2}, energy as e^{-kappa t}.
-Heating enters as an independent dissipator at rate kappa * n_thermal on
-the raising operator, consistent with the upward sector-hop probabilities
-used by the record model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import InvalidIndex, StepFailure
-from .fock import DensityMatrix, annihilation_operator
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Cavity damping channel: kappa = 1/T1 in 1/s, n_thermal >= 0."""
-
-    kappa: float
-    n_thermal: float = 0.0
-
-    def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa!r}")
-        if self.n_thermal < 0.0:
-            raise ValueError(f"n_thermal must be >= 0, got {self.n_thermal!r}")
-
-
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Final state of a Lindblad propagation with the accepted step count."""
-
-    rho_t: DensityMatrix
-    t: float
-    steps: int
-
-
-def lindblad_evolve(rho0: DensityMatrix, ch: LossChannel, t: float) -> EvolutionResult:
-    """Propagate rho0 for time t under photon loss at rate ch.kappa plus the
-    optional thermal excitation dissipator at rate ch.kappa * ch.n_thermal.
-
-    Integrates d(rho)/dt = kappa/2 (2 a rho a+ - n rho - rho n)
-                         + kappa n_th / 2 (2 a+ rho a - aa+ rho - rho aa+)
-    with an adaptive Runge-Kutta 4/5 scheme on the flattened matrix.
-    Raises StepFailure if the integrator fails or the trace drifts by more
-    than 1e-7.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
-        return EvolutionResult(rho0, 0.0, 0)
-    dim = rho0.dim
-    a = annihilation_operator(dim)
-    ad = a.conj().T
-    n_diag = np.arange(dim, dtype=float)
-    k = ch.kappa
-    kn = ch.kappa * ch.n_thermal
-
-    def rhs(_t, y):
-        rho = y.reshape(dim, dim)
-        out = 0.5 * k * (
-            2.0 * (a @ rho @ ad) - n_diag[:, None] * rho - rho * n_diag[None, :]
-        )
-        if kn > 0.0:
-            out += 0.5 * kn * (
-                2.0 * (ad @ rho @ a)
-                - (n_diag + 1.0)[:, None] * rho
-                - rho * (n_diag + 1.0)[None, :]
-            )
-        return out.ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        rho0.elements.ravel().astype(complex),
-        method="RK45",
-        rtol=1e-9,
-        atol=1e-10,
-    )
-    if not sol.success:
-        raise StepFailure(f"integrator stopped: {sol.message}")
-    rho = sol.y[:, -1].reshape(dim, dim)
-    rho = (rho + rho.conj().T) / 2.0
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > 1e-7:
-        raise StepFailure(f"trace drifted to {tr!r} (tolerance 1e-7)")
-    return EvolutionResult(DensityMatrix(dim, rho / tr), float(t), len(sol.t) - 1)
+from .errors import InvalidIndex
 
 
 def _cat_norm_sq(m: int, idx: int, a2: float) -> float:

@@ -365,16 +365,27 @@ def build_emission_matrix(device: DeviceParams, mode: str = "compass") -> np.nda
 # signal injection
 
 
-@lru_cache(maxsize=64)
-def _dm_g(dm: DMInjection) -> float:
-    """g(t) of an injection: one quadrature for all probes that share it."""
-    return g_of_t(dm.integration_time, dm.point, dm.halo)
+# g(t) per (t, point, halo), shared by the injections of all probes and the
+# search fit; pipeline.run_command empties it at the start of each command
+G_CACHE: dict[tuple, float] = {}
+
+
+def g_cached(times, point: SearchPoint, halo: HaloParams) -> list[float]:
+    """g_of_t at each time, one quadrature per distinct (t, point, halo):
+    the times not in G_CACHE yet go to g_of_t in one batch."""
+    new = [t for t in dict.fromkeys(times) if (t, point, halo) not in G_CACHE]
+    if new:
+        G_CACHE.update(
+            ((t, point, halo), g) for t, g in zip(new, g_of_t(new, point, halo))
+        )
+    return [G_CACHE[t, point, halo] for t in times]
 
 
 def _dm_probability(dm: DMInjection, alpha_sq: float) -> float:
-    """The probe's excitation_probability, with g(t) from _dm_g."""
+    """The probe's excitation_probability, with g(t) from g_cached."""
+    (g,) = g_cached([dm.integration_time], dm.point, dm.halo)
     return excitation_probability(
-        dm.epsilon, dm.point, dm.halo, dm.integration_time, alpha_sq, _dm_g(dm)
+        dm.epsilon, dm.point, dm.halo, dm.integration_time, alpha_sq, g
     )
 
 

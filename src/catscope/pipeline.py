@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -39,7 +38,6 @@ from .darkmatter import (
     SearchPoint,
     coherence_time,
     g_curve_to_csv,
-    g_of_t,
     lineshape_to_csv,
 )
 from .errors import (
@@ -73,9 +71,11 @@ from .fock import (
 from .hmm import batch_posteriors, build_model, postselect
 from .lindblad import transition_curves_to_csv
 from .measurement import (
+    G_CACHE,
     DeviceParams,
     DMInjection,
     TrialConfig,
+    g_cached,
     records_to_jsonl,
     run_campaign,
 )
@@ -294,6 +294,29 @@ def _check_probe(p, where: str) -> None:
         _check_leaf(f"{where}.alpha_sq", p.get("alpha_sq"), "num", "> 0")
 
 
+# A mimic displacement beta on a probe of amplitude alpha is simulated on
+# fock.required_dim(|alpha| + |beta|) levels with a dense eigenbasis; this
+# amplitude, 648 levels, is the most the simulator should allocate, far
+# above the drives a calibration uses (|beta| <= 0.2).
+MAX_MIMIC_AMPLITUDE = 22.0
+
+
+def _check_mimic(where: str, beta: float, probe: dict, applied: float) -> None:
+    """Reject a displacement whose truncation exceeds MAX_MIMIC_AMPLITUDE;
+    applied is the displacement the simulator uses for config value beta."""
+    if beta == 0.0:
+        return  # no displacement is simulated
+    _, _, label, a2 = _probe_parts(probe)
+    alpha = math.sqrt(a2) if probe["kind"] == "compass" else 0.0
+    if not alpha + applied <= MAX_MIMIC_AMPLITUDE:
+        dim = required_dim(MAX_MIMIC_AMPLITUDE)
+        raise ConfigError(
+            f"{where} must be small enough that |alpha| + |beta| <= "
+            f"{MAX_MIMIC_AMPLITUDE:g} ({dim} Fock levels); on probe {label}, "
+            f"{beta!r} displaces by {applied!r}"
+        )
+
+
 def build_device(cfg: dict) -> DeviceParams:
     return DeviceParams(**cfg["device"])
 
@@ -326,8 +349,15 @@ def validate_config(cfg: dict) -> None:
     if len(set(labels)) != len(labels):
         raise ConfigError("probes must be distinct")
     _check_probe(cfg["records"]["probe"], "records.probe")
-    if len(set(cfg["calibration"]["betas"])) < 3:
+    betas = cfg["calibration"]["betas"]
+    if len(set(betas)) < 3:
         raise ConfigError("calibration.betas needs at least 3 distinct values")
+    for p in probes:
+        a2 = _probe_parts(p)[3]
+        for beta in betas:
+            _check_mimic("calibration.betas", beta, p, beta / math.sqrt(a2))
+    beta = cfg["records"]["injected_beta"]
+    _check_mimic("records.injected_beta", beta, cfg["records"]["probe"], beta)
     jbin = cfg["scan"]["inject_bin"]
     if jbin is not None and jbin >= cfg["scan"]["bins"]:
         raise ConfigError(
@@ -383,7 +413,6 @@ def module_versions() -> dict:
     return {
         "catscope": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 
@@ -619,6 +648,9 @@ def run_search(cfg: dict):
         _calibrated_eta(etas_by_label, _probe_parts(probe)[2])
         for probe in cfg["probes"]
     ]
+    # g(tau) depends on neither the probe nor the injection: one batch
+    # integrates every tau for the injected campaigns and the fit
+    g_cached(taus, point, halo)
     series = []
     rate_lines = ["probe,alpha_sq,tau,k_pos,n_kept,n_dropped,eta"]
     record_chunks = []
@@ -642,7 +674,7 @@ def run_search(cfg: dict):
         series.append(SearchSeries(a2, tuple(taus), tuple(ks), tuple(ns)))
     tau_dm = coherence_time(point, halo)
     fit = search_fit(
-        series, lambda t: g_of_t(t, point, halo), tuple(etas), tau_warn=tau_dm
+        series, lambda t: g_cached([t], point, halo)[0], tuple(etas), tau_warn=tau_dm
     )
     a0 = fit.params["a0"]
     sig = fit.stderr("a0")
@@ -878,6 +910,9 @@ def run_command(command: str, cfg: dict, out_root=".", which=None):
 
     Returns (final run directory, human-readable summary lines)."""
     validate_config(cfg)
+    # g(t) quadratures are shared within one command, not across commands:
+    # a run does the same work whether or not it is the first in its process
+    G_CACHE.clear()
     if command == "calibrate":
         files, summary = run_calibrate(cfg)
     elif command == "search":

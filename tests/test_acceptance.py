@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from conftest import enumerate_posterior
+from oracles import LossChannel, displacement_operator, forward_backward, lindblad_evolve
 
 from catscope import pipeline
 from catscope.darkmatter import (
@@ -30,13 +31,12 @@ from catscope.fits import (
 from catscope.fock import (
     CatSpec,
     cat_state,
-    displacement_operator,
     population_fidelity,
     required_dim,
     transition_probability,
 )
-from catscope.hmm import build_model, forward_backward, threshold_complement
-from catscope.lindblad import LossChannel, cat_transition_probability, lindblad_evolve
+from catscope.hmm import build_model, threshold_complement
+from catscope.lindblad import cat_transition_probability
 from catscope.measurement import (
     DeviceParams,
     TrialConfig,

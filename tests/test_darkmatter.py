@@ -1,5 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import g_integrand_reference, g_of_t_reference
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -18,6 +24,7 @@ from catscope.darkmatter import (
     omega_m,
     rho_m_veff,
 )
+from catscope.errors import QuadratureFailure
 
 M_REF = 2.0 * np.pi * 6.442e9  # rad/s, the cavity band probed in the search
 
@@ -132,26 +139,10 @@ def test_g_of_t_asymptote_crossover_near_tau():
     assert tau / 2.0 < crossing < 2.0 * tau
 
 
-def _reference_integrand(t, point, halo):
-    """The g(t) integrand written on the public numpy routines:
-    halo_speed_pdf on 0-d arrays and np.sinc."""
-    m = point.m_dm
-    wc = point.effective_omega_c()
-
-    def integrand(v):
-        f_v = float(halo_speed_pdf(v * C_KM_S, halo)) * C_KM_S
-        x = (m * (1.0 + v * v / 2.0) - wc) * t / 2.0
-        return f_v * t * t * float(np.sinc(x / np.pi)) ** 2
-
-    return integrand
-
-
-def test_g_of_t_matches_reference_integrand(monkeypatch):
-    # g_of_t's scalar integrand agrees bit for bit with the numpy route, on
-    # the sensitivity-growth times and the default search tau grid: each
-    # quadrature segment is integrated again with the reference integrand,
-    # and both integrands are compared at points across the segment
-    from catscope import darkmatter, pipeline
+def test_g_of_t_matches_quad_reference():
+    # bit for bit against scipy.integrate.quad over the same breakpoints,
+    # on the sensitivity-growth times and the default search tau grid
+    from catscope import pipeline
 
     cfg = pipeline.default_config()
     point = pipeline.build_point(cfg)
@@ -159,18 +150,70 @@ def test_g_of_t_matches_reference_integrand(monkeypatch):
     tau = coherence_time(point, halo)
     times = [float(t) for t in np.geomspace(tau / 100.0, 20.0 * tau, 81)]
     times += [float(t) for t in cfg["search"]["tau_grid"]]
-    for t in times:
-        ref = _reference_integrand(t, point, halo)
+    expected = [g_of_t_reference(t, point, halo) for t in times]
+    for t, ref in zip(times, expected):
+        assert g_of_t(t, point, halo) == ref, t
+    # all times in one call, as figures and search integrate them
+    assert g_of_t(times, point, halo) == expected
+    assert g_of_t([0.0] + times[::-7], point, halo) == [0.0] + expected[::-7]
 
-        def reference_quad(func, a, b, **kwargs):
-            for v in np.linspace(a, b, 7)[1:-1]:
-                assert func(float(v)) == ref(float(v))
-            return quad(ref, a, b, **kwargs)
 
-        monkeypatch.setattr(darkmatter, "quad", reference_quad)
-        expected = g_of_t(t, point, halo)
-        monkeypatch.undo()
-        assert g_of_t(t, point, halo) == expected
+@pytest.mark.parametrize(
+    "halo",
+    # the default, and a v_vir whose Python square 211.015**2 is one ulp
+    # above the product 211.015 * 211.015
+    [HaloParams(), HaloParams(v_vir=211.015, v_g=247.9)],
+)
+def test_g_integrand_reference_is_halo_speed_pdf_route(halo):
+    # the oracle that g_of_t matches is the public speed pdf on arrays (as
+    # g_of_t evaluates it) times t^2 sinc^2, bit for bit, across the whole
+    # speed range
+    from catscope import pipeline
+
+    cfg = pipeline.default_config()
+    point = pipeline.build_point(cfg)
+    m, wc = point.m_dm, point.effective_omega_c()
+    vmax = (halo.v_g + 6.0 * halo.v_vir) / C_KM_S
+    vs = np.linspace(0.0, vmax, 301)
+    f_v = (halo_speed_pdf(vs * C_KM_S, halo) * C_KM_S).tolist()
+    tau = coherence_time(point, halo)
+    for t in [tau / 100.0, tau, 20.0 * tau] + list(cfg["search"]["tau_grid"]):
+        integrand = g_integrand_reference(t, point, halo)
+        for v, f in zip(vs.tolist(), f_v):
+            y = np.pi * ((m * (1.0 + v * v / 2.0) - wc) * t / 2.0 / np.pi)
+            sinc = math.sin(y) / y if y else 1.0
+            assert integrand(v) == f * t * t * (sinc * sinc), (t, v)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    t_over_tau=st.floats(1e-2, 20.0),
+    m_ghz=st.floats(1.0, 20.0),
+    detuning=st.one_of(st.none(), st.floats(-1e-6, 3e-6)),
+    v_vir=st.floats(150.0, 300.0),
+    v_g=st.floats(150.0, 300.0),
+)
+def test_g_of_t_matches_quad_reference_anywhere(t_over_tau, m_ghz, detuning, v_vir, v_g):
+    m = 2.0 * np.pi * 1e9 * m_ghz
+    wc = None if detuning is None else m * (1.0 + detuning)
+    point = SearchPoint(m_dm=m, omega_c=wc)
+    halo = HaloParams(v_vir=v_vir, v_g=v_g)
+    t = t_over_tau * coherence_time(point, halo)
+    ref = g_of_t_reference(t, point, halo)
+    assert g_of_t(t, point, halo) == ref
+    # and within a batch, beside shorter times
+    assert g_of_t([t / 10.0, t, t / 3.0], point, halo)[1] == ref
+
+
+def test_g_of_t_fails_quietly_on_extreme_inputs():
+    # a mass of 1e-300 rad/s overflows the integrand; the quadrature carries
+    # inf and NaN to the error check, which raises, with no numpy warning
+    pt = SearchPoint(m_dm=1e-300)
+    t = coherence_time(pt) / 100.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="accumulated quadrature error"):
+            g_of_t(t, pt)
 
 
 def test_excitation_probability_prefactor_anchor():

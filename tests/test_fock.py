@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import displacement_operator
 
 from catscope import fock
 from catscope.errors import (
@@ -15,7 +16,6 @@ from catscope.fock import (
     annihilation_operator,
     cat_state,
     coherent_state,
-    displacement_operator,
     population_fidelity,
     required_dim,
     sine_filter,

