@@ -30,10 +30,6 @@ class NegativeProbability(CatscopeError):
     """A probability vector contains negative entries."""
 
 
-class StepFailure(CatscopeError):
-    """The adaptive integrator could not meet its tolerance."""
-
-
 class QuadratureFailure(CatscopeError):
     """Adaptive quadrature did not converge."""
 

@@ -6,12 +6,14 @@ posterior of the sector at the first slot, marginalized over the qubit,
 computed in log-domain so the extreme likelihood ratios that the vacuum
 threshold (1e5) relies on do not underflow.  The likelihood ratio compares
 the signal sector against everything else; records containing leakage
-symbols are dropped before inference.
+symbols are dropped before inference (postselect).  Both take the columnar
+measurement.Records set and nothing else.  The scalar recursion the batch
+is checked against lives with the other oracles in the tests, with its own
+symbol encoder.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +21,8 @@ import numpy as np
 from .errors import ConfigError, DimMismatch, LeakageSymbol, NonConvergence
 from .measurement import (
     CODE_LEAK,
-    CODE_UNKNOWN,
-    SYMBOL_ALPHABET,
-    SYMBOL_CODES,
     DeviceParams,
-    ReadoutRecord,
     Records,
-    as_records,
     build_emission_matrix,
     build_transition_matrix,
 )
@@ -113,127 +110,50 @@ def build_model(
     return HmmModel(t, e, np.asarray(prior, dtype=float), labels)
 
 
-@dataclass(frozen=True)
-class Posterior:
-    """Sector posterior at the first slot plus the likelihood ratio lam.
-
-    lam is the signal sector against the rest: p[1]/(p[0]+p[2]+p[3]) for
-    four sectors, p[1]/p[0] for two.  A zero denominator gives math.inf.
-    """
-
-    p_phi: tuple[float, ...]
-    lam: float
-
-    def __post_init__(self):
-        p = tuple(float(x) for x in self.p_phi)
-        if len(p) not in (2, 4):
-            raise DimMismatch(f"p_phi must have 2 or 4 entries, got {len(p)}")
-        if any(x < -1e-15 for x in p):
-            raise ConfigError("negative posterior entries")
-        if abs(sum(p) - 1.0) > 1e-9:
-            raise ConfigError(f"posterior sums to {sum(p)!r}, not 1")
-        ref = _lambda_of(p)
-        ok = (
-            math.isinf(ref)
-            and math.isinf(self.lam)
-            or abs(self.lam - ref) <= 1e-12 * max(1.0, abs(ref))
-        )
-        if not ok:
-            raise ConfigError(f"lam={self.lam!r} inconsistent with p_phi (expect {ref!r})")
-        object.__setattr__(self, "p_phi", p)
-        object.__setattr__(self, "lam", float(self.lam))
-
-
-def _lambda_of(p) -> float:
-    num = p[1]
-    den = sum(p) - p[1]
-    if den <= 0.0:
-        return math.inf
-    return num / den
-
-
-def _leak_free(codes: np.ndarray) -> np.ndarray:
-    """Symbol codes, which index the emission columns (0 = G, 1 = E) once
-    no leaked readout is left."""
-    if np.any(codes == CODE_LEAK):
-        raise LeakageSymbol("record contains a leaked readout; post-select first")
-    return codes
-
-
-def _encode(record) -> np.ndarray:
-    """uint8 symbol codes of one str or ReadoutRecord."""
-    symbols = record.symbols if isinstance(record, ReadoutRecord) else str(record)
-    if not symbols:
-        raise ConfigError("empty record")
-    codes = SYMBOL_CODES[np.frombuffer(symbols.encode("utf-8"), np.uint8)]
-    if np.any(codes == CODE_UNKNOWN):
-        ch = next(c for c in symbols if c not in SYMBOL_ALPHABET)
-        raise ConfigError(f"unknown readout symbol {ch!r}")
-    return _leak_free(codes)
-
-
-def batch_posteriors(model: HmmModel, records) -> tuple[np.ndarray, np.ndarray]:
-    """Sector posteriors and likelihood ratios of many records at once.
+def batch_posteriors(model: HmmModel, records: Records) -> tuple[np.ndarray, np.ndarray]:
+    """Sector posteriors and likelihood ratios of a Records set.
 
     The path sum prior[s0] E[s0,r0] prod_k T[s_{k-1},s_k] E[s_k,r_k] is
     evaluated with a log-domain backward recursion, marginalized over the
-    qubit at slot 0, and renormalized once at the end.  records is a
-    columnar Records set, whose uint8 codes index the emission table
-    directly, or an iterable of str / ReadoutRecord, encoded once and
-    grouped by length.  Each group runs one vectorized backward recursion
-    with a max-shift normalization per step, so the results match the
-    logsumexp recursion of the tests' forward_backward oracle to rounding.
-    Returns (p_phi, lam) arrays ordered like the input, shapes
-    (n_records, n_sectors) and (n_records,).
+    qubit at slot 0, and renormalized once at the end.  The uint8 symbol
+    codes index the emission columns directly, and all records run one
+    vectorized recursion with a max-shift normalization per step, so the
+    results match the logsumexp recursion of the tests' forward_backward
+    oracle to rounding.  lam is the signal sector against the rest,
+    p[1]/(p[0]+p[2]+p[3]) for four sectors and p[1]/p[0] for two, and inf
+    where that denominator is 0.  Returns (p_phi, lam) arrays in record
+    order, shapes (n_records, n_sectors) and (n_records,).
     """
-    if isinstance(records, Records):
-        groups = [(np.arange(len(records)), _leak_free(records.symbols))]
-    else:
-        encoded = [_encode(r) for r in records]
-        by_length: dict[int, list[int]] = {}
-        for i, codes in enumerate(encoded):
-            by_length.setdefault(codes.size, []).append(i)
-        groups = [
-            (np.array(members), np.stack([encoded[i] for i in members]))
-            for members in by_length.values()
-        ]
-    n_records = sum(len(rows) for rows, _ in groups)
-    n = model.n_states
-    n_sec = model.n_sectors
-    p_out = np.zeros((n_records, n_sec))
-    lam_out = np.zeros(n_records)
+    idx = records.symbols
+    if np.any(idx == CODE_LEAK):
+        raise LeakageSymbol("record contains a leaked readout; post-select first")
+    n_records = len(records)
     with np.errstate(divide="ignore"):
         log_e = np.log(model.emission).T  # row c: log emission of symbol c
         log_p = np.log(model.prior)
-    t_lin = model.transition
-    for rows, idx in groups:
-        if not rows.size:
-            continue
-        log_beta = np.zeros((rows.size, n))
-        for k in range(idx.shape[1] - 1, 0, -1):
-            tail = log_e[idx[:, k]] + log_beta
-            shift = tail.max(axis=1, keepdims=True)
-            shift = np.where(np.isfinite(shift), shift, 0.0)
-            acc = np.exp(tail - shift) @ t_lin.T
-            with np.errstate(divide="ignore"):
-                log_beta = shift + np.log(acc)
-        log_joint = log_p[None, :] + log_e[idx[:, 0]] + log_beta
-        shift = log_joint.max(axis=1, keepdims=True)
+    log_beta = np.zeros((n_records, model.n_states))
+    for k in range(idx.shape[1] - 1, 0, -1):
+        tail = log_e[idx[:, k]] + log_beta
+        shift = tail.max(axis=1, keepdims=True)
         shift = np.where(np.isfinite(shift), shift, 0.0)
-        un = np.exp(log_joint - shift)
-        norm = un.sum(axis=1)
-        if np.any(norm <= 0.0):
-            bad = rows[int(np.argmax(norm <= 0.0))]
-            raise NonConvergence(f"record {bad} has zero probability under this model")
-        weights = un / norm[:, None]
-        sectors = weights.reshape(rows.size, n_sec, 2).sum(axis=2)
-        sectors = sectors / sectors.sum(axis=1, keepdims=True)
-        p1 = sectors[:, 1]
-        den = sectors.sum(axis=1) - p1
-        lam = np.where(den > 0.0, p1 / np.where(den > 0.0, den, 1.0), np.inf)
-        p_out[rows] = sectors
-        lam_out[rows] = lam
-    return p_out, lam_out
+        acc = np.exp(tail - shift) @ model.transition.T
+        with np.errstate(divide="ignore"):
+            log_beta = shift + np.log(acc)
+    log_joint = log_p[None, :] + log_e[idx[:, 0]] + log_beta
+    shift = log_joint.max(axis=1, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    un = np.exp(log_joint - shift)
+    norm = un.sum(axis=1)
+    if np.any(norm <= 0.0):
+        bad = int(np.argmax(norm <= 0.0))
+        raise NonConvergence(f"record {bad} has zero probability under this model")
+    weights = un / norm[:, None]
+    sectors = weights.reshape(n_records, model.n_sectors, 2).sum(axis=2)
+    sectors = sectors / sectors.sum(axis=1, keepdims=True)
+    p1 = sectors[:, 1]
+    den = sectors.sum(axis=1) - p1
+    lam = np.where(den > 0.0, p1 / np.where(den > 0.0, den, 1.0), np.inf)
+    return sectors, lam
 
 
 def threshold_complement(threshold: float) -> float:
@@ -245,10 +165,9 @@ def threshold_complement(threshold: float) -> float:
     return 1.0 / (1.0 + threshold)
 
 
-def postselect(records) -> tuple[Records, int]:
+def postselect(records: Records) -> tuple[Records, int]:
     """Drop records containing leaked readouts; keep order.  Returns the
-    kept rows as a Records set and the number dropped."""
-    records = as_records(records)
+    kept rows and the number dropped."""
     keep = ~records.leaked
     return records[keep], len(records) - int(keep.sum())
 

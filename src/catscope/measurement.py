@@ -13,15 +13,18 @@ p_leak; records containing L are meant to be dropped downstream.
 run_campaign draws hidden paths for every trial of a campaign together
 from the transition matrix augmented with a per-step demolition channel
 (the sector is scrambled uniformly with probability p_d), and returns them
-as one columnar Records set.  build_transition_matrix returns the pure,
-un-augmented matrix, which is what the inference side assumes; the
-mismatch is deliberate and mirrors how the demolition probability is
-calibrated separately from the sector-transition rates.
+as one columnar Records set.  Records is the one record format: inference,
+post-selection and records_to_jsonl take nothing else, and a ReadoutRecord
+is only the row view that iterating or indexing a Records gives.
+
+build_transition_matrix returns the pure, un-augmented matrix, which is
+what the inference side assumes; the mismatch is deliberate and mirrors
+how the demolition probability is calibrated separately from the
+sector-transition rates.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,14 +47,9 @@ SYMBOL_EXCITED = "E"
 SYMBOL_LEAK = "L"
 _SYMBOLS = frozenset((SYMBOL_GROUND, SYMBOL_EXCITED, SYMBOL_LEAK))
 
-# Columnar symbol codes: code k stands for SYMBOL_ALPHABET[k].  Bytes that
-# are not a readout symbol map to CODE_UNKNOWN.
+# Columnar symbol codes: code k stands for SYMBOL_ALPHABET[k]
 SYMBOL_ALPHABET = SYMBOL_GROUND + SYMBOL_EXCITED + SYMBOL_LEAK
 CODE_LEAK = 2
-CODE_UNKNOWN = 3
-SYMBOL_CODES = np.full(256, CODE_UNKNOWN, dtype=np.uint8)
-SYMBOL_CODES[[ord(c) for c in SYMBOL_ALPHABET]] = (0, 1, CODE_LEAK)
-SYMBOL_CODES.setflags(write=False)
 
 _MODES = ("compass", "vacuum")
 
@@ -223,40 +221,6 @@ class Records:
             for col in (self.init_sector, self.injected, self.sectors, self.qubits)
         ]
         return Records(self.symbols[key], self.trial_ids[key], self.mode, *truth)
-
-
-def as_records(records) -> Records:
-    """records itself when columnar; otherwise the ReadoutRecords packed
-    into columns.  All records must have the same length; the truth
-    columns are filled only when every record carries truth."""
-    if isinstance(records, Records):
-        return records
-    records = list(records)
-    lengths = {len(r.symbols) for r in records}
-    if len(lengths) > 1:
-        raise ConfigError(
-            f"records of different lengths {sorted(lengths)} do not form columns"
-        )
-    shape = (len(records), lengths.pop() if lengths else 1)
-    text = "".join(r.symbols for r in records).encode("ascii")
-    symbols = SYMBOL_CODES[np.frombuffer(text, np.uint8)].reshape(shape)
-    trial_ids = np.array([r.trial_id for r in records], dtype=np.int64)
-    truths = [r.truth for r in records]
-    if not truths or any(t is None for t in truths):
-        return Records(symbols, trial_ids)
-    modes = {t["mode"] for t in truths}
-    if len(modes) > 1:
-        raise ConfigError(f"records mix probe modes {sorted(modes)}")
-    qubits = "".join(t["qubits"] for t in truths).encode("ascii")
-    return Records(
-        symbols,
-        trial_ids,
-        modes.pop(),
-        np.array([t["init_sector"] for t in truths], dtype=np.uint8),
-        np.array([t["injected"] for t in truths], dtype=bool),
-        np.array([t["sectors"] for t in truths], dtype=np.uint8).reshape(shape),
-        (np.frombuffer(qubits, np.uint8) == ord("e")).astype(np.uint8).reshape(shape),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +479,6 @@ def simulate_record(
 @dataclass(frozen=True)
 class CampaignResult:
     records: Records
-    truth_summary: dict
 
 
 # numpy's SeedSequence hash constants and the PCG64 multiplier (O'Neill,
@@ -607,8 +570,7 @@ def run_campaign(
     simulate_record(cfg, device, k) draws (see _trial_uniforms), and the
     hidden chain of every trial advances together, one vectorized step per
     readout slot, with the same comparisons in the same order; so row k
-    equals that record.  The truth summary aggregates the hidden-path
-    columns for oracle checks.
+    equals that record.
     """
     if not 1 <= n_trials <= 2**32:
         raise ConfigError(f"n_trials must lie in [1, 2**32], got {n_trials!r}")
@@ -641,24 +603,17 @@ def run_campaign(
 
     base = cfg.init.j if mode == "compass" else 0
     init_sector = sectors[:, 0].copy()
-    records = Records(
-        symbols,
-        np.arange(n_trials, dtype=np.int64),
-        mode,
-        init_sector,
-        init_sector != base,
-        sectors,
-        qubits,
+    return CampaignResult(
+        Records(
+            symbols,
+            np.arange(n_trials, dtype=np.int64),
+            mode,
+            init_sector,
+            init_sector != base,
+            sectors,
+            qubits,
+        )
     )
-    summary = {
-        "n_trials": n_trials,
-        "mode": mode,
-        "repeats": cfg.repeats,
-        "n_injected": int(records.injected.sum()),
-        "n_leaked_records": int(records.leaked.sum()),
-        "init_sector_counts": np.bincount(init_sector, minlength=n_sec).tolist(),
-    }
-    return CampaignResult(records, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -752,43 +707,26 @@ def prepare_compass(
 # serialization
 
 
-def records_to_jsonl(records, include_truth: bool = True) -> str:
+def records_to_jsonl(records: Records) -> str:
     """One JSON object per line, {symbols, trial_id, truth?}: per record the
-    text json.dumps(obj, sort_keys=True) gives, formatted from the columns."""
-    recs = as_records(records)
-    symbols = _code_strings(recs.symbols, SYMBOL_ALPHABET)
-    ids = recs.trial_ids.tolist()
-    if not include_truth or recs.mode is None:
+    text json.dumps(obj, sort_keys=True) gives for its row view, formatted
+    from the columns; the truth key appears when the truth columns do."""
+    symbols = _code_strings(records.symbols, SYMBOL_ALPHABET)
+    ids = records.trial_ids.tolist()
+    if records.mode is None:
         lines = [f'{{"symbols": "{s}", "trial_id": {t}}}' for s, t in zip(symbols, ids)]
         return "\n".join(lines) + "\n"
     columns = zip(
         symbols,
         ids,
-        recs.init_sector.tolist(),
-        np.where(recs.injected, "true", "false").tolist(),
-        _code_strings(recs.qubits, "ge"),
-        map(str, recs.sectors.tolist()),
+        records.init_sector.tolist(),
+        np.where(records.injected, "true", "false").tolist(),
+        _code_strings(records.qubits, "ge"),
+        map(str, records.sectors.tolist()),
     )
     lines = [
         f'{{"symbols": "{s}", "trial_id": {t}, "truth": {{"init_sector": {i}, '
-        f'"injected": {j}, "mode": "{recs.mode}", "qubits": "{q}", "sectors": {c}}}}}'
+        f'"injected": {j}, "mode": "{records.mode}", "qubits": "{q}", "sectors": {c}}}}}'
         for s, t, i, j, q, c in columns
     ]
     return "\n".join(lines) + "\n"
-
-
-def records_from_jsonl(text: str) -> list[ReadoutRecord]:
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        records.append(
-            ReadoutRecord(
-                symbols=obj["symbols"],
-                trial_id=int(obj.get("trial_id", 0)),
-                truth=obj.get("truth"),
-            )
-        )
-    return records

@@ -420,12 +420,7 @@ def module_versions() -> dict:
 @dataclass(frozen=True)
 class RunManifest:
     """What produced a run directory: the command, the config hash, the seed,
-    library versions, and a name -> sha256 registry of the artifacts.
-
-    wall_clock_s is carried for reporting but left out of the JSON: reruns
-    of the same config must be byte-identical, so timing goes to the log
-    sidecar instead.
-    """
+    library versions, and a name -> sha256 registry of the artifacts."""
 
     command: str
     run_id: str
@@ -433,7 +428,6 @@ class RunManifest:
     master_seed: int
     versions: dict
     files: dict
-    wall_clock_s: float = 0.0
 
     def to_json(self) -> str:
         body = {
@@ -820,20 +814,48 @@ def _compass_alpha_sq(cfg: dict) -> float:
     return max(vals) if vals else 4.0
 
 
+def _read_artifact(fid: str, cfg: dict, out_root) -> str:
+    """The source file of an artifact-backed figure, once its run's
+    manifest.json vouches for it: the file's SHA-256 must be the one the
+    manifest registered, and the manifest's versions this process's."""
+    command, fname = _ARTIFACT_FIGURES[fid]
+    run_dir = Path(out_root) / "results" / run_id(cfg, command)
+    src = run_dir / fname
+    if not src.exists():
+        raise MissingArtifact(
+            f"figure {fid!r} needs {fname} from a prior '{command}' run "
+            f"with this config; expected it at {src}"
+        )
+    data = src.read_bytes()
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        registered, versions = manifest["files"].get(fname), manifest["versions"]
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise MissingArtifact(
+            f"{src} has no readable manifest.json beside it ({exc}); "
+            f"rerun '{command}'"
+        ) from None
+    if registered != hashlib.sha256(data).hexdigest():
+        raise MissingArtifact(
+            f"{src} does not match the SHA-256 its manifest.json registered; "
+            f"rerun '{command}'"
+        )
+    if versions != module_versions():
+        raise MissingArtifact(
+            f"{src} was written with versions {versions}, not "
+            f"{module_versions()}; rerun '{command}'"
+        )
+    return data.decode("utf-8")
+
+
 def _render_figure(fid: str, cfg: dict, out_root) -> str:
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
     if fid in _ARTIFACT_FIGURES:
-        command, fname = _ARTIFACT_FIGURES[fid]
-        src = Path(out_root) / "results" / run_id(cfg, command) / fname
-        if not src.exists():
-            raise MissingArtifact(
-                f"figure {fid!r} needs {fname} from a prior '{command}' run "
-                f"with this config; expected it at {src}"
-            )
+        text = _read_artifact(fid, cfg, out_root)
         if fid == "enhancement":
-            report = json.loads(src.read_text())
+            report = json.loads(text)
             by_label = report.get("enhancement", {})
             lines = ["probe,alpha_sq,eta,enhancement"]
             for row in report["probes"]:
@@ -847,7 +869,7 @@ def _render_figure(fid: str, cfg: dict, out_root) -> str:
                     f"{value!r}"
                 )
             return "\n".join(lines) + "\n"
-        return src.read_text()
+        return text
     if fid == "cat-wigner":
         spec = CatSpec(alpha=math.sqrt(_compass_alpha_sq(cfg)))
         ext = abs(spec.alpha) + 2.0
@@ -882,7 +904,8 @@ def _render_figure(fid: str, cfg: dict, out_root) -> str:
 def run_figures(cfg: dict, which=None, out_root="."):
     """CSV tables behind the plots.  Figures needing campaign artifacts read
     the matching run directory under out_root and fail with MissingArtifact
-    when the producing command has not run with this config."""
+    when the producing command has not run with this config, or when its
+    manifest.json does not vouch for the file (see _read_artifact)."""
     if not which:
         ids = list(_CONFIG_FIGURES)
     elif list(which) == ["all"]:

@@ -1,5 +1,6 @@
-"""Shared helpers: a zero-noise device and the brute-force path-sum oracle
-used to cross-check the forward-backward recursion."""
+"""Shared helpers: a zero-noise device, truth-free Records from symbol
+strings, and the brute-force path-sum oracle used to cross-check the
+forward-backward recursion."""
 
 import math
 
@@ -24,6 +25,13 @@ def noiseless_device(**overrides):
     )
     base.update(overrides)
     return ms.DeviceParams(**base)
+
+
+def records_of(*symbols):
+    """Records without truth columns, one row per symbol string (all of one
+    length, over G, E and L), with trial ids 0, 1, ..."""
+    codes = [[ms.SYMBOL_ALPHABET.index(c) for c in s] for s in symbols]
+    return ms.Records(np.array(codes, dtype=np.uint8), np.arange(len(symbols)))
 
 
 def enumerate_posterior(model, symbols):

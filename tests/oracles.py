@@ -8,8 +8,8 @@ itself does not need:
   and heating, against lindblad's closed-form cat transitions;
 - displacement_operator: D(beta) by matrix exponential (expm), against
   fock's spectral displacement and the record simulator;
-- forward_backward: the scalar logsumexp posterior recursion, against
-  hmm.batch_posteriors;
+- forward_backward: the scalar logsumexp posterior recursion, with its own
+  G/E symbol encoder and Posterior check, against hmm.batch_posteriors;
 - g_of_t_reference: g(t) from scipy.integrate.quad over the same sinc-null
   breakpoints with a scalar integrand, against darkmatter.g_of_t.
 """
@@ -27,10 +27,13 @@ from scipy.special import logsumexp, pdtrc
 
 from catscope.darkmatter import C_KM_S, HaloParams, SearchPoint, _v_max
 from catscope.errors import (
+    CatscopeError,
+    ConfigError,
+    DimMismatch,
+    LeakageSymbol,
     NonConvergence,
     NonFinite,
     QuadratureFailure,
-    StepFailure,
     TruncationTooSmall,
 )
 from catscope.fock import (
@@ -40,11 +43,15 @@ from catscope.fock import (
     annihilation_operator,
     required_dim,
 )
-from catscope.hmm import HmmModel, Posterior, _encode, _lambda_of
+from catscope.hmm import HmmModel
 
 
 # ---------------------------------------------------------------------------
 # photon loss: a dense Lindblad integrator
+
+
+class StepFailure(CatscopeError):
+    """The adaptive integrator could not meet its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,59 @@ def displacement_operator(beta: complex, dim: int) -> np.ndarray:
 # the scalar posterior recursion
 
 
+@dataclass(frozen=True)
+class Posterior:
+    """Sector posterior at the first slot plus the likelihood ratio lam.
+
+    lam is the signal sector against the rest: p[1]/(p[0]+p[2]+p[3]) for
+    four sectors, p[1]/p[0] for two.  A zero denominator gives math.inf.
+    """
+
+    p_phi: tuple[float, ...]
+    lam: float
+
+    def __post_init__(self):
+        p = tuple(float(x) for x in self.p_phi)
+        if len(p) not in (2, 4):
+            raise DimMismatch(f"p_phi must have 2 or 4 entries, got {len(p)}")
+        if any(x < -1e-15 for x in p):
+            raise ConfigError("negative posterior entries")
+        if abs(sum(p) - 1.0) > 1e-9:
+            raise ConfigError(f"posterior sums to {sum(p)!r}, not 1")
+        ref = _lambda_of(p)
+        ok = (
+            math.isinf(ref)
+            and math.isinf(self.lam)
+            or abs(self.lam - ref) <= 1e-12 * max(1.0, abs(ref))
+        )
+        if not ok:
+            raise ConfigError(f"lam={self.lam!r} inconsistent with p_phi (expect {ref!r})")
+        object.__setattr__(self, "p_phi", p)
+        object.__setattr__(self, "lam", float(self.lam))
+
+
+def _lambda_of(p) -> float:
+    num = p[1]
+    den = sum(p) - p[1]
+    if den <= 0.0:
+        return math.inf
+    return num / den
+
+
+def _symbol_columns(record) -> list[int]:
+    """Emission columns (G -> 0, E -> 1) of a symbol string or of anything
+    with a .symbols string, such as a row of a Records set."""
+    symbols = record if isinstance(record, str) else record.symbols
+    if not symbols:
+        raise ConfigError("empty record")
+    unknown = [ch for ch in symbols if ch not in "GEL"]
+    if unknown:
+        raise ConfigError(f"unknown readout symbol {unknown[0]!r}")
+    if "L" in symbols:
+        raise LeakageSymbol("record contains a leaked readout; post-select first")
+    return ["GE".index(ch) for ch in symbols]
+
+
 def forward_backward(model: HmmModel, record) -> Posterior:
     """Posterior over the sector at the first readout slot.
 
@@ -167,7 +227,7 @@ def forward_backward(model: HmmModel, record) -> Posterior:
     evaluated with a log-domain backward recursion, marginalized over the
     qubit at slot 0, and renormalized once at the end.
     """
-    idx = _encode(record)
+    idx = _symbol_columns(record)
     with np.errstate(divide="ignore"):
         log_t = np.log(model.transition)
         log_e = np.log(model.emission)
@@ -184,7 +244,6 @@ def forward_backward(model: HmmModel, record) -> Posterior:
     p_phi = weights.reshape(model.n_sectors, 2).sum(axis=1)
     p_phi = p_phi / p_phi.sum()
     return Posterior(tuple(float(x) for x in p_phi), _lambda_of(p_phi))
-
 
 
 # ---------------------------------------------------------------------------

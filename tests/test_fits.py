@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import records_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -44,7 +45,13 @@ from catscope.fits import (
 )
 from catscope.fock import CatSpec
 from catscope.hmm import build_model
-from catscope.measurement import CampaignResult, DeviceParams, TrialConfig, run_campaign
+from catscope.measurement import (
+    CampaignResult,
+    DeviceParams,
+    Records,
+    TrialConfig,
+    run_campaign,
+)
 
 POINT = SearchPoint(m_dm=2.0 * math.pi * 6.442e9)
 
@@ -441,8 +448,12 @@ def _mixed_campaign(n_each=120):
         TrialConfig(init=spec, repeats=20, rng_seed=32),
         device,
     )
-    records = tuple(inj.records) + tuple(bg.records)
-    return CampaignResult(records, {"n_trials": 2 * n_each}), device
+    columns = ("symbols", "trial_ids", "init_sector", "injected", "sectors", "qubits")
+    merged = {
+        name: np.concatenate([getattr(inj.records, name), getattr(bg.records, name)])
+        for name in columns
+    }
+    return CampaignResult(Records(mode="compass", **merged)), device
 
 
 def test_threshold_sweep_monotone():
@@ -462,9 +473,7 @@ def test_threshold_sweep_monotone():
 
 
 def test_threshold_sweep_needs_truth():
-    from catscope.measurement import ReadoutRecord
-
-    campaign = CampaignResult((ReadoutRecord("GGG", trial_id=0),), {})
+    campaign = CampaignResult(records_of("GGG"))
     device = DeviceParams()
     model = build_model(device, alpha_sq=4.0)
     with pytest.raises(ConfigError):

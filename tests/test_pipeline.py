@@ -337,6 +337,91 @@ def test_rerun_is_byte_identical(tmp_path):
         assert ta[name] == tb[name], f"{name} differs between reruns"
 
 
+# manifest "files" of every command at seed 1 with 40 trials, recorded with
+# the versions below; any change to an artifact byte shows here
+_GOLDEN_VERSIONS = {"numpy": "2.4.6", "python": "3.11.7"}
+_GOLDEN_FILES = {
+    "calibrate": {
+        "calibration.csv": (
+            "876ffb7109bffb980a32a720f87a4bd850398feb3b3487927e14d24c21fede00"
+        ),
+        "calibration.json": (
+            "babfb7c80bcda79d4c37234ad93d915a0dcfb9c75cbd2095f155be7c7509c5df"
+        ),
+    },
+    "search": {
+        "calibration.csv": (
+            "876ffb7109bffb980a32a720f87a4bd850398feb3b3487927e14d24c21fede00"
+        ),
+        "calibration.json": (
+            "babfb7c80bcda79d4c37234ad93d915a0dcfb9c75cbd2095f155be7c7509c5df"
+        ),
+        "fit.json": (
+            "afca10a2599834a48682a00cfa42c3b9a90b0a1951cc3f0092d6de6351e48579"
+        ),
+        "limits.csv": (
+            "a1dac3002fa14c7cb1e38e67bad6ca25d3ceabafa601e9df6c809357dcfcf7c7"
+        ),
+        "rates.csv": (
+            "900e26938e883e42d109b47c07e624e73475d5ade64ce41f591ff602d2d2e6b2"
+        ),
+        "records.jsonl": (
+            "e12d32a6160731673abf811985326cbc5822418d8e6ab4d635305a54b299e055"
+        ),
+    },
+    "tune-scan": {
+        "bins.csv": (
+            "bae210dd7951c1513c02bf3ca702e81ca8d6fa0918299ed12cafef5d07d330aa"
+        ),
+        "calibration.csv": (
+            "876ffb7109bffb980a32a720f87a4bd850398feb3b3487927e14d24c21fede00"
+        ),
+        "calibration.json": (
+            "babfb7c80bcda79d4c37234ad93d915a0dcfb9c75cbd2095f155be7c7509c5df"
+        ),
+        "limits.csv": (
+            "44fe1e2b646a25d3280f8e0c33434418e2422d2eb008f4cd2d652a022c1a44ca"
+        ),
+    },
+    "figures": {
+        "cat-wigner.csv": (
+            "fa3dbdcec2d51948fe5affbe1ac793e014647a1c965876d890dee054b4afb41e"
+        ),
+        "lineshape.csv": (
+            "31f5e3cbf51a7eedc566562708dbd69835fe8eebc19816c648b8ae43ecae22f5"
+        ),
+        "readout-roc.csv": (
+            "79279df17b2e55c07ba28c7c8e01d9fb0529aba07dac4280e248f7e31e6e0e47"
+        ),
+        "sensitivity-growth.csv": (
+            "d12103db60061a58032e9bfac78c38949741a219bd322e24834e32b773d3f03e"
+        ),
+        "transition-curves.csv": (
+            "a3e56976909d67234cfe55ba88040fea0655fb9e3a2ed24dfe483a9c8a30e4f5"
+        ),
+    },
+    "simulate-record": {
+        "records.jsonl": (
+            "a8536d429106ec1061c05bf6d396d578c83cab45b5459c5f28e2a81febbc0d38"
+        ),
+    },
+}
+
+
+def test_artifact_hashes_match_recorded_table(tmp_path):
+    versions = pipeline.module_versions()
+    if any(versions[k] != v for k, v in _GOLDEN_VERSIONS.items()):
+        pytest.skip(
+            f"hashes recorded with {_GOLDEN_VERSIONS}, running {versions}: "
+            "floating-point results may legitimately differ"
+        )
+    cfg = _small_cfg(seed=1, trials=40)
+    for command, files in _GOLDEN_FILES.items():
+        final, _ = pipeline.run_command(command, cfg, out_root=tmp_path)
+        man = json.loads((final / "manifest.json").read_text())
+        assert man["files"] == files, command
+
+
 def test_promote_replaces_stale_run(tmp_path):
     cfg = _small_cfg(trials=16)
     final, _ = pipeline.run_command("simulate-record", cfg, out_root=tmp_path)
@@ -458,6 +543,28 @@ def test_figures_artifact_flow(tmp_path):
 
     with pytest.raises(ConfigError, match="unknown figure"):
         pipeline.run_command("figures", cfg, out_root=tmp_path, which=["nope"])
+
+    # a source its run's manifest.json does not vouch for is refused
+    cal_dir = tmp_path / "results" / pipeline.run_id(cfg, "calibrate")
+    source = cal_dir / "calibration.csv"
+    original = source.read_bytes()
+    source.write_bytes(original + b"vacuum,0.5,1,1,1\n")
+    with pytest.raises(MissingArtifact, match="calibration.csv.*SHA-256"):
+        pipeline.run_command(
+            "figures", cfg, out_root=tmp_path, which=["calibration-curve"]
+        )
+    source.write_bytes(original)
+    manifest_path = cal_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["versions"]["numpy"] = "0.0"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(MissingArtifact, match="calibration.csv.*versions"):
+        pipeline.run_command(
+            "figures", cfg, out_root=tmp_path, which=["calibration-curve"]
+        )
+    manifest_path.unlink()
+    with pytest.raises(MissingArtifact, match="calibration.json.*manifest"):
+        pipeline.run_command("figures", cfg, out_root=tmp_path, which=["enhancement"])
 
 
 # ---------------------------------------------------------------------------
