@@ -9,14 +9,13 @@ halo energy density stays in GeV/cm^3 and is converted to rad/s via
 GEV_TO_RAD_PER_S exactly once, inside excitation_probability.
 
 g(t) is QUADPACK's QAGS over the sinc-null segments (quadpack.qagse), with
-an array integrand that follows halo_speed_pdf operation for operation and
-takes the sine from libm's math.sin, node by node, so its values do not
-depend on how numpy vectorizes sin.  Its squares are x*x, the correctly
-rounded product; libm's pow, behind Python's x**2 and numpy's scalar **,
-differs from it in the last ulp on about 1 argument in 1,200.
-halo_speed_pdf squares v_vir by x*x too, and v -+ v_g with numpy's **,
-which is x*x on arrays (so the integrand equals halo_speed_pdf on arrays
-bit for bit) but pow on 0-d input.
+an array integrand that calls halo_speed_pdf on the node arrays and takes
+the sine from libm's math.sin, node by node, so its values do not depend
+on how numpy vectorizes sin.  Its squares are x*x, the correctly rounded
+product; libm's pow, behind Python's x**2 and numpy's scalar **, differs
+from it in the last ulp on about 1 argument in 1,200.  halo_speed_pdf
+squares v_vir by x*x too, and v -+ v_g with numpy's **, which is x*x on
+the integrand's node arrays but pow on 0-d input.
 """
 
 from __future__ import annotations
@@ -173,19 +172,13 @@ def g_of_t(t, point: SearchPoint, halo: HaloParams = HaloParams()):
             raise ValueError(f"t must be >= 0, got {x!r}")
     m = point.m_dm
     wc = point.effective_omega_c()
-    v_g = halo.v_g
-    v_vir_sq = halo.v_vir * halo.v_vir
-    pdf_norm = math.sqrt(math.pi) * halo.v_vir * v_g
 
     # halo_speed_pdf(v * C_KM_S) * C_KM_S times t^2 sinc^2(x), elementwise,
     # t being each segment's time; inf and NaN from extreme inputs reach the
     # error check below unannounced
     def integrand(v: np.ndarray, t) -> np.ndarray:
         with np.errstate(all="ignore"):
-            s = v * C_KM_S
-            shifted = np.stack((s - v_g, s + v_g))
-            up, down = np.exp(-(shifted * shifted) / v_vir_sq)
-            f_v = s / pdf_norm * (up - down) * C_KM_S
+            f_v = halo_speed_pdf(v * C_KM_S, halo) * C_KM_S
             delta = m * (1.0 + v * v / 2.0) - wc
             y = np.pi * (delta * t / 2.0 / np.pi)
             sin_y = np.fromiter(map(math.sin, y.ravel().tolist()), float, y.size)

@@ -27,9 +27,6 @@ from .measurement import (
     build_transition_matrix,
 )
 
-_MODES = ("compass", "vacuum")
-
-
 @dataclass(frozen=True)
 class HmmModel:
     """Immutable (transition, emission, prior, labels) bundle.
@@ -96,9 +93,7 @@ def build_model(
 ) -> HmmModel:
     """HmmModel from the calibrated device numbers.  The transition matrix
     is the pure one (no demolition augmentation); the default prior is
-    ground_prior."""
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    ground_prior.  An unknown mode raises InvalidMode."""
     t = build_transition_matrix(device, alpha_sq=alpha_sq, mode=mode)
     e = build_emission_matrix(device, mode=mode)
     if prior is None:

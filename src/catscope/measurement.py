@@ -10,6 +10,10 @@ qubit, photon 0 does not.  Each step ends with a readout that reports G or
 E, or leaks out of the readable subspace (symbol L) with probability
 p_leak; records containing L are meant to be dropped downstream.
 
+A planted signal enters only as a number: the probability p_signal that it
+has moved the probe up one sector before the first check, which the
+commands compute from the halo model (darkmatter.excitation_probability).
+
 run_campaign draws hidden paths for every trial of a campaign together
 from the transition matrix augmented with a per-step demolition channel
 (the sector is scrambled uniformly with probability p_d), and returns them
@@ -31,7 +35,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .darkmatter import HaloParams, SearchPoint, excitation_probability, g_of_t
 from .errors import ConfigError, InvalidMode, PrepFailed
 from .fock import (
     CatSpec,
@@ -95,39 +98,23 @@ class DeviceParams:
 
 
 @dataclass(frozen=True)
-class DMInjection:
-    """Per-trial signal hypothesis: kinetic mixing epsilon, the search
-    point being probed, and the integration time before the checks start."""
-
-    epsilon: float
-    point: SearchPoint
-    integration_time: float
-    halo: HaloParams = HaloParams()
-
-    def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if not self.integration_time > 0.0:
-            raise ConfigError(
-                f"integration_time must be > 0, got {self.integration_time!r}"
-            )
-
-
-@dataclass(frozen=True)
 class TrialConfig:
     """One trial template.  init is the compass probe (None = vacuum probe);
-    at most one of injected_beta (mimic displacement) and dm may be set.
+    at most one of injected_beta (mimic displacement) and p_signal (the
+    probability that the signal moves the probe up one sector) may be set.
     repeats is the number of readout symbols per record."""
 
     init: CatSpec | None = None
     injected_beta: complex | None = None
-    dm: DMInjection | None = None
+    p_signal: float | None = None
     repeats: int = 20
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.injected_beta is not None and self.dm is not None:
-            raise ConfigError("set injected_beta or dm, not both")
+        if self.injected_beta is not None and self.p_signal is not None:
+            raise ConfigError("set injected_beta or p_signal, not both")
+        if self.p_signal is not None and not 0.0 <= self.p_signal <= 1.0:
+            raise ConfigError(f"p_signal must lie in [0, 1], got {self.p_signal!r}")
         if self.init is not None and self.init.m != 4:
             raise ConfigError("the record model covers four-component probes only")
         if self.repeats < 1:
@@ -329,30 +316,6 @@ def build_emission_matrix(device: DeviceParams, mode: str = "compass") -> np.nda
 # signal injection
 
 
-# g(t) per (t, point, halo), shared by the injections of all probes and the
-# search fit; pipeline.run_command empties it at the start of each command
-G_CACHE: dict[tuple, float] = {}
-
-
-def g_cached(times, point: SearchPoint, halo: HaloParams) -> list[float]:
-    """g_of_t at each time, one quadrature per distinct (t, point, halo):
-    the times not in G_CACHE yet go to g_of_t in one batch."""
-    new = [t for t in dict.fromkeys(times) if (t, point, halo) not in G_CACHE]
-    if new:
-        G_CACHE.update(
-            ((t, point, halo), g) for t, g in zip(new, g_of_t(new, point, halo))
-        )
-    return [G_CACHE[t, point, halo] for t in times]
-
-
-def _dm_probability(dm: DMInjection, alpha_sq: float) -> float:
-    """The probe's excitation_probability, with g(t) from g_cached."""
-    (g,) = g_cached([dm.integration_time], dm.point, dm.halo)
-    return excitation_probability(
-        dm.epsilon, dm.point, dm.halo, dm.integration_time, alpha_sq, g
-    )
-
-
 @lru_cache(maxsize=128)
 def _mimic_sector_populations(
     alpha: complex, m: int, j: int, beta: complex
@@ -389,21 +352,16 @@ def _initial_sector_probs(cfg: TrialConfig) -> np.ndarray:
                     complex(cfg.init.alpha), cfg.init.m, j0, complex(cfg.injected_beta)
                 )
             )
+        p = cfg.p_signal or 0.0
         probs = np.zeros(4)
-        if cfg.dm is not None:
-            p = _dm_probability(cfg.dm, abs(cfg.init.alpha) ** 2)
-            probs[j0] = 1.0 - p
-            probs[(j0 + 1) % 4] = p
-        else:
-            probs[j0] = 1.0
+        probs[j0] = 1.0 - p
+        probs[(j0 + 1) % 4] = p
         return probs
     # vacuum probe: two levels
     if cfg.injected_beta is not None:
         p1 = 1.0 - math.exp(-abs(cfg.injected_beta) ** 2)
-    elif cfg.dm is not None:
-        p1 = _dm_probability(cfg.dm, 1.0)
     else:
-        p1 = 0.0
+        p1 = cfg.p_signal or 0.0
     return np.array([1.0 - p1, p1])
 
 

@@ -25,7 +25,7 @@ import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,9 @@ from .darkmatter import (
     HaloParams,
     SearchPoint,
     coherence_time,
+    excitation_probability,
     g_curve_to_csv,
+    g_of_t,
     lineshape_to_csv,
 )
 from .errors import (
@@ -70,35 +72,14 @@ from .fock import (
 )
 from .hmm import batch_posteriors, build_model, postselect
 from .lindblad import transition_curves_to_csv
-from .measurement import (
-    G_CACHE,
-    DeviceParams,
-    DMInjection,
-    TrialConfig,
-    g_cached,
-    records_to_jsonl,
-    run_campaign,
-)
+from .measurement import DeviceParams, TrialConfig, records_to_jsonl, run_campaign
 
 COMMANDS = ("calibrate", "search", "tune-scan", "figures", "simulate-record")
 
 DEFAULT_CONFIG = {
     "master_seed": 20260818,
-    "device": {
-        "omega_c": 2.0 * math.pi * 6.442e9,
-        "chi": 2.0 * math.pi * 0.6e6,
-        "T1c": 4.6e-3,
-        "T1q": 175.3e-6,
-        "T2q": 119.4e-6,
-        "n_c": 1e-4,
-        "n_q": 0.013,
-        "t_m": 1.9e-6,
-        "readout_Fge": 0.01,
-        "readout_Fge_inv": 0.01,
-        "p_d": 0.013,
-        "p_leak": 0.002,
-    },
-    "halo": {"rho_dm": 0.4, "v_vir": 220.0, "v_g": 232.0},
+    "device": asdict(DeviceParams()),
+    "halo": asdict(HaloParams()),
     "point": {"m_dm": 2.0 * math.pi * 6.442e9, "omega_c": None, "v_eff": 4.45},
     "probes": [
         {"kind": "vacuum"},
@@ -177,6 +158,9 @@ def load_config(path=None) -> dict:
     return _merge(cfg, loaded)
 
 
+_TRIAL_SECTIONS = ("calibration", "search", "scan", "records")
+
+
 def apply_overrides(
     cfg: dict,
     seed=None,
@@ -192,7 +176,7 @@ def apply_overrides(
     if threshold is not None:
         out["thresholds"]["compass"] = float(threshold)
     if trials is not None:
-        for section in ("calibration", "search", "scan", "records"):
+        for section in _TRIAL_SECTIONS:
             out[section]["trials"] = int(trials)
     if bins is not None:
         out["scan"]["bins"] = int(bins)
@@ -317,6 +301,14 @@ def _check_mimic(where: str, beta: float, probe: dict, applied: float) -> None:
         )
 
 
+# A campaign of n trials draws its n x (1 + 4 repeats) uniforms up front
+# (measurement._trial_uniforms), 8 bytes each; this many, 1 GiB, is the most
+# one campaign should allocate, about 1,000 times the default calibration
+# campaign's 1500 x 81.
+MAX_CAMPAIGN_DRAWS = 2**27
+ROC_TRIALS = 800  # trials of the readout-roc figure's campaign
+
+
 def build_device(cfg: dict) -> DeviceParams:
     return DeviceParams(**cfg["device"])
 
@@ -358,6 +350,14 @@ def validate_config(cfg: dict) -> None:
             _check_mimic("calibration.betas", beta, p, beta / math.sqrt(a2))
     beta = cfg["records"]["injected_beta"]
     _check_mimic("records.injected_beta", beta, cfg["records"]["probe"], beta)
+    draws = 1 + 4 * cfg["repeats"]
+    trials = max([cfg[s]["trials"] for s in _TRIAL_SECTIONS] + [ROC_TRIALS])
+    if trials * draws > MAX_CAMPAIGN_DRAWS:
+        raise ConfigError(
+            f"repeats must be small enough that every campaign's trials x "
+            f"(1 + 4 repeats) <= {MAX_CAMPAIGN_DRAWS} (1 GiB of uniforms), "
+            f"got {trials} x {draws}"
+        )
     jbin = cfg["scan"]["inject_bin"]
     if jbin is not None and jbin >= cfg["scan"]["bins"]:
         raise ConfigError(
@@ -627,7 +627,9 @@ def _load_calibration(cfg: dict):
 
 def run_search(cfg: dict):
     """Integration-time scan per probe, the pooled signal fit, and the
-    kinetic-mixing exclusion point at the configured mass."""
+    kinetic-mixing exclusion point at the configured mass.  An injected
+    epsilon reaches the simulator as each campaign's p_signal, computed
+    here from one g(tau) batch that the fit reads as well."""
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
@@ -644,7 +646,7 @@ def run_search(cfg: dict):
     ]
     # g(tau) depends on neither the probe nor the injection: one batch
     # integrates every tau for the injected campaigns and the fit
-    g_cached(taus, point, halo)
+    g_at = dict(zip(taus, g_of_t(taus, point, halo)))
     series = []
     rate_lines = ["probe,alpha_sq,tau,k_pos,n_kept,n_dropped,eta"]
     record_chunks = []
@@ -652,11 +654,18 @@ def run_search(cfg: dict):
         init, mode, label, a2 = _probe_parts(probe)
         model = build_model(device, alpha_sq=a2, mode=mode)
         thr = float(cfg["thresholds"][mode])
+        # the simulated probe's |alpha|^2, which can differ from a2 in the
+        # last bit: abs(sqrt(12)) ** 2 is 11.999999999999998
+        a2_sim = abs(init.alpha) ** 2 if init is not None else 1.0
         ks, ns = [], []
         for ti, tau in enumerate(taus):
             seed = derive_seed(master, "search", pi, ti)
-            dm = DMInjection(float(eps), point, tau, halo) if eps else None
-            tc = TrialConfig(init=init, dm=dm, repeats=repeats, rng_seed=seed)
+            p = None
+            if eps:
+                p = excitation_probability(
+                    float(eps), point, halo, tau, a2_sim, g_at[tau]
+                )
+            tc = TrialConfig(init=init, p_signal=p, repeats=repeats, rng_seed=seed)
             camp = run_campaign(sr["trials"], tc, device)
             k, n_kept, n_drop = _count_positives(model, thr, camp)
             ks.append(k)
@@ -667,9 +676,7 @@ def run_search(cfg: dict):
             record_chunks.append(records_to_jsonl(camp.records))
         series.append(SearchSeries(a2, tuple(taus), tuple(ks), tuple(ns)))
     tau_dm = coherence_time(point, halo)
-    fit = search_fit(
-        series, lambda t: g_cached([t], point, halo)[0], tuple(etas), tau_warn=tau_dm
-    )
+    fit = search_fit(series, g_at.__getitem__, tuple(etas), tau_warn=tau_dm)
     a0 = fit.params["a0"]
     sig = fit.stderr("a0")
     lim = epsilon_limit(a0, sig, point, halo)
@@ -689,7 +696,7 @@ def run_search(cfg: dict):
 def run_tune_scan(cfg: dict):
     """Frequency-bin scan: one campaign per cavity tuning, background
     subtraction across bins, and a per-bin limit at each bin's own resonant
-    mass."""
+    mass.  An injected bin's p_signal is computed at the injected mass."""
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
@@ -719,11 +726,11 @@ def run_tune_scan(cfg: dict):
     counts = []
     for i, om in enumerate(omegas):
         seed = derive_seed(master, "tune", i)
-        dm = None
+        p = None
         if m_inj is not None:
             pt = SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff)
-            dm = DMInjection(float(eps), pt, t1c, halo)
-        tc = TrialConfig(init=init, dm=dm, repeats=repeats, rng_seed=seed)
+            p = excitation_probability(float(eps), pt, halo, t1c, abs(init.alpha) ** 2)
+        tc = TrialConfig(init=init, p_signal=p, repeats=repeats, rng_seed=seed)
         camp = run_campaign(sc["trials"], tc, device)
         k, n_kept, n_drop = _count_positives(model, thr, camp)
         bins.append(FrequencyBin(om, k, n_kept, eta, t1c))
@@ -895,7 +902,7 @@ def _render_figure(fid: str, cfg: dict, out_root) -> str:
         tc = TrialConfig(
             init=init, injected_beta=0.15, repeats=cfg["repeats"], rng_seed=seed
         )
-        camp = run_campaign(800, tc, device)
+        camp = run_campaign(ROC_TRIALS, tc, device)
         rows = threshold_sweep(camp, model, np.geomspace(1e-2, 1e6, 33))
         return sweep_to_csv(rows)
     raise ConfigError(f"unknown figure {fid!r}")
@@ -933,9 +940,6 @@ def run_command(command: str, cfg: dict, out_root=".", which=None):
 
     Returns (final run directory, human-readable summary lines)."""
     validate_config(cfg)
-    # g(t) quadratures are shared within one command, not across commands:
-    # a run does the same work whether or not it is the first in its process
-    G_CACHE.clear()
     if command == "calibrate":
         files, summary = run_calibrate(cfg)
     elif command == "search":

@@ -11,6 +11,7 @@ from catscope import measurement as ms
 from catscope.errors import (
     ConfigError,
     DimMismatch,
+    InvalidMode,
     LeakageSymbol,
     NonConvergence,
 )
@@ -32,8 +33,9 @@ def test_build_model_defaults():
     v = hmm.build_model(ms.DeviceParams(), mode="vacuum")
     assert v.n_states == 4 and v.n_sectors == 2
     assert v.labels == ("n0:g", "n0:e", "n1:g", "n1:e")
-    with pytest.raises(ConfigError):
-        hmm.build_model(ms.DeviceParams(), mode="thermal")
+    # the mode check is build_transition_matrix's, with its documented error
+    with pytest.raises(InvalidMode):
+        hmm.build_model(ms.DeviceParams(), mode="squeezed")
 
 
 def test_model_validation():

@@ -11,7 +11,7 @@ from oracles import displacement_operator
 from scipy.stats import chi2
 
 from catscope import measurement as ms
-from catscope.darkmatter import SearchPoint, coherence_time
+from catscope.darkmatter import SearchPoint, coherence_time, excitation_probability
 from catscope.errors import ConfigError, InvalidMode, PrepFailed
 from catscope.fock import (
     CatSpec,
@@ -60,11 +60,10 @@ def test_device_validation():
 
 def test_trial_config_validation():
     with pytest.raises(ConfigError):
-        ms.TrialConfig(
-            init=CatSpec(2.0),
-            injected_beta=0.1,
-            dm=ms.DMInjection(1e-15, SearchPoint(m_dm=1e10), 1e-4),
-        )
+        ms.TrialConfig(init=CatSpec(2.0), injected_beta=0.1, p_signal=0.01)
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ConfigError, match="p_signal"):
+            ms.TrialConfig(init=CatSpec(2.0), p_signal=p)
     with pytest.raises(ConfigError):
         ms.TrialConfig(repeats=0)
     with pytest.raises(ConfigError):
@@ -244,13 +243,11 @@ def test_mimic_injection_matches_overlap():
 
 def test_dm_injection_truth_fraction():
     point = SearchPoint(m_dm=2 * math.pi * 6.442e9)
-    tau = coherence_time(point)
-    inj = ms.DMInjection(epsilon=3e-16, point=point, integration_time=tau)
-    cfg = ms.TrialConfig(
-        init=CatSpec(math.sqrt(12)), dm=inj, repeats=2, rng_seed=23
-    )
-    p = ms._dm_probability(inj, 12.0)
+    p = excitation_probability(3e-16, point, t=coherence_time(point), alpha_sq=12.0)
     assert 1e-3 < p < 0.1
+    cfg = ms.TrialConfig(
+        init=CatSpec(math.sqrt(12)), p_signal=p, repeats=2, rng_seed=23
+    )
     res = ms.run_campaign(10_000, cfg, noiseless_device())
     frac = int(res.records.injected.sum()) / 10_000
     sigma = math.sqrt(p * (1 - p) / 10_000)
@@ -412,10 +409,16 @@ def test_mimic_populations_cached_and_normalized():
 # batched campaign against the scalar oracle
 
 _POINT = SearchPoint(m_dm=2 * math.pi * 6.442e9)
+# keyword arguments by the probe's |alpha|^2; the signal probability is the
+# excitation probability at that |alpha|^2, as the commands compute it
 _INJECTIONS = {
-    "none": {},
-    "beta": {"injected_beta": 0.3},
-    "dm": {"dm": ms.DMInjection(2e-15, _POINT, coherence_time(_POINT))},
+    "none": lambda a2: {},
+    "beta": lambda a2: {"injected_beta": 0.3},
+    "dm": lambda a2: {
+        "p_signal": excitation_probability(
+            2e-15, _POINT, t=coherence_time(_POINT), alpha_sq=a2
+        )
+    },
 }
 
 
@@ -425,8 +428,12 @@ _INJECTIONS = {
 @pytest.mark.parametrize("probe", ["compass", "vacuum"])
 def test_campaign_matches_simulate_record(probe, injection, p_d, repeats):
     init = CatSpec(math.sqrt(12)) if probe == "compass" else None
+    a2 = abs(init.alpha) ** 2 if init is not None else 1.0
     cfg = ms.TrialConfig(
-        init=init, repeats=repeats, rng_seed=2**63 + 12345, **_INJECTIONS[injection]
+        init=init,
+        repeats=repeats,
+        rng_seed=2**63 + 12345,
+        **_INJECTIONS[injection](a2),
     )
     device = ms.DeviceParams(p_d=p_d, p_leak=0.05)
     res = ms.run_campaign(150, cfg, device)

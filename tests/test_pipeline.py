@@ -17,8 +17,13 @@ import numpy as np
 import pytest
 import yaml
 
-from catscope import cli, darkmatter, measurement, pipeline
-from catscope.darkmatter import coherence_time, g_of_t, rho_m_veff
+from catscope import cli, darkmatter, pipeline
+from catscope.darkmatter import (
+    coherence_time,
+    excitation_probability,
+    g_of_t,
+    rho_m_veff,
+)
 from catscope.errors import (
     ConfigError,
     MissingArtifact,
@@ -57,6 +62,19 @@ def test_default_config_validates():
     # the run id folds in the command, so sibling commands get distinct dirs
     assert pipeline.run_id(cfg, "search") != pipeline.run_id(cfg, "calibrate")
     assert len(pipeline.run_id(cfg, "search")) == 12
+
+
+def test_default_run_ids_are_pinned():
+    # the run id hashes the canonical config text, defaults included, so a
+    # drifted default value (DeviceParams, HaloParams, ...) shows here
+    cfg = pipeline.default_config()
+    assert {c: pipeline.run_id(cfg, c) for c in pipeline.COMMANDS} == {
+        "calibrate": "7c7686bc9a36",
+        "search": "82ff19e008cf",
+        "tune-scan": "de41767841a9",
+        "figures": "681068d23162",
+        "simulate-record": "508ab857a559",
+    }
 
 
 def test_load_config_overlay_and_unknown_keys(tmp_path):
@@ -262,20 +280,46 @@ def test_injected_search_integrates_each_tau_once(monkeypatch, tmp_path):
         return g_of_t(t, point, halo)
 
     monkeypatch.setattr(darkmatter, "g_of_t", counting)
-    monkeypatch.setattr(measurement, "g_of_t", counting)
-    # pipeline holds no g_of_t of its own; should one come back, it counts too
-    monkeypatch.setattr(pipeline, "g_of_t", counting, raising=False)
-    measurement.G_CACHE.clear()
+    monkeypatch.setattr(pipeline, "g_of_t", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         pipeline.run_search(cfg)
         assert calls == [cfg["search"]["tau_grid"]]
-        # the cache lives for one command: a repeated command in the same
+        # nothing is cached across commands: a repeated command in the same
         # process integrates afresh, as a run in a new process would
         for _ in range(2):
             calls.clear()
             pipeline.run_command("search", cfg, out_root=tmp_path)
             assert calls == [cfg["search"]["tau_grid"]]
+
+
+def test_injected_signal_uses_the_simulated_probe(monkeypatch):
+    # each injected campaign's p_signal is the excitation probability at the
+    # |alpha|^2 of the probe the simulator runs, abs(sqrt(12))**2 =
+    # 11.999999999999998 for alpha_sq 12, not the config's value
+    cfg = _small_cfg(seed=3, trials=20)
+    cfg["search"]["inject_epsilon"] = 1e-15
+    cfg["search"]["tau_grid"] = [2e-5, 1.4e-4]
+    seen = []
+    real = pipeline.TrialConfig
+
+    def recording(**kwargs):
+        seen.append((kwargs["init"], kwargs["p_signal"]))
+        return real(**kwargs)
+
+    monkeypatch.setattr(pipeline, "TrialConfig", recording)
+    monkeypatch.setattr(
+        pipeline, "_load_calibration", lambda cfg: ({"vacuum": 0.5, "a12": 0.5}, {})
+    )
+    pipeline.run_search(cfg)
+    point, halo = pipeline.build_point(cfg), pipeline.build_halo(cfg)
+    expected = [
+        excitation_probability(1e-15, point, halo, tau, a2)
+        for a2 in (1.0, math.sqrt(12.0) ** 2)
+        for tau in cfg["search"]["tau_grid"]
+    ]
+    assert [p for _, p in seen] == expected
+    assert expected[3] != excitation_probability(1e-15, point, halo, 1.4e-4, 12.0)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +556,29 @@ def test_commands_never_import_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+_IMPORT_MEASUREMENT = """
+import sys
+import catscope.measurement
+print(sorted(m for m in sys.modules if m.startswith("catscope.")))
+"""
+
+
+def test_simulator_loads_no_halo_physics():
+    # the record simulator takes the signal as a probability: importing it
+    # loads neither the halo model nor its quadrature
+    src = str(Path(pipeline.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_MEASUREMENT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()[-1]
+    assert "catscope.measurement" in loaded
+    assert "catscope.darkmatter" not in loaded
+    assert "catscope.quadpack" not in loaded
+
+
 # ---------------------------------------------------------------------------
 # figures
 
@@ -633,6 +700,8 @@ def test_cli_exit_codes(tmp_path, capsys):
             "probes:\n  - {kind: vacuum}\n  - {kind: compass, alpha_sq: 1.0e-6}\n"
             "calibration:\n  betas: [0.0, 0.1, 20.0]\n  trials: 20\n",
         ),
+        # a campaign's uniforms once asked numpy for 186 TiB
+        ("simulate-record", "repeats", "repeats: 100000000000\n"),
     ]
     for i, (command, leaf, text) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
