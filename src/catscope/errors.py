@@ -26,20 +26,12 @@ class DimMismatch(CatscopeError):
     """Operands live in Fock spaces of different dimension."""
 
 
-class NegativeProbability(CatscopeError):
-    """A probability vector contains negative entries."""
-
-
 class QuadratureFailure(CatscopeError):
     """Adaptive quadrature did not converge."""
 
 
 class UnitOverflow(CatscopeError):
     """A unit conversion produced a non-finite intermediate value."""
-
-
-class PrepFailed(CatscopeError):
-    """State preparation post-selection missed on every allowed attempt."""
 
 
 class InvalidMode(CatscopeError):

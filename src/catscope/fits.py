@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ from .special import ndtr, xlogy
 
 # No optimizer is used here.  The benchmark's tracer (perfbench/spans.py)
 # still wraps these two attributes of this module and fails if they are
-# missing; they go once the run reports on itself (ROADMAP item 3).
+# missing; they go once the run reports on itself (ROADMAP item 1).
 minimize = minimize_scalar = None
 
 GAUSS_90 = 1.28  # one-sided 90% quantile, kept at two decimals deliberately
@@ -335,11 +334,11 @@ def _covariance(design, k, n, theta) -> np.ndarray:
 # detector calibration
 
 
-def calibrate_detector(curve: CalibrationCurve, alpha_sq: float | None = None) -> FitResult:
+def calibrate_detector(curve: CalibrationCurve) -> FitResult:
     """Binomial MLE of k_pos ~ Binomial(n_trials, eta*alpha_sq*n_inj + delta),
     rate clipped to [0, 1].  Returns params {'eta', 'delta'} with Fisher
     covariance."""
-    a2 = float(curve.alpha_sq if alpha_sq is None else alpha_sq)
+    a2 = float(curve.alpha_sq)
     pts = np.array(curve.points, dtype=float)
     n_inj, k, n = pts[:, 0], pts[:, 1], pts[:, 2]
     if np.unique(n_inj).size < 3:
@@ -363,7 +362,7 @@ def enhancement_factor(eta_alpha: float, alpha_sq: float, eta_0: float) -> float
 # joint search fit
 
 
-def search_fit(series, g, eta_alpha, tau_warn: float | None = None) -> FitResult:
+def search_fit(series, g, eta_alpha) -> FitResult:
     """Joint MLE over all probe amplitudes with a shared signal strength a0.
 
     The rate of series i at tau is a0*eta_i*alpha_sq_i*g(tau) + b_i*tau + c_i,
@@ -386,13 +385,6 @@ def search_fit(series, g, eta_alpha, tau_warn: float | None = None) -> FitResult
         if len(set(s.taus)) < 2:
             raise DegenerateDesign(
                 f"series alpha_sq={s.alpha_sq} needs >= 2 distinct tau values"
-            )
-    if tau_warn is not None:
-        worst = max(max(s.taus) for s in series)
-        if worst > tau_warn:
-            warnings.warn(
-                f"tau up to {worst:.3e} s exceeds the coherence time {tau_warn:.3e} s",
-                stacklevel=2,
             )
 
     m = len(series)

@@ -1,9 +1,9 @@
 """Exact linear algebra on a truncated Fock space.
 
-Coherent, cat, and compass states, displacements through the spectral form
-of the truncated generator, sinusoidal photon-number filters, Wigner
-functions, and overlap/fidelity measures.  (The expm-built displacement
-operator that checks the spectral form is a test oracle.)
+Cat and compass states, displacements through the spectral form of the
+truncated generator, and Wigner functions.  (Coherent states, density
+matrices, overlap and fidelity measures, and the expm-built displacement
+operator that checks the spectral form are test oracles.)
 All states are stored as complex amplitude vectors over Fock levels
 n = 0..dim-1; all operators are dense matrices on the same space.
 
@@ -20,17 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    InvalidIndex,
-    NegativeProbability,
-    NonFinite,
-    TruncationTooSmall,
-)
+from .errors import DimMismatch, InvalidIndex, NonFinite, TruncationTooSmall
 from .special import log_factorials, poisson_sf
 
 _TAIL_TOL = 1e-8
@@ -74,41 +67,6 @@ class StateVector:
 
     def mean_photon(self) -> float:
         return float(np.sum(np.arange(self.dim) * self.populations()))
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.dim, np.outer(self.amps, self.amps.conj()))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Mixed state rho as a dim x dim Hermitian, unit-trace, PSD matrix."""
-
-    dim: int
-    elements: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        rho = np.asarray(self.elements, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise DimMismatch(f"elements shape {rho.shape} != ({self.dim}, {self.dim})")
-        if not np.all(np.isfinite(rho)):
-            raise NonFinite("density matrix contains NaN/inf")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise ValueError("density matrix not Hermitian within 1e-10")
-        tr = float(np.real(np.trace(rho)))
-        if abs(tr - 1.0) > 1e-8:
-            raise ValueError(f"trace = {tr!r}, expected 1 within 1e-8")
-        if float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0))) < -1e-8:
-            raise ValueError("density matrix has eigenvalue below -1e-8")
-        object.__setattr__(self, "elements", rho)
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.elements)).copy()
-
-    def mean_photon(self) -> float:
-        return float(np.sum(np.arange(self.dim) * self.populations()))
-
 
 @dataclass(frozen=True)
 class CatSpec:
@@ -182,28 +140,6 @@ def _log_poisson_amps(alpha: complex, dim: int) -> np.ndarray:
     return np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
 
 
-def coherent_state(alpha: complex, dim: int) -> StateVector:
-    """|alpha> truncated to dim levels, renormalized.
-
-    Amplitudes follow the Poisson law amps_n = e^{-|a|^2/2} a^n / sqrt(n!).
-    Raises TruncationTooSmall when the neglected tail mass >= 1e-8.
-    """
-    alpha = complex(alpha)
-    if not np.isfinite(alpha):
-        raise NonFinite("alpha is not finite")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    tail = poisson_sf(dim - 1, abs(alpha) ** 2)
-    if tail >= _TAIL_TOL:
-        raise TruncationTooSmall(
-            f"dim={dim} leaves tail mass {tail:.3e} for |alpha|^2={abs(alpha)**2:.3f}"
-            f" (need dim >= {required_dim(abs(alpha))})"
-        )
-    amps = _log_poisson_amps(alpha, dim)
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(dim, amps)
-
-
 def cat_state(spec: CatSpec, dim: int) -> StateVector:
     """M-component cat |phi_{M,j}>: the coherent superposition
     sum_k e^{-ij phi_k} |alpha e^{i phi_k}>, phi_k = 2 pi k / M.
@@ -237,24 +173,7 @@ def cat_state(spec: CatSpec, dim: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# operators
-
-
-def sine_filter(theta: float, dim: int) -> np.ndarray:
-    """Sinusoidal photon-number filter diag(cos(n theta / 2)).
-
-    This is the magnitude profile of the Ramsey ground-state branch; the
-    full measurement operator also carries the deterministic frame phase
-    e^{i n theta / 2} (see measurement.prepare_compass).
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    n = np.arange(dim)
-    return np.diag(np.cos(n * theta / 2.0))
-
-
-# ---------------------------------------------------------------------------
-# phase-space and overlap measures
+# phase space
 
 
 @lru_cache(maxsize=8)
@@ -284,13 +203,12 @@ def _displace_vector(z: complex, psi: np.ndarray) -> np.ndarray:
     return phases * (evecs @ (np.exp(-1j * r * evals) * y))
 
 
-def wigner(state: Union[StateVector, DensityMatrix], grid: PhaseGrid) -> np.ndarray:
-    """W(z) = (2/pi) Tr[P D^dag(z) rho D(z)] sampled on the grid, with P the
-    photon-number parity (-1)^n.
+def wigner(state: StateVector, grid: PhaseGrid) -> np.ndarray:
+    """W(z) = (2/pi) <psi| D(z) P D^dag(z) |psi> sampled on the grid, with P
+    the photon-number parity (-1)^n.
 
     Returns a real array of shape (n_re, n_im) matching PhaseGrid.points().
-    Mixed states are expanded in their eigenbasis, W being linear in rho.
-    Each component is displaced by D(-z) through the spectral form of
+    The state is displaced by D(-z) through the spectral form of
     _displace_vector, one grid row (fixed Re z) at a time: two
     (n_im, dim) @ (dim, dim) products per row on the cached eigenbasis.  The
     outer phase R(theta) of that form is dropped, since the parity
@@ -298,21 +216,13 @@ def wigner(state: Union[StateVector, DensityMatrix], grid: PhaseGrid) -> np.ndar
     displaced state would spill out of the truncated space (|z|_max plus the
     state's amplitude scale exceeds the dim budget).
     """
-    a_eff = np.sqrt(max(state.mean_photon(), 0.0))
+    a_eff = np.sqrt(state.mean_photon())
     budget = required_dim(grid.max_abs() + a_eff)
     if state.dim < budget:
         raise TruncationTooSmall(
             f"dim={state.dim} < {budget} needed for |z| up to {grid.max_abs():.2f} "
             f"on a state with <n> = {a_eff**2:.2f}"
         )
-    if isinstance(state, StateVector):
-        weights = [1.0]
-        vectors = [state.amps]
-    else:
-        evals, evecs = np.linalg.eigh(state.elements)
-        keep = evals > 1e-14
-        weights = list(evals[keep])
-        vectors = [evecs[:, i] for i in np.nonzero(keep)[0]]
     levels = np.arange(state.dim)
     signs = (-1.0) ** levels
     gen_evals, gen_evecs = _displacement_basis(state.dim)
@@ -323,45 +233,9 @@ def wigner(state: Union[StateVector, DensityMatrix], grid: PhaseGrid) -> np.ndar
     for i, row in enumerate(zs):
         phases = np.exp(1j * np.angle(row)[:, None] * levels)
         spectral = np.exp(-1j * np.abs(row)[:, None] * gen_evals)
-        acc = np.zeros(row.shape, dtype=float)
-        for p, vec in zip(weights, vectors):
-            shifted = (spectral * ((vec / phases) @ to_eigen)) @ from_eigen
-            acc += p * (np.abs(shifted) ** 2 @ signs)
-        w[i] = 2.0 / np.pi * acc
+        shifted = (spectral * ((state.amps / phases) @ to_eigen)) @ from_eigen
+        w[i] = 2.0 / np.pi * (np.abs(shifted) ** 2 @ signs)
     return w
-
-
-def transition_probability(a: StateVector, op: np.ndarray, b: StateVector) -> float:
-    """|<a| op |b>|^2."""
-    op = np.asarray(op, dtype=complex)
-    if a.dim != b.dim or op.shape != (a.dim, b.dim):
-        raise DimMismatch(
-            f"dims disagree: <a| is {a.dim}, op is {op.shape}, |b> is {b.dim}"
-        )
-    amp = np.vdot(a.amps, op @ b.amps)
-    return float(np.abs(amp) ** 2)
-
-
-def population_fidelity(p_meas: np.ndarray, p_ideal: np.ndarray) -> float:
-    """Statistical overlap F = sum_n sqrt(p_meas,n * p_ideal,n).
-
-    Vectors of different length are zero-padded to the longer one.
-    """
-    p = np.asarray(p_meas, dtype=float)
-    q = np.asarray(p_ideal, dtype=float)
-    for name, v in (("p_meas", p), ("p_ideal", q)):
-        if v.ndim != 1:
-            raise ValueError(f"{name} must be one-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise NonFinite(f"{name} contains NaN/inf")
-        if float(np.min(v, initial=0.0)) < -1e-12:
-            raise NegativeProbability(f"{name} has negative entries")
-        if float(np.sum(v)) > 1.0 + 1e-6:
-            raise ValueError(f"{name} sums to {float(np.sum(v))!r} > 1 + 1e-6")
-    n = max(p.size, q.size)
-    p = np.clip(np.pad(p, (0, n - p.size)), 0.0, None)
-    q = np.clip(np.pad(q, (0, n - q.size)), 0.0, None)
-    return float(np.sum(np.sqrt(p * q)))
 
 
 # ---------------------------------------------------------------------------

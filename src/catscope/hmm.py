@@ -29,7 +29,7 @@ from .measurement import (
 
 @dataclass(frozen=True)
 class HmmModel:
-    """Immutable (transition, emission, prior, labels) bundle.
+    """Immutable (transition, emission, prior) bundle.
 
     States are ordered sector-major with the qubit inside each pair:
     (sector 0, g), (sector 0, e), (sector 1, g), ...  Emission rows may
@@ -40,7 +40,6 @@ class HmmModel:
     transition: np.ndarray
     emission: np.ndarray
     prior: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         t = np.asarray(self.transition, dtype=float)
@@ -53,8 +52,6 @@ class HmmModel:
             raise DimMismatch(f"emission must be ({n}, 2), got {e.shape}")
         if p.shape != (n,):
             raise DimMismatch(f"prior must have length {n}, got {p.shape}")
-        if len(self.labels) != n:
-            raise DimMismatch(f"need {n} labels, got {len(self.labels)}")
         if np.any(t < 0.0) or np.any(e < 0.0) or np.any(p < 0.0):
             raise ConfigError("negative entries in model matrices")
         if not np.allclose(t.sum(axis=1), 1.0, atol=1e-9):
@@ -64,7 +61,6 @@ class HmmModel:
         for name, arr in (("transition", t), ("emission", e), ("prior", p)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def n_states(self) -> int:
@@ -86,23 +82,14 @@ def ground_prior(n_states: int) -> np.ndarray:
 
 
 def build_model(
-    device: DeviceParams,
-    alpha_sq: float = 1.0,
-    mode: str = "compass",
-    prior: np.ndarray | None = None,
+    device: DeviceParams, alpha_sq: float = 1.0, mode: str = "compass"
 ) -> HmmModel:
     """HmmModel from the calibrated device numbers.  The transition matrix
-    is the pure one (no demolition augmentation); the default prior is
-    ground_prior.  An unknown mode raises InvalidMode."""
+    is the pure one (no demolition augmentation); the prior is ground_prior.
+    An unknown mode raises InvalidMode."""
     t = build_transition_matrix(device, alpha_sq=alpha_sq, mode=mode)
     e = build_emission_matrix(device, mode=mode)
-    if prior is None:
-        prior = ground_prior(t.shape[0])
-    if mode == "compass":
-        labels = tuple(f"phi{j}:{q}" for j in range(4) for q in "ge")
-    else:
-        labels = tuple(f"n{j}:{q}" for j in range(2) for q in "ge")
-    return HmmModel(t, e, np.asarray(prior, dtype=float), labels)
+    return HmmModel(t, e, ground_prior(t.shape[0]))
 
 
 def batch_posteriors(model: HmmModel, records: Records) -> tuple[np.ndarray, np.ndarray]:
@@ -149,15 +136,6 @@ def batch_posteriors(model: HmmModel, records: Records) -> tuple[np.ndarray, np.
     den = sectors.sum(axis=1) - p1
     lam = np.where(den > 0.0, p1 / np.where(den > 0.0, den, 1.0), np.inf)
     return sectors, lam
-
-
-def threshold_complement(threshold: float) -> float:
-    """Background posterior mass at the decision boundary, 1/(1+threshold):
-    a record sits exactly at lam = threshold when the non-signal sectors
-    hold that fraction of the posterior."""
-    if not threshold > 0.0:
-        raise ConfigError(f"threshold must be > 0, got {threshold!r}")
-    return 1.0 / (1.0 + threshold)
 
 
 def postselect(records: Records) -> tuple[Records, int]:

@@ -18,8 +18,9 @@ run_campaign draws hidden paths for every trial of a campaign together
 from the transition matrix augmented with a per-step demolition channel
 (the sector is scrambled uniformly with probability p_d), and returns them
 as one columnar Records set.  Records is the one record format: inference,
-post-selection and records_to_jsonl take nothing else, and a ReadoutRecord
-is only the row view that iterating or indexing a Records gives.
+post-selection and records_to_jsonl take nothing else.  The scalar
+per-record simulator run_campaign is checked against, and the compass-state
+preparation, are test oracles (tests/oracles.py).
 
 build_transition_matrix returns the pure, un-augmented matrix, which is
 what the inference side assumes; the mismatch is deliberate and mirrors
@@ -35,20 +36,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InvalidMode, PrepFailed
-from .fock import (
-    CatSpec,
-    StateVector,
-    _displace_vector,
-    cat_state,
-    coherent_state,
-    required_dim,
-)
+from .errors import ConfigError, InvalidMode
+from .fock import CatSpec, _displace_vector, cat_state, required_dim
 
 SYMBOL_GROUND = "G"
 SYMBOL_EXCITED = "E"
 SYMBOL_LEAK = "L"
-_SYMBOLS = frozenset((SYMBOL_GROUND, SYMBOL_EXCITED, SYMBOL_LEAK))
 
 # Columnar symbol codes: code k stands for SYMBOL_ALPHABET[k]
 SYMBOL_ALPHABET = SYMBOL_GROUND + SYMBOL_EXCITED + SYMBOL_LEAK
@@ -127,27 +120,6 @@ class TrialConfig:
         return "compass" if self.init is not None else "vacuum"
 
 
-@dataclass(frozen=True)
-class ReadoutRecord:
-    """Symbol string over {G, E, L} plus the trial id and, for simulated
-    data, the hidden-path annotation."""
-
-    symbols: str
-    trial_id: int = 0
-    truth: dict | None = None
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ConfigError("empty symbol string")
-        bad = set(self.symbols) - _SYMBOLS
-        if bad:
-            raise ConfigError(f"unknown symbols {sorted(bad)!r}")
-
-    @property
-    def leaked(self) -> bool:
-        return SYMBOL_LEAK in self.symbols
-
-
 def _code_strings(codes: np.ndarray, alphabet: str) -> list[str]:
     """One string per row of a small-integer code matrix."""
     chars = np.frombuffer(alphabet.encode("ascii"), np.uint8)[codes]
@@ -163,8 +135,7 @@ class Records:
     uint8 (n, repeats) array.  For simulated data mode names the probe and
     the truth columns carry the hidden path: init_sector and injected per
     trial, sectors and qubits (0 = g, 1 = e) per readout slot.  Without
-    truth they are all None.  len, iteration and integer indexing give
-    ReadoutRecords; any other index (slice, mask) selects rows.
+    truth they are all None.  A slice or boolean mask selects rows.
     """
 
     symbols: np.ndarray
@@ -175,6 +146,10 @@ class Records:
     sectors: np.ndarray | None = None
     qubits: np.ndarray | None = None
 
+    # rows are selected by slice or mask; __getitem__ with an int would
+    # yield malformed one-row sets, so iteration is switched off
+    __iter__ = None
+
     def __len__(self) -> int:
         return self.symbols.shape[0]
 
@@ -183,26 +158,7 @@ class Records:
         """Per-row flag: the record holds a leaked readout."""
         return (self.symbols == CODE_LEAK).any(axis=1)
 
-    def _truth(self, i: int) -> dict | None:
-        if self.mode is None:
-            return None
-        return {
-            "mode": self.mode,
-            "init_sector": int(self.init_sector[i]),
-            "injected": bool(self.injected[i]),
-            "sectors": self.sectors[i].tolist(),
-            "qubits": _code_strings(self.qubits[i : i + 1], "ge")[0],
-        }
-
-    def __iter__(self):
-        strings = _code_strings(self.symbols, SYMBOL_ALPHABET)
-        for i, (symbols, trial_id) in enumerate(zip(strings, self.trial_ids.tolist())):
-            yield ReadoutRecord(symbols, trial_id, self._truth(i))
-
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]
-            return next(iter(self[i : i + 1]))
         truth = [
             None if col is None else col[key]
             for col in (self.init_sector, self.injected, self.sectors, self.qubits)
@@ -369,71 +325,6 @@ def _initial_sector_probs(cfg: TrialConfig) -> np.ndarray:
 # record simulation
 
 
-def _pick(cum: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, cum.size - 1)
-
-
-def simulate_record(
-    cfg: TrialConfig, device: DeviceParams, trial_id: int = 0
-) -> ReadoutRecord:
-    """Draw one record: hidden (sector, qubit) path plus readout symbols.
-
-    The scalar reference that run_campaign is tested against, trial for
-    trial; no command calls it.  The per-trial stream is seeded as
-    SeedSequence([cfg.rng_seed, trial_id]).  The sector chain uses the
-    demolition-augmented kernel (uniform scramble with probability p_d per
-    step); the first symbol is emitted from the post-preparation state
-    (qubit g) before any transition.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, trial_id]))
-    mode = cfg.mode
-    alpha_sq = abs(cfg.init.alpha) ** 2 if cfg.init is not None else 1.0
-
-    probs = _initial_sector_probs(cfg)
-    n_sec = probs.size
-    sector = _pick(np.cumsum(probs), rng.random())
-    base = cfg.init.j if mode == "compass" else 0
-    injected = sector != base
-    qubit = 0  # post-selected ground state after preparation
-
-    cav = _cavity_matrix(device, alpha_sq, mode)
-    if device.p_d > 0.0:
-        cav = (1.0 - device.p_d) * cav + device.p_d / n_sec
-    cav_cum = np.cumsum(cav, axis=1)
-    factors = _qubit_factors(device)
-    kernels = [_qubit_kernel(k, factors) for k in _sector_kinds(mode)]
-    to_g = [kern[:, 0] for kern in kernels]  # P(qubit' = g | qubit, dest sector)
-
-    p_read_g = (1.0 - device.readout_Fge_inv, device.readout_Fge)
-
-    u = rng.random((cfg.repeats, 4))  # columns: sector, qubit, leak, symbol
-    symbols = []
-    sectors = [sector]
-    qubits = [qubit]
-    for k in range(cfg.repeats):
-        if k > 0:
-            sector = _pick(cav_cum[sector], u[k, 0])
-            qubit = 0 if u[k, 1] < to_g[sector][qubit] else 1
-            sectors.append(sector)
-            qubits.append(qubit)
-        if u[k, 2] < device.p_leak:
-            symbols.append(SYMBOL_LEAK)
-        else:
-            symbols.append(
-                SYMBOL_GROUND if u[k, 3] < p_read_g[qubit] else SYMBOL_EXCITED
-            )
-
-    truth = {
-        "mode": mode,
-        "init_sector": int(sectors[0]),
-        "injected": bool(injected),
-        "sectors": [int(s) for s in sectors],
-        "qubits": "".join("ge"[q] for q in qubits),
-    }
-    return ReadoutRecord("".join(symbols), trial_id=trial_id, truth=truth)
-
-
 @dataclass(frozen=True)
 class CampaignResult:
     records: Records
@@ -525,10 +416,10 @@ def run_campaign(
     """Simulate n_trials <= 2**32 independent records from one template.
 
     Trial k draws from PCG64(SeedSequence([cfg.rng_seed, k])) exactly what
-    simulate_record(cfg, device, k) draws (see _trial_uniforms), and the
-    hidden chain of every trial advances together, one vectorized step per
-    readout slot, with the same comparisons in the same order; so row k
-    equals that record.
+    the scalar per-record simulator in tests/oracles.py draws for trial k
+    (see _trial_uniforms), and the hidden chain of every trial advances
+    together, one vectorized step per readout slot, with the same
+    comparisons in the same order; so row k equals that record.
     """
     if not 1 <= n_trials <= 2**32:
         raise ConfigError(f"n_trials must lie in [1, 2**32], got {n_trials!r}")
@@ -575,100 +466,14 @@ def run_campaign(
 
 
 # ---------------------------------------------------------------------------
-# compass-state preparation (trajectory level)
-
-
-def _decay_interval(
-    psi: np.ndarray, device: DeviceParams, dt: float, rng, n: np.ndarray
-) -> np.ndarray:
-    """Quantum-jump step over dt for cavity loss (rate 1/T1c) and thermal
-    excitation (rate n_c/T1c).  At most one jump per interval, placed
-    uniformly; fine for dt << T1c / <n>."""
-    kap = 1.0 / device.T1c
-    kup = kap * device.n_c
-    decay_exp = 0.5 * (kap * n + kup * (n + 1.0))
-    no_jump = np.exp(-decay_exp * dt) * psi
-    p_nj = float(np.vdot(no_jump, no_jump).real)
-    if rng.random() < p_nj:
-        return no_jump / math.sqrt(p_nj)
-    tau = rng.random() * dt
-    mid = np.exp(-decay_exp * tau) * psi
-    w = np.abs(mid) ** 2
-    r_down = kap * float(np.sum(n * w))
-    r_up = kup * float(np.sum((n + 1.0) * w))
-    if rng.random() < r_down / (r_down + r_up):
-        jumped = np.append(np.sqrt(n[1:]) * mid[1:], 0.0)  # annihilation
-    else:
-        jumped = np.concatenate(([0.0], np.sqrt(n[1:]) * mid[:-1]))  # creation
-    out = np.exp(-decay_exp * (dt - tau)) * jumped
-    return out / np.linalg.norm(out)
-
-
-def _ramsey_step(
-    psi: np.ndarray, theta: float, device: DeviceParams, rng, n: np.ndarray
-) -> tuple[np.ndarray, str]:
-    """One check at modular angle theta: collapse the cavity with the
-    branch operator (1 +- e^{i n theta})/2 and report the qubit readout.
-
-    The ground branch equals sine_filter(theta) up to the frame phase
-    e^{i n theta / 2}.  A dephasing event during the delay (probability
-    1 - exp(-theta/(chi T2q))) swaps which branch the physical qubit
-    outcome corresponds to; readout misreports flip the report only.
-    Raises PrepFailed when the readout leaks.
-    """
-    phase = np.exp(1j * n * theta)
-    k_g = 0.5 * (1.0 + phase)
-    k_e = 0.5 * (1.0 - phase)
-    w_g = float(np.linalg.norm(k_g * psi) ** 2)
-    branch_g = rng.random() < w_g
-    psi = (k_g if branch_g else k_e) * psi
-    psi = psi / np.linalg.norm(psi)
-
-    t_delay = theta / device.chi
-    dephased = rng.random() < 1.0 - math.exp(-t_delay / device.T2q)
-    outcome_g = branch_g ^ dephased
-    if rng.random() < device.p_leak:
-        raise PrepFailed("readout left the qubit subspace during preparation")
-    flip_p = device.readout_Fge_inv if outcome_g else device.readout_Fge
-    if rng.random() < flip_p:
-        outcome_g = not outcome_g
-    return psi, ("g" if outcome_g else "e")
-
-
-def prepare_compass(
-    alpha: complex, device: DeviceParams, rng, dim: int | None = None
-) -> tuple[StateVector, bool]:
-    """Simulate compass preparation from |alpha>: a parity filter
-    (theta = pi), a modular filter (theta = pi/2), then three parity
-    verification checks, post-selected on every readout reporting g.
-
-    Returns (state, success); success is False as soon as a readout
-    reports e (caller retries).  Raises PrepFailed on a leaked readout.
-    On an error-free device the success branch lands exactly on the
-    four-component cat with modular index 0.
-    """
-    alpha = complex(alpha)
-    if dim is None:
-        dim = required_dim(abs(alpha))
-    n = np.arange(dim, dtype=float)
-    psi = coherent_state(alpha, dim).amps.copy()
-    for theta in (math.pi, math.pi / 2.0, math.pi, math.pi, math.pi):
-        psi = _decay_interval(psi, device, device.t_m / 2.0, rng, n)
-        psi, reported = _ramsey_step(psi, theta, device, rng, n)
-        psi = _decay_interval(psi, device, device.t_m / 2.0, rng, n)
-        if reported != "g":
-            return StateVector(dim, psi / np.linalg.norm(psi)), False
-    return StateVector(dim, psi / np.linalg.norm(psi)), True
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
 def records_to_jsonl(records: Records) -> str:
     """One JSON object per line, {symbols, trial_id, truth?}: per record the
-    text json.dumps(obj, sort_keys=True) gives for its row view, formatted
-    from the columns; the truth key appears when the truth columns do."""
+    text json.dumps(obj, sort_keys=True) gives, formatted from the columns,
+    with symbols as a G/E/L string and truth as {init_sector, injected,
+    mode, qubits, sectors}; the truth key appears when the truth columns do."""
     symbols = _code_strings(records.symbols, SYMBOL_ALPHABET)
     ids = records.trial_ids.tolist()
     if records.mode is None:

@@ -42,11 +42,7 @@ from .darkmatter import (
     g_of_t,
     lineshape_to_csv,
 )
-from .errors import (
-    ConfigError,
-    MissingArtifact,
-    MissingCalibration,
-)
+from .errors import ConfigError, MissingArtifact, MissingCalibration, UnitOverflow
 from .fits import (
     CalibrationCurve,
     ExclusionPoint,
@@ -511,6 +507,22 @@ def _count_positives(model, threshold: float, campaign):
     return int(np.sum(lam > threshold)), len(kept), dropped
 
 
+def _signal_probability(where: str, eps: float, point, halo, t, alpha_sq, g=None):
+    """p_signal of one injected campaign, checked before any campaign runs:
+    an epsilon (the config value at where) that overflows p or takes it
+    past 1 is a config error."""
+    try:
+        p = excitation_probability(eps, point, halo, t, alpha_sq, g)
+    except (OverflowError, UnitOverflow):
+        p = math.inf
+    if not p <= 1.0:
+        raise ConfigError(
+            f"{where} must be small enough that every injected campaign's "
+            f"p_signal <= 1, got {eps!r} (p_signal {p:.3g} at t = {t!r} s)"
+        )
+    return p
+
+
 def _calibrated_eta(etas_by_label: dict, label: str, hint: str = "") -> float:
     """The probe's calibrated efficiency; a missing or non-positive one
     cannot scale a signal rate."""
@@ -638,33 +650,39 @@ def run_search(cfg: dict):
     sr = cfg["search"]
     taus = [float(t) for t in sr["tau_grid"]]
     eps = sr["inject_epsilon"]
-    etas_by_label, files = _load_calibration(cfg)
-    # every probe's efficiency is checked before any campaign runs
-    etas = [
-        _calibrated_eta(etas_by_label, _probe_parts(probe)[2])
-        for probe in cfg["probes"]
-    ]
+    probes = [_probe_parts(probe) for probe in cfg["probes"]]
     # g(tau) depends on neither the probe nor the injection: one batch
     # integrates every tau for the injected campaigns and the fit
     g_at = dict(zip(taus, g_of_t(taus, point, halo)))
+    p_signal = {}  # (probe index, tau) -> p, checked before any campaign runs
+    if eps:
+        for pi, (init, _, _, _) in enumerate(probes):
+            # the simulated probe's |alpha|^2, which can differ from a2 in
+            # the last bit: abs(sqrt(12)) ** 2 is 11.999999999999998
+            a2_sim = abs(init.alpha) ** 2 if init is not None else 1.0
+            for tau in taus:
+                p_signal[pi, tau] = _signal_probability(
+                    "search.inject_epsilon",
+                    float(eps),
+                    point,
+                    halo,
+                    tau,
+                    a2_sim,
+                    g_at[tau],
+                )
+    etas_by_label, files = _load_calibration(cfg)
+    # every probe's efficiency is checked before any campaign runs
+    etas = [_calibrated_eta(etas_by_label, label) for _, _, label, _ in probes]
     series = []
     rate_lines = ["probe,alpha_sq,tau,k_pos,n_kept,n_dropped,eta"]
     record_chunks = []
-    for pi, (probe, eta) in enumerate(zip(cfg["probes"], etas)):
-        init, mode, label, a2 = _probe_parts(probe)
+    for pi, ((init, mode, label, a2), eta) in enumerate(zip(probes, etas)):
         model = build_model(device, alpha_sq=a2, mode=mode)
         thr = float(cfg["thresholds"][mode])
-        # the simulated probe's |alpha|^2, which can differ from a2 in the
-        # last bit: abs(sqrt(12)) ** 2 is 11.999999999999998
-        a2_sim = abs(init.alpha) ** 2 if init is not None else 1.0
         ks, ns = [], []
         for ti, tau in enumerate(taus):
             seed = derive_seed(master, "search", pi, ti)
-            p = None
-            if eps:
-                p = excitation_probability(
-                    float(eps), point, halo, tau, a2_sim, g_at[tau]
-                )
+            p = p_signal.get((pi, tau))
             tc = TrialConfig(init=init, p_signal=p, repeats=repeats, rng_seed=seed)
             camp = run_campaign(sr["trials"], tc, device)
             k, n_kept, n_drop = _count_positives(model, thr, camp)
@@ -675,8 +693,7 @@ def run_search(cfg: dict):
             )
             record_chunks.append(records_to_jsonl(camp.records))
         series.append(SearchSeries(a2, tuple(taus), tuple(ks), tuple(ns)))
-    tau_dm = coherence_time(point, halo)
-    fit = search_fit(series, g_at.__getitem__, tuple(etas), tau_warn=tau_dm)
+    fit = search_fit(series, g_at.__getitem__, tuple(etas))
     a0 = fit.params["a0"]
     sig = fit.stderr("a0")
     lim = epsilon_limit(a0, sig, point, halo)
@@ -707,30 +724,40 @@ def run_tune_scan(cfg: dict):
     spacing = 2.0 * math.pi * float(sc["spacing_hz"])
     t1c = float(sc["t1c"])
     a2 = float(sc["alpha_sq"])
-    etas_by_label, files = _load_calibration(cfg)
-    eta = _calibrated_eta(etas_by_label, f"a{a2:g}", "; add it to probes")
-    # the calibration slope is an efficiency estimate and can overshoot 1
-    # at small trial counts; project it back to the physical boundary
-    eta = min(eta, 1.0)
     init = CatSpec(alpha=math.sqrt(a2))
-    model = build_model(device, alpha_sq=a2, mode="compass")
-    thr = float(cfg["thresholds"]["compass"])
     center = point.effective_omega_c()
     omegas = [center + (i - (n_bins - 1) / 2.0) * spacing for i in range(n_bins)]
     eps = sc["inject_epsilon"]
     jbin = sc["inject_bin"]
     m_inj = None
+    p_signal = [None] * n_bins  # per bin, checked before any campaign runs
     if eps and jbin is not None:
         m_inj = omegas[jbin] / (1.0 + OMEGA_M_OFFSET)
+        p_signal = [
+            _signal_probability(
+                "scan.inject_epsilon",
+                float(eps),
+                SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff),
+                halo,
+                t1c,
+                abs(init.alpha) ** 2,
+            )
+            for om in omegas
+        ]
+    etas_by_label, files = _load_calibration(cfg)
+    eta = _calibrated_eta(etas_by_label, f"a{a2:g}", "; add it to probes")
+    # the calibration slope is an efficiency estimate and can overshoot 1
+    # at small trial counts; project it back to the physical boundary
+    eta = min(eta, 1.0)
+    model = build_model(device, alpha_sq=a2, mode="compass")
+    thr = float(cfg["thresholds"]["compass"])
     bins = []
     counts = []
     for i, om in enumerate(omegas):
         seed = derive_seed(master, "tune", i)
-        p = None
-        if m_inj is not None:
-            pt = SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff)
-            p = excitation_probability(float(eps), pt, halo, t1c, abs(init.alpha) ** 2)
-        tc = TrialConfig(init=init, p_signal=p, repeats=repeats, rng_seed=seed)
+        tc = TrialConfig(
+            init=init, p_signal=p_signal[i], repeats=repeats, rng_seed=seed
+        )
         camp = run_campaign(sc["trials"], tc, device)
         k, n_kept, n_drop = _count_positives(model, thr, camp)
         bins.append(FrequencyBin(om, k, n_kept, eta, t1c))

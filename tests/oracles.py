@@ -1,6 +1,6 @@
 """Independent oracles the tests check catscope against.
 
-None of this has a production caller.  Each routine reaches a quantity
+None of this has a production caller.  These routines reach a quantity
 catscope computes by a different route, through SciPy, which the package
 itself does not need:
 
@@ -12,6 +12,12 @@ itself does not need:
   G/E symbol encoder and Posterior check, against hmm.batch_posteriors;
 - g_of_t_reference: g(t) from scipy.integrate.quad over the same sinc-null
   breakpoints with a scalar integrand, against darkmatter.g_of_t.
+
+The rest, in plain NumPy, are reference models no command runs: Fock-space
+states and overlap measures; simulate_record, the scalar simulator that
+measurement.run_campaign is checked against, with record_rows, the row
+view of a Records set; prepare_compass, the trajectory-level compass
+preparation; and threshold_complement.
 """
 
 from __future__ import annotations
@@ -38,12 +44,346 @@ from catscope.errors import (
 )
 from catscope.fock import (
     _TAIL_TOL,
-    DensityMatrix,
+    StateVector,
     _log_poisson_amps,
     annihilation_operator,
     required_dim,
 )
 from catscope.hmm import HmmModel
+from catscope.measurement import (
+    SYMBOL_ALPHABET,
+    SYMBOL_EXCITED,
+    SYMBOL_GROUND,
+    SYMBOL_LEAK,
+    DeviceParams,
+    Records,
+    TrialConfig,
+    _cavity_matrix,
+    _code_strings,
+    _initial_sector_probs,
+    _qubit_factors,
+    _qubit_kernel,
+    _sector_kinds,
+)
+from catscope.special import poisson_sf
+
+
+# ---------------------------------------------------------------------------
+# Fock-space states and overlap measures
+
+
+class NegativeProbability(CatscopeError):
+    """A probability vector contains negative entries."""
+
+
+def coherent_state(alpha: complex, dim: int) -> StateVector:
+    """|alpha> truncated to dim levels, renormalized.
+
+    Amplitudes follow the Poisson law amps_n = e^{-|a|^2/2} a^n / sqrt(n!).
+    Raises TruncationTooSmall when the neglected tail mass >= 1e-8.
+    """
+    alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise NonFinite("alpha is not finite")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    tail = poisson_sf(dim - 1, abs(alpha) ** 2)
+    if tail >= _TAIL_TOL:
+        raise TruncationTooSmall(
+            f"dim={dim} leaves tail mass {tail:.3e} for |alpha|^2={abs(alpha)**2:.3f}"
+            f" (need dim >= {required_dim(abs(alpha))})"
+        )
+    amps = _log_poisson_amps(alpha, dim)
+    amps = amps / np.linalg.norm(amps)
+    return StateVector(dim, amps)
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Mixed state rho as a dim x dim Hermitian, unit-trace, PSD matrix."""
+
+    dim: int
+    elements: np.ndarray
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        rho = np.asarray(self.elements, dtype=complex)
+        if rho.shape != (self.dim, self.dim):
+            raise DimMismatch(f"elements shape {rho.shape} != ({self.dim}, {self.dim})")
+        if not np.all(np.isfinite(rho)):
+            raise NonFinite("density matrix contains NaN/inf")
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+            raise ValueError("density matrix not Hermitian within 1e-10")
+        tr = float(np.real(np.trace(rho)))
+        if abs(tr - 1.0) > 1e-8:
+            raise ValueError(f"trace = {tr!r}, expected 1 within 1e-8")
+        if float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0))) < -1e-8:
+            raise ValueError("density matrix has eigenvalue below -1e-8")
+        object.__setattr__(self, "elements", rho)
+
+    def populations(self) -> np.ndarray:
+        return np.real(np.diag(self.elements)).copy()
+
+    def mean_photon(self) -> float:
+        return float(np.sum(np.arange(self.dim) * self.populations()))
+
+
+def to_density(state: StateVector) -> DensityMatrix:
+    """The projector |psi><psi| of a pure state."""
+    return DensityMatrix(state.dim, np.outer(state.amps, state.amps.conj()))
+
+
+def transition_probability(a: StateVector, op: np.ndarray, b: StateVector) -> float:
+    """|<a| op |b>|^2."""
+    op = np.asarray(op, dtype=complex)
+    if a.dim != b.dim or op.shape != (a.dim, b.dim):
+        raise DimMismatch(
+            f"dims disagree: <a| is {a.dim}, op is {op.shape}, |b> is {b.dim}"
+        )
+    amp = np.vdot(a.amps, op @ b.amps)
+    return float(np.abs(amp) ** 2)
+
+
+def population_fidelity(p_meas: np.ndarray, p_ideal: np.ndarray) -> float:
+    """Statistical overlap F = sum_n sqrt(p_meas,n * p_ideal,n).
+
+    Vectors of different length are zero-padded to the longer one.
+    """
+    p = np.asarray(p_meas, dtype=float)
+    q = np.asarray(p_ideal, dtype=float)
+    for name, v in (("p_meas", p), ("p_ideal", q)):
+        if v.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional")
+        if not np.all(np.isfinite(v)):
+            raise NonFinite(f"{name} contains NaN/inf")
+        if float(np.min(v, initial=0.0)) < -1e-12:
+            raise NegativeProbability(f"{name} has negative entries")
+        if float(np.sum(v)) > 1.0 + 1e-6:
+            raise ValueError(f"{name} sums to {float(np.sum(v))!r} > 1 + 1e-6")
+    n = max(p.size, q.size)
+    p = np.clip(np.pad(p, (0, n - p.size)), 0.0, None)
+    q = np.clip(np.pad(q, (0, n - q.size)), 0.0, None)
+    return float(np.sum(np.sqrt(p * q)))
+
+
+# ---------------------------------------------------------------------------
+# readout records: the row view and the scalar simulator
+
+_SYMBOLS = frozenset((SYMBOL_GROUND, SYMBOL_EXCITED, SYMBOL_LEAK))
+
+
+@dataclass(frozen=True)
+class ReadoutRecord:
+    """Symbol string over {G, E, L} plus the trial id and, for simulated
+    data, the hidden-path annotation."""
+
+    symbols: str
+    trial_id: int = 0
+    truth: dict | None = None
+
+    def __post_init__(self):
+        if not self.symbols:
+            raise ConfigError("empty symbol string")
+        bad = set(self.symbols) - _SYMBOLS
+        if bad:
+            raise ConfigError(f"unknown symbols {sorted(bad)!r}")
+
+    @property
+    def leaked(self) -> bool:
+        return SYMBOL_LEAK in self.symbols
+
+
+def _truth(records: Records, i: int) -> dict | None:
+    if records.mode is None:
+        return None
+    return {
+        "mode": records.mode,
+        "init_sector": int(records.init_sector[i]),
+        "injected": bool(records.injected[i]),
+        "sectors": records.sectors[i].tolist(),
+        "qubits": _code_strings(records.qubits[i : i + 1], "ge")[0],
+    }
+
+
+def record_rows(records: Records) -> list[ReadoutRecord]:
+    """The row view of a Records set: one ReadoutRecord per row, in order,
+    with the truth annotation when the truth columns are present."""
+    strings = _code_strings(records.symbols, SYMBOL_ALPHABET)
+    ids = records.trial_ids.tolist()
+    return [
+        ReadoutRecord(symbols, trial_id, _truth(records, i))
+        for i, (symbols, trial_id) in enumerate(zip(strings, ids))
+    ]
+
+
+def _pick(cum: np.ndarray, u: float) -> int:
+    idx = int(np.searchsorted(cum, u, side="right"))
+    return min(idx, cum.size - 1)
+
+
+def simulate_record(
+    cfg: TrialConfig, device: DeviceParams, trial_id: int = 0
+) -> ReadoutRecord:
+    """Draw one record: hidden (sector, qubit) path plus readout symbols.
+
+    The scalar reference that run_campaign is tested against, trial for
+    trial.  The per-trial stream is seeded as
+    SeedSequence([cfg.rng_seed, trial_id]).  The sector chain uses the
+    demolition-augmented kernel (uniform scramble with probability p_d per
+    step); the first symbol is emitted from the post-preparation state
+    (qubit g) before any transition.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, trial_id]))
+    mode = cfg.mode
+    alpha_sq = abs(cfg.init.alpha) ** 2 if cfg.init is not None else 1.0
+
+    probs = _initial_sector_probs(cfg)
+    n_sec = probs.size
+    sector = _pick(np.cumsum(probs), rng.random())
+    base = cfg.init.j if mode == "compass" else 0
+    injected = sector != base
+    qubit = 0  # post-selected ground state after preparation
+
+    cav = _cavity_matrix(device, alpha_sq, mode)
+    if device.p_d > 0.0:
+        cav = (1.0 - device.p_d) * cav + device.p_d / n_sec
+    cav_cum = np.cumsum(cav, axis=1)
+    factors = _qubit_factors(device)
+    kernels = [_qubit_kernel(k, factors) for k in _sector_kinds(mode)]
+    to_g = [kern[:, 0] for kern in kernels]  # P(qubit' = g | qubit, dest sector)
+
+    p_read_g = (1.0 - device.readout_Fge_inv, device.readout_Fge)
+
+    u = rng.random((cfg.repeats, 4))  # columns: sector, qubit, leak, symbol
+    symbols = []
+    sectors = [sector]
+    qubits = [qubit]
+    for k in range(cfg.repeats):
+        if k > 0:
+            sector = _pick(cav_cum[sector], u[k, 0])
+            qubit = 0 if u[k, 1] < to_g[sector][qubit] else 1
+            sectors.append(sector)
+            qubits.append(qubit)
+        if u[k, 2] < device.p_leak:
+            symbols.append(SYMBOL_LEAK)
+        else:
+            symbols.append(
+                SYMBOL_GROUND if u[k, 3] < p_read_g[qubit] else SYMBOL_EXCITED
+            )
+
+    truth = {
+        "mode": mode,
+        "init_sector": int(sectors[0]),
+        "injected": bool(injected),
+        "sectors": [int(s) for s in sectors],
+        "qubits": "".join("ge"[q] for q in qubits),
+    }
+    return ReadoutRecord("".join(symbols), trial_id=trial_id, truth=truth)
+
+
+# ---------------------------------------------------------------------------
+# compass-state preparation (trajectory level)
+
+
+class PrepFailed(CatscopeError):
+    """State preparation post-selection missed on every allowed attempt."""
+
+
+def _decay_interval(
+    psi: np.ndarray, device: DeviceParams, dt: float, rng, n: np.ndarray
+) -> np.ndarray:
+    """Quantum-jump step over dt for cavity loss (rate 1/T1c) and thermal
+    excitation (rate n_c/T1c).  At most one jump per interval, placed
+    uniformly; fine for dt << T1c / <n>."""
+    kap = 1.0 / device.T1c
+    kup = kap * device.n_c
+    decay_exp = 0.5 * (kap * n + kup * (n + 1.0))
+    no_jump = np.exp(-decay_exp * dt) * psi
+    p_nj = float(np.vdot(no_jump, no_jump).real)
+    if rng.random() < p_nj:
+        return no_jump / math.sqrt(p_nj)
+    tau = rng.random() * dt
+    mid = np.exp(-decay_exp * tau) * psi
+    w = np.abs(mid) ** 2
+    r_down = kap * float(np.sum(n * w))
+    r_up = kup * float(np.sum((n + 1.0) * w))
+    if rng.random() < r_down / (r_down + r_up):
+        jumped = np.append(np.sqrt(n[1:]) * mid[1:], 0.0)  # annihilation
+    else:
+        jumped = np.concatenate(([0.0], np.sqrt(n[1:]) * mid[:-1]))  # creation
+    out = np.exp(-decay_exp * (dt - tau)) * jumped
+    return out / np.linalg.norm(out)
+
+
+def _ramsey_step(
+    psi: np.ndarray, theta: float, device: DeviceParams, rng, n: np.ndarray
+) -> tuple[np.ndarray, str]:
+    """One check at modular angle theta: collapse the cavity with the
+    branch operator (1 +- e^{i n theta})/2 and report the qubit readout.
+
+    The ground branch is the photon-number filter diag(cos(n theta / 2))
+    up to the frame phase e^{i n theta / 2}.  A dephasing event during the
+    delay (probability 1 - exp(-theta/(chi T2q))) swaps which branch the
+    physical qubit outcome corresponds to; readout misreports flip the
+    report only.  Raises PrepFailed when the readout leaks.
+    """
+    phase = np.exp(1j * n * theta)
+    k_g = 0.5 * (1.0 + phase)
+    k_e = 0.5 * (1.0 - phase)
+    w_g = float(np.linalg.norm(k_g * psi) ** 2)
+    branch_g = rng.random() < w_g
+    psi = (k_g if branch_g else k_e) * psi
+    psi = psi / np.linalg.norm(psi)
+
+    t_delay = theta / device.chi
+    dephased = rng.random() < 1.0 - math.exp(-t_delay / device.T2q)
+    outcome_g = branch_g ^ dephased
+    if rng.random() < device.p_leak:
+        raise PrepFailed("readout left the qubit subspace during preparation")
+    flip_p = device.readout_Fge_inv if outcome_g else device.readout_Fge
+    if rng.random() < flip_p:
+        outcome_g = not outcome_g
+    return psi, ("g" if outcome_g else "e")
+
+
+def prepare_compass(
+    alpha: complex, device: DeviceParams, rng, dim: int | None = None
+) -> tuple[StateVector, bool]:
+    """Simulate compass preparation from |alpha>: a parity filter
+    (theta = pi), a modular filter (theta = pi/2), then three parity
+    verification checks, post-selected on every readout reporting g.
+
+    Returns (state, success); success is False as soon as a readout
+    reports e (caller retries).  Raises PrepFailed on a leaked readout.
+    On an error-free device the success branch lands exactly on the
+    four-component cat with modular index 0.
+    """
+    alpha = complex(alpha)
+    if dim is None:
+        dim = required_dim(abs(alpha))
+    n = np.arange(dim, dtype=float)
+    psi = coherent_state(alpha, dim).amps.copy()
+    for theta in (math.pi, math.pi / 2.0, math.pi, math.pi, math.pi):
+        psi = _decay_interval(psi, device, device.t_m / 2.0, rng, n)
+        psi, reported = _ramsey_step(psi, theta, device, rng, n)
+        psi = _decay_interval(psi, device, device.t_m / 2.0, rng, n)
+        if reported != "g":
+            return StateVector(dim, psi / np.linalg.norm(psi)), False
+    return StateVector(dim, psi / np.linalg.norm(psi)), True
+
+
+# ---------------------------------------------------------------------------
+# the decision boundary
+
+
+def threshold_complement(threshold: float) -> float:
+    """Background posterior mass at the decision boundary, 1/(1+threshold):
+    a record sits exactly at lam = threshold when the non-signal sectors
+    hold that fraction of the posterior."""
+    if not threshold > 0.0:
+        raise ConfigError(f"threshold must be > 0, got {threshold!r}")
+    return 1.0 / (1.0 + threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,18 @@ import time
 import numpy as np
 import pytest
 from conftest import enumerate_posterior
-from oracles import LossChannel, displacement_operator, forward_backward, lindblad_evolve
+from oracles import (
+    LossChannel,
+    displacement_operator,
+    forward_backward,
+    lindblad_evolve,
+    population_fidelity,
+    prepare_compass,
+    record_rows,
+    threshold_complement,
+    to_density,
+    transition_probability,
+)
 
 from catscope import pipeline
 from catscope.darkmatter import (
@@ -28,21 +39,10 @@ from catscope.fits import (
     epsilon_limit,
     threshold_sweep,
 )
-from catscope.fock import (
-    CatSpec,
-    cat_state,
-    population_fidelity,
-    required_dim,
-    transition_probability,
-)
-from catscope.hmm import build_model, threshold_complement
+from catscope.fock import CatSpec, cat_state, required_dim
+from catscope.hmm import build_model
 from catscope.lindblad import cat_transition_probability
-from catscope.measurement import (
-    DeviceParams,
-    TrialConfig,
-    prepare_compass,
-    run_campaign,
-)
+from catscope.measurement import DeviceParams, TrialConfig, run_campaign
 
 POINT = SearchPoint(m_dm=2.0 * math.pi * 6.442e9, v_eff=4.45)
 T1C = 4.6e-3
@@ -110,7 +110,7 @@ def test_posterior_recursion_matches_path_enumeration():
                 ),
                 dev,
             )
-            records.extend(camp.records)
+            records.extend(record_rows(camp.records))
     assert len(records) >= 1000
 
     for mode, a2 in (("compass", 4.0), ("vacuum", 1.0)):
@@ -130,10 +130,10 @@ def test_transition_closed_form_against_propagator():
     for a in (math.sqrt(2.0), 2.0):
         dim = required_dim(abs(a))
         cats = [cat_state(CatSpec(a, 4, j), dim) for j in range(4)]
-        projs = [c.to_density().elements for c in cats]
+        projs = [to_density(c).elements for c in cats]
         for t in (2e-4, 1e-3, 4e-3):
             for j in range(4):
-                evolved = lindblad_evolve(cats[j].to_density(), LossChannel(kappa), t)
+                evolved = lindblad_evolve(to_density(cats[j]), LossChannel(kappa), t)
                 for l in range(4):
                     p_num = float(
                         np.real(np.trace(evolved.rho_t.elements @ projs[l]))

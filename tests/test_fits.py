@@ -286,16 +286,6 @@ def test_search_fit_zero_signal_is_consistent_with_zero():
     assert fit.params["a0"] < 3.0 * fit.stderr("a0")
 
 
-def test_search_fit_warns_past_coherence_time():
-    rng = np.random.default_rng(24)
-    tdm = coherence_time(POINT)
-    taus = np.array([0.5 * tdm, 1.0 * tdm, 3.0 * tdm])
-    series = _make_search_series(rng, A0_REF, taus, 1000)
-    g = lambda t: g_of_t(t, POINT)
-    with pytest.warns(UserWarning, match="coherence"):
-        search_fit(series, g, ETAS, tau_warn=tdm)
-
-
 def test_search_fit_sparse_counts_converge():
     # a 100-trial toy search (planted eps = 2e-15, supplied calibration):
     # sparse counts, several k = 0 rows on the clip kink at the optimum

@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import displacement_operator
-
-from catscope import fock
-from catscope.errors import (
-    DimMismatch,
+from oracles import (
     NegativeProbability,
-    TruncationTooSmall,
+    coherent_state,
+    displacement_operator,
+    population_fidelity,
+    transition_probability,
 )
+
+from catscope.errors import DimMismatch, TruncationTooSmall
 from catscope.fock import (
     CatSpec,
     PhaseGrid,
     StateVector,
     annihilation_operator,
     cat_state,
-    coherent_state,
-    population_fidelity,
     required_dim,
-    sine_filter,
-    transition_probability,
     wigner,
     wigner_to_csv,
 )
@@ -144,19 +141,6 @@ def test_cat_ladder_steps_down():
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
-def test_sine_filter_zeros():
-    # theta = pi/2 has cos(n pi / 4) = 0 at n = 2, 6, 10, ...
-    f = sine_filter(np.pi / 2, 12)
-    diag = np.diag(f)
-    assert_allclose(diag[2], 0.0, atol=1e-15)
-    assert_allclose(diag[6], 0.0, atol=1e-15)
-    assert_allclose(diag[0], 1.0, atol=1e-15)
-    # theta = pi separates parities: even n -> +-1, odd n -> 0
-    g = np.diag(sine_filter(np.pi, 9))
-    assert_allclose(g[1::2], 0.0, atol=1e-12)
-    assert_allclose(np.abs(g[0::2]), 1.0, atol=1e-12)
-
-
 def test_cat_alpha_zero_limit():
     psi = cat_state(CatSpec(0.0, 4, 2), 12)
     expected = np.zeros(12)
@@ -213,21 +197,6 @@ def test_wigner_matches_expm_route():
     assert_allclose(got, expected, atol=1e-10)
 
 
-def test_wigner_mixed_state_matches_expm_route():
-    # a genuinely mixed state, two unequal eigen-weights, against the same
-    # expm oracle at every grid point
-    dim = 48
-    a = coherent_state(0.8 + 0.3j, dim).amps
-    b = cat_state(CatSpec(alpha=1.1, m=2, j=1), dim).amps
-    rho = 0.7 * np.outer(a, a.conj()) + 0.3 * np.outer(b, b.conj())
-    state = fock.DensityMatrix(dim, rho)
-    evals = np.linalg.eigvalsh(rho)
-    kept = evals[evals > 1e-14]
-    assert len(kept) == 2 and abs(kept[1] - kept[0]) > 0.1  # unequal weights
-    grid = PhaseGrid(-1.2, 0.9, 4, -0.6, 1.0, 3)
-    assert_allclose(wigner(state, grid), _expm_wigner(rho, grid.points()), atol=1e-10)
-
-
 def test_wigner_even_cat_fringe_period():
     # interference fringes along Im z at the origin oscillate with period
     # pi / (2 alpha) for the two-component even cat
@@ -278,13 +247,6 @@ def test_wigner_budget_guard():
     grid = PhaseGrid(-3.0, 3.0, 5, -3.0, 3.0, 5)
     with pytest.raises(TruncationTooSmall):
         wigner(psi, grid)
-
-
-def test_wigner_density_matches_pure():
-    psi = coherent_state(0.7, 40)
-    rho = psi.to_density()
-    grid = PhaseGrid(-0.5, 1.5, 5, -0.5, 0.5, 3)
-    assert_allclose(wigner(rho, grid), wigner(psi, grid), atol=1e-10)
 
 
 def test_cat_displacement_sector_transfer():

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import EvolutionResult, LossChannel, lindblad_evolve
+from oracles import (
+    EvolutionResult,
+    LossChannel,
+    coherent_state,
+    lindblad_evolve,
+    to_density,
+)
 
 from catscope.errors import InvalidIndex
-from catscope.fock import CatSpec, cat_state, coherent_state, required_dim
+from catscope.fock import CatSpec, cat_state, required_dim
 from catscope.lindblad import cat_transition_probability, transition_curves_to_csv
 
 
@@ -19,7 +25,7 @@ def test_loss_channel_validation():
 
 
 def test_zero_time_is_identity():
-    rho = coherent_state(1.0, 20).to_density()
+    rho = to_density(coherent_state(1.0, 20))
     res = lindblad_evolve(rho, LossChannel(kappa=1.0), 0.0)
     assert res.steps == 0
     assert res.rho_t is rho
@@ -29,7 +35,7 @@ def test_coherent_amplitude_decay():
     # |alpha> stays coherent with amplitude alpha e^{-kappa t/2}
     alpha, kt = 2.0, 0.2
     dim = 30
-    rho0 = coherent_state(alpha, dim).to_density()
+    rho0 = to_density(coherent_state(alpha, dim))
     res = lindblad_evolve(rho0, LossChannel(kappa=1.0), kt)
     target = coherent_state(alpha * np.exp(-kt / 2.0), dim).amps
     fid = float(np.real(np.vdot(target, res.rho_t.elements @ target)))
@@ -40,8 +46,8 @@ def test_coherent_amplitude_decay():
 def test_mean_photon_exponential_decay():
     ch = LossChannel(kappa=1.0)
     for rho0 in (
-        coherent_state(1.5, 24).to_density(),
-        cat_state(CatSpec(2.0, 4, 0), 30).to_density(),
+        to_density(coherent_state(1.5, 24)),
+        to_density(cat_state(CatSpec(2.0, 4, 0), 30)),
     ):
         n0 = rho0.mean_photon()
         for kt in (0.1, 0.5, 1.0):
@@ -52,7 +58,7 @@ def test_mean_photon_exponential_decay():
 
 
 def test_evolution_preserves_state_validity():
-    rho0 = cat_state(CatSpec(2.0, 4, 1), 30).to_density()
+    rho0 = to_density(cat_state(CatSpec(2.0, 4, 1), 30))
     res = lindblad_evolve(rho0, LossChannel(kappa=1.0), 0.5)
     rho = res.rho_t.elements
     assert_allclose(np.trace(rho).real, 1.0, atol=1e-10)
@@ -65,7 +71,7 @@ def test_thermal_occupation_approach():
     # d<n>/dt = -kappa(1 - n_th)<n> + kappa n_th
     nth = 0.05
     ch = LossChannel(kappa=1.0, n_thermal=nth)
-    rho0 = coherent_state(0.0, 12).to_density()
+    rho0 = to_density(coherent_state(0.0, 12))
     n_ss = nth / (1.0 - nth)
     for t in (0.5, 2.0):
         res = lindblad_evolve(rho0, ch, t)
@@ -87,7 +93,7 @@ def test_transition_probability_oracle_against_integrator():
     ch = LossChannel(kappa=1.0)
     cats = [cat_state(CatSpec(alpha, 4, l), dim) for l in range(4)]
     for j in range(4):
-        rho0 = cats[j].to_density()
+        rho0 = to_density(cats[j])
         for kt in (0.01, 0.1, 0.5):
             rho_t = lindblad_evolve(rho0, ch, kt).rho_t.elements
             for l in range(4):
@@ -132,7 +138,7 @@ def test_transition_closure_and_leakage():
 
 def test_trace_distance_to_vacuum_monotone():
     dim = 24
-    rho = cat_state(CatSpec(1.5, 4, 0), dim).to_density()
+    rho = to_density(cat_state(CatSpec(1.5, 4, 0), dim))
     vac = np.zeros((dim, dim), dtype=complex)
     vac[0, 0] = 1.0
     ch = LossChannel(kappa=1.0)

@@ -5,37 +5,25 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import noiseless_device
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from oracles import displacement_operator
+from oracles import (
+    PrepFailed,
+    ReadoutRecord,
+    displacement_operator,
+    population_fidelity,
+    prepare_compass,
+    record_rows,
+    simulate_record,
+    transition_probability,
+)
 from scipy.stats import chi2
 
 from catscope import measurement as ms
 from catscope.darkmatter import SearchPoint, coherence_time, excitation_probability
-from catscope.errors import ConfigError, InvalidMode, PrepFailed
-from catscope.fock import (
-    CatSpec,
-    cat_state,
-    population_fidelity,
-    required_dim,
-    transition_probability,
-)
-
-
-def noiseless_device(**overrides):
-    base = dict(
-        T1c=math.inf,
-        T1q=math.inf,
-        T2q=math.inf,
-        n_c=0.0,
-        n_q=0.0,
-        readout_Fge=0.0,
-        readout_Fge_inv=0.0,
-        p_d=0.0,
-        p_leak=0.0,
-    )
-    base.update(overrides)
-    return ms.DeviceParams(**base)
+from catscope.errors import ConfigError, InvalidMode
+from catscope.fock import CatSpec, cat_state, required_dim
 
 
 def test_device_defaults():
@@ -74,10 +62,10 @@ def test_trial_config_validation():
 
 def test_readout_record_validation():
     with pytest.raises(ConfigError):
-        ms.ReadoutRecord("GEX")
-    r = ms.ReadoutRecord("GEL", trial_id=3)
+        ReadoutRecord("GEX")
+    r = ReadoutRecord("GEL", trial_id=3)
     assert r.leaked
-    assert not ms.ReadoutRecord("GE").leaked
+    assert not ReadoutRecord("GE").leaked
 
 
 def test_transition_rows_sum_to_one():
@@ -187,27 +175,27 @@ def test_emission_matrices():
 
 def test_noiseless_patterns():
     d = noiseless_device()
-    alt = ms.simulate_record(
+    alt = simulate_record(
         ms.TrialConfig(init=CatSpec(math.sqrt(12), j=1), repeats=20, rng_seed=7), d
     )
     assert alt.symbols == "GE" * 10
-    const = ms.simulate_record(
+    const = simulate_record(
         ms.TrialConfig(init=CatSpec(math.sqrt(12), j=3), repeats=20, rng_seed=7), d
     )
     assert const.symbols == "G" * 20
     # vacuum probe with a large displacement sits in photon 1: alternating
-    vac = ms.simulate_record(
+    vac = simulate_record(
         ms.TrialConfig(injected_beta=10.0, repeats=12, rng_seed=7), d
     )
     assert vac.symbols == "GE" * 6
-    empty = ms.simulate_record(ms.TrialConfig(repeats=12, rng_seed=7), d)
+    empty = simulate_record(ms.TrialConfig(repeats=12, rng_seed=7), d)
     assert empty.symbols == "G" * 12
 
 
 def test_fair_coin_flip_rate():
     d = noiseless_device()
     n_steps = 100_001
-    rec = ms.simulate_record(
+    rec = simulate_record(
         ms.TrialConfig(init=CatSpec(math.sqrt(12), j=0), repeats=n_steps, rng_seed=11),
         d,
     )
@@ -219,7 +207,7 @@ def test_fair_coin_flip_rate():
 
 def test_demolition_scrambles_sectors():
     d = noiseless_device(p_d=1.0)
-    rec = ms.simulate_record(
+    rec = simulate_record(
         ms.TrialConfig(init=CatSpec(math.sqrt(12), j=3), repeats=200, rng_seed=3), d
     )
     assert set(rec.truth["sectors"]) == {0, 1, 2, 3}
@@ -268,8 +256,9 @@ def test_campaign_determinism():
     d = ms.DeviceParams()
     a = ms.run_campaign(200, cfg, d)
     b = ms.run_campaign(200, cfg, d)
-    assert [r.symbols for r in a.records] == [r.symbols for r in b.records]
-    assert [r.trial_id for r in a.records] == list(range(200))
+    rows_a, rows_b = record_rows(a.records), record_rows(b.records)
+    assert [r.symbols for r in rows_a] == [r.symbols for r in rows_b]
+    assert [r.trial_id for r in rows_a] == list(range(200))
     assert a.records.injected.sum() == b.records.injected.sum()
     assert a.records.leaked.sum() == b.records.leaked.sum()
     assert np.array_equal(
@@ -344,7 +333,7 @@ def test_prepare_ideal_lands_on_cat():
     ideal = cat_state(CatSpec(alpha), required_dim(alpha))
     got = None
     for _ in range(200):
-        state, ok = ms.prepare_compass(alpha, d, rng)
+        state, ok = prepare_compass(alpha, d, rng)
         if ok:
             got = state
             break
@@ -357,7 +346,7 @@ def test_prepare_vacuum_always_succeeds():
     rng = np.random.default_rng(1)
     d = noiseless_device()
     for _ in range(100):
-        state, ok = ms.prepare_compass(0.0, d, rng)
+        state, ok = prepare_compass(0.0, d, rng)
         assert ok
         assert abs(state.amps[0]) ** 2 > 1.0 - 1e-9
 
@@ -365,14 +354,14 @@ def test_prepare_vacuum_always_succeeds():
 def test_prepare_postselection_misses_happen():
     rng = np.random.default_rng(2)
     d = noiseless_device()
-    flags = [ms.prepare_compass(math.sqrt(10), d, rng)[1] for _ in range(100)]
+    flags = [prepare_compass(math.sqrt(10), d, rng)[1] for _ in range(100)]
     assert any(flags) and not all(flags)
 
 
 def test_prepare_leak_raises():
     rng = np.random.default_rng(3)
     with pytest.raises(PrepFailed):
-        ms.prepare_compass(2.0, noiseless_device(p_leak=1.0), rng)
+        prepare_compass(2.0, noiseless_device(p_leak=1.0), rng)
 
 
 def test_prepare_noisy_population_fidelity():
@@ -385,7 +374,7 @@ def test_prepare_noisy_population_fidelity():
     while len(pops) < 150 and attempts < 3000:
         attempts += 1
         try:
-            state, ok = ms.prepare_compass(alpha, d, rng)
+            state, ok = prepare_compass(alpha, d, rng)
         except PrepFailed:
             continue
         if ok:
@@ -438,8 +427,8 @@ def test_campaign_matches_simulate_record(probe, injection, p_d, repeats):
     device = ms.DeviceParams(p_d=p_d, p_leak=0.05)
     res = ms.run_campaign(150, cfg, device)
     assert len(res.records) == 150
-    for k, got in enumerate(res.records):
-        ref = ms.simulate_record(cfg, device, trial_id=k)
+    for k, got in enumerate(record_rows(res.records)):
+        ref = simulate_record(cfg, device, trial_id=k)
         assert (got.symbols, got.trial_id, got.truth) == (
             ref.symbols,
             ref.trial_id,
@@ -491,12 +480,17 @@ def test_campaign_hops_follow_transition_matrix(probe):
 def test_records_indexing_matches_iteration():
     cfg = ms.TrialConfig(init=CatSpec(2.0), injected_beta=0.2, repeats=7, rng_seed=3)
     recs = ms.run_campaign(40, cfg, ms.DeviceParams(p_leak=0.05)).records
-    rows = list(recs)
+    rows = record_rows(recs)
     assert recs.symbols.dtype == np.uint8 and recs.symbols.shape == (40, 7)
-    assert recs[5] == rows[5] and recs[-1] == rows[-1]
+    assert record_rows(recs[5:6]) == [rows[5]]
+    assert record_rows(recs[-1:]) == [rows[-1]]
     mask = recs.leaked
-    assert [r.symbols for r in recs[mask]] == [r.symbols for r in rows if r.leaked]
-    assert list(recs[10:13]) == rows[10:13]
+    assert [r.symbols for r in record_rows(recs[mask])] == [
+        r.symbols for r in rows if r.leaked
+    ]
+    assert record_rows(recs[10:13]) == rows[10:13]
+    with pytest.raises(TypeError):
+        iter(recs)  # rows come from record_rows, never from iterating
 
 
 @pytest.mark.parametrize("probe", ["compass", "vacuum"])
@@ -508,7 +502,7 @@ def test_jsonl_matches_json_dumps(probe):
     # with truth columns the truth key is written, without them it is not
     for records, has_truth in ((recs, True), (bare, False)):
         objs = []
-        for r in records:
+        for r in record_rows(records):
             obj = {"trial_id": r.trial_id, "symbols": r.symbols}
             if has_truth:
                 obj["truth"] = r.truth

@@ -142,6 +142,37 @@ def test_validate_warns_past_coherence_time():
         pipeline.validate_config(cfg)
 
 
+def test_search_past_coherence_time_warns_once(tmp_path):
+    # validate_config flags the schedule; the fit once warned a second time
+    cfg = _small_cfg(seed=1, trials=40)
+    cfg["search"]["tau_grid"] = [2.0e-5, 1.0e-3, 3.0e-3]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pipeline.run_command("search", cfg, out_root=tmp_path)
+    texts = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    assert len([t for t in texts if "coherence time" in t]) == 1, texts
+
+
+@pytest.mark.parametrize(
+    "command, section", [("search", "search"), ("tune-scan", "scan")]
+)
+def test_injection_checked_before_calibration(monkeypatch, tmp_path, command, section):
+    # an epsilon whose p_signal leaves [0, 1] fails on the config, before
+    # the self-calibration spends its campaigns
+    def refuse(cfg):
+        raise AssertionError("calibration ran before the injection check")
+
+    monkeypatch.setattr(pipeline, "_load_calibration", refuse)
+    cfg = _small_cfg(seed=1, trials=40)
+    cfg["scan"]["inject_bin"] = 3
+    for eps in (1.0e-12, 1.0e200):
+        cfg[section]["inject_epsilon"] = eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the perturbative one
+            with pytest.raises(ConfigError, match=f"{section}.inject_epsilon"):
+                pipeline.run_command(command, cfg, out_root=tmp_path)
+
+
 def test_derive_seed_is_stage_and_index_dependent():
     a = pipeline.derive_seed(1234, "search", 0, 1)
     assert a == pipeline.derive_seed(1234, "search", 0, 1)
@@ -452,6 +483,44 @@ _GOLDEN_FILES = {
 }
 
 
+# manifest "files" of the injected runs, recorded the same way: they pin the
+# p_signal bits.  search runs at seed 3 with search.inject_epsilon 1e-15 and
+# 800 calibration trials (the fewest of 40, 200, 400, 800 at which seed 3
+# calibrates a positive vacuum efficiency); tune-scan runs at seed 1 with
+# scan.inject_epsilon 2e-16 in bin 5
+_GOLDEN_INJECTED_FILES = {
+    "search": {
+        "calibration.csv": (
+            "44973017965de9bfc745a6f5c2282884e3e60fb6d136d00578dc064ba78851a0"
+        ),
+        "calibration.json": (
+            "c65d13427fca52c8cbf3ae57710a296dc6cd534bf01f8d26542f16a1ec4a5a91"
+        ),
+        "fit.json": (
+            "47f3b3ecd5a430b01e8a8d42530d635f71b42699681c69fc52d33c9490be0e06"
+        ),
+        "limits.csv": (
+            "bf5ce6f23413570cf20a8fe9939f077c4a7cc7e904e5c63dc11ae0a4f7e73745"
+        ),
+        "rates.csv": (
+            "8e4ae2c2a34af6c2fc30842264978a942a233a32a4cef0119c1972199a03ab59"
+        ),
+        "records.jsonl": (
+            "69b7e6af8ed448841af051e75adcaf2b5898d6dfabc1e7ffaed63d0e37b6f14b"
+        ),
+    },
+    "tune-scan": {
+        **_GOLDEN_FILES["calibrate"],
+        "bins.csv": (
+            "85aeed4ac6fc6d3fdb0cf8abe44a0db4a800c38f11b252682152957063f8ab42"
+        ),
+        "limits.csv": (
+            "c5f0cbfb889ca52aa4a307a43b616ea27a7c5dd2a5fd01051270dfa2025213f0"
+        ),
+    },
+}
+
+
 def test_artifact_hashes_match_recorded_table(tmp_path):
     versions = pipeline.module_versions()
     if any(versions[k] != v for k, v in _GOLDEN_VERSIONS.items()):
@@ -464,6 +533,17 @@ def test_artifact_hashes_match_recorded_table(tmp_path):
         final, _ = pipeline.run_command(command, cfg, out_root=tmp_path)
         man = json.loads((final / "manifest.json").read_text())
         assert man["files"] == files, command
+
+    search = _small_cfg(seed=3, trials=40)
+    search["calibration"]["trials"] = 800
+    search["search"]["inject_epsilon"] = 1e-15
+    scan = _small_cfg(seed=1, trials=40)
+    scan["scan"]["inject_epsilon"] = 2e-16
+    scan["scan"]["inject_bin"] = 5
+    for command, cfg in (("search", search), ("tune-scan", scan)):
+        final, _ = pipeline.run_command(command, cfg, out_root=tmp_path)
+        man = json.loads((final / "manifest.json").read_text())
+        assert man["files"] == _GOLDEN_INJECTED_FILES[command], f"injected {command}"
 
 
 def test_promote_replaces_stale_run(tmp_path):
@@ -702,6 +782,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         ),
         # a campaign's uniforms once asked numpy for 186 TiB
         ("simulate-record", "repeats", "repeats: 100000000000\n"),
+        # an injection whose p_signal exceeds 1 once exited 2 naming no
+        # leaf, after the whole self-calibration; one that overflows it
+        # ended in an OverflowError traceback
+        ("search", "search.inject_epsilon", "search:\n  inject_epsilon: 1.0e-12\n"),
+        ("search", "search.inject_epsilon", "search:\n  inject_epsilon: 1.0e+200\n"),
+        (
+            "tune-scan",
+            "scan.inject_epsilon",
+            "scan:\n  inject_epsilon: 1.0e-12\n  inject_bin: 3\n",
+        ),
+        (
+            "tune-scan",
+            "scan.inject_epsilon",
+            "scan:\n  inject_epsilon: 1.0e+200\n  inject_bin: 3\n",
+        ),
     ]
     for i, (command, leaf, text) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
