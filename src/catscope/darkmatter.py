@@ -14,8 +14,7 @@ the sine from libm's math.sin, node by node, so its values do not depend
 on how numpy vectorizes sin.  Its squares are x*x, the correctly rounded
 product; libm's pow, behind Python's x**2 and numpy's scalar **, differs
 from it in the last ulp on about 1 argument in 1,200.  halo_speed_pdf
-squares v_vir by x*x too, and v -+ v_g with numpy's **, which is x*x on
-the integrand's node arrays but pow on 0-d input.
+squares v_vir and v -+ v_g by x*x too, on arrays and on 0-d input alike.
 """
 
 from __future__ import annotations
@@ -89,9 +88,11 @@ def halo_speed_pdf(v, halo: HaloParams = HaloParams()):
     """
     v = np.asarray(v, dtype=float)
     v_vir_sq = halo.v_vir * halo.v_vir
+    d_up = v - halo.v_g
+    d_down = v + halo.v_g
     with np.errstate(over="ignore"):
-        up = np.exp(-((v - halo.v_g) ** 2) / v_vir_sq)
-        down = np.exp(-((v + halo.v_g) ** 2) / v_vir_sq)
+        up = np.exp(-(d_up * d_up) / v_vir_sq)
+        down = np.exp(-(d_down * d_down) / v_vir_sq)
     out = v / (np.sqrt(np.pi) * halo.v_vir * halo.v_g) * (up - down)
     return out if out.ndim else float(out)
 
@@ -262,9 +263,11 @@ def lineshape_to_csv(
     omegas, point: SearchPoint, halo: HaloParams = HaloParams()
 ) -> str:
     """CSV dump (omega, f) of the energy distribution."""
+    omegas = np.asarray(omegas, dtype=float)
+    values = lineshape(omegas, point, halo).tolist()
     lines = ["omega,f"]
-    for w in np.asarray(omegas, dtype=float):
-        lines.append(f"{float(w)!r},{float(lineshape(w, point, halo))!r}")
+    for w, f in zip(omegas.tolist(), values):
+        lines.append(f"{w!r},{f!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,12 @@
-"""Exact linear algebra on a truncated Fock space.
+"""Cat states on a truncated Fock space, and the cat's Wigner function.
 
-Cat and compass states, displacements through the spectral form of the
-truncated generator, and Wigner functions.  (Coherent states, density
-matrices, overlap and fidelity measures, and the expm-built displacement
-operator that checks the spectral form are test oracles.)
+Cat and compass states, and displacements through the spectral form of the
+truncated generator, which the record simulator's mimic populations use.
+The Wigner function of an M-component cat is the closed-form sum of its
+M^2 Gaussian dyad terms and needs no truncation.  (Coherent states, density
+matrices, overlap and fidelity measures, the expm-built displacement
+operator that checks the spectral form, and the Fock-space Wigner route
+that checks the closed form are test oracles.)
 All states are stored as complex amplitude vectors over Fock levels
 n = 0..dim-1; all operators are dense matrices on the same space.
 
@@ -28,6 +31,7 @@ from .special import log_factorials, poisson_sf
 
 _TAIL_TOL = 1e-8
 _NORM_TOL = 1e-10
+_MIN_CAT_NORM = 1e-6  # smallest cat normalization N the closed-form Wigner takes
 
 
 def required_dim(alpha_max: float) -> int:
@@ -65,8 +69,6 @@ class StateVector:
         """Photon-number distribution P_n = |amps_n|^2."""
         return np.abs(self.amps) ** 2
 
-    def mean_photon(self) -> float:
-        return float(np.sum(np.arange(self.dim) * self.populations()))
 
 @dataclass(frozen=True)
 class CatSpec:
@@ -113,14 +115,6 @@ class PhaseGrid:
     def points(self) -> np.ndarray:
         """Complex points, shape (n_re, n_im): points[i, k] = re_i + 1j*im_k."""
         return self.re_axis()[:, None] + 1j * self.im_axis()[None, :]
-
-    def max_abs(self) -> float:
-        corners = [
-            abs(complex(r, i))
-            for r in (self.re_min, self.re_max)
-            for i in (self.im_min, self.im_max)
-        ]
-        return max(corners)
 
 
 # ---------------------------------------------------------------------------
@@ -203,38 +197,51 @@ def _displace_vector(z: complex, psi: np.ndarray) -> np.ndarray:
     return phases * (evecs @ (np.exp(-1j * r * evals) * y))
 
 
-def wigner(state: StateVector, grid: PhaseGrid) -> np.ndarray:
-    """W(z) = (2/pi) <psi| D(z) P D^dag(z) |psi> sampled on the grid, with P
-    the photon-number parity (-1)^n.
+def _dyad_log_weights(m: int, j: int, a2: float) -> np.ndarray:
+    """log(c_p c_q^* <beta_q|beta_p>) for the dyads |beta_p><beta_q| of the
+    m-component cat with modular index j and |alpha|^2 = a2, with
+    beta_p = alpha e^{i phi_p} and c_p = e^{-ij phi_p}; shape (m, m), p
+    the row.  Their exponentials sum to the cat's normalization N."""
+    phi = 2.0 * np.pi * np.arange(m) / m
+    dphi = phi[:, None] - phi[None, :]
+    return -1j * j * dphi + a2 * (np.exp(1j * dphi) - 1.0)
 
-    Returns a real array of shape (n_re, n_im) matching PhaseGrid.points().
-    The state is displaced by D(-z) through the spectral form of
-    _displace_vector, one grid row (fixed Re z) at a time: two
-    (n_im, dim) @ (dim, dim) products per row on the cached eigenbasis.  The
-    outer phase R(theta) of that form is dropped, since the parity
-    expectation needs only |D(-z) psi|^2.  Raises TruncationTooSmall when the
-    displaced state would spill out of the truncated space (|z|_max plus the
-    state's amplitude scale exceeds the dim budget).
+
+def wigner(spec: CatSpec, grid: PhaseGrid) -> np.ndarray:
+    """Wigner function of the M-component cat, sampled on the grid:
+
+        W(z) = (2/pi) sum_{p,q} c_p c_q^* <beta_q|beta_p>
+                   exp(-2 (z - beta_p)(z^* - beta_q^*)) / N
+
+    the M^2 Gaussian dyad terms of Cahill and Glauber (Phys. Rev. 177,
+    1882, 1969), with N = sum_{p,q} c_p c_q^* <beta_q|beta_p>.  Each term
+    adds the log-overlap to the Gaussian exponent before its one exp: a
+    term's modulus is at most 1, but the two factors apart overflow and
+    underflow at |alpha|^2 of a few hundred.  The sums round to about
+    M^2 eps absolute, so W is off by about (2/pi) M^2 eps / N; a sector
+    with N below _MIN_CAT_NORM (j > 0 at |alpha|^2 << 1, where
+    N ~ M^2 |alpha|^{2j} / j!) raises ValueError instead.
+
+    Returns a real array of shape (n_re, n_im) matching PhaseGrid.points();
+    raises NonFinite if any value is not finite.
     """
-    a_eff = np.sqrt(state.mean_photon())
-    budget = required_dim(grid.max_abs() + a_eff)
-    if state.dim < budget:
-        raise TruncationTooSmall(
-            f"dim={state.dim} < {budget} needed for |z| up to {grid.max_abs():.2f} "
-            f"on a state with <n> = {a_eff**2:.2f}"
+    phi = 2.0 * np.pi * np.arange(spec.m) / spec.m
+    beta = complex(spec.alpha) * np.exp(1j * phi)
+    a = abs(complex(spec.alpha))
+    log_w = _dyad_log_weights(spec.m, spec.j, a * a)
+    norm = float(np.real(np.sum(np.exp(log_w))))
+    if not norm > _MIN_CAT_NORM:
+        raise ValueError(
+            f"sector j={spec.j} of the {spec.m}-component cat at |alpha|^2 = "
+            f"{a * a!r} has normalization {norm!r}, too small for the closed form"
         )
-    levels = np.arange(state.dim)
-    signs = (-1.0) ** levels
-    gen_evals, gen_evecs = _displacement_basis(state.dim)
-    to_eigen = gen_evecs.conj()  # row @ to_eigen = (evecs^dag @ column)^T
-    from_eigen = gen_evecs.T
-    zs = -grid.points()
-    w = np.zeros(zs.shape, dtype=float)
-    for i, row in enumerate(zs):
-        phases = np.exp(1j * np.angle(row)[:, None] * levels)
-        spectral = np.exp(-1j * np.abs(row)[:, None] * gen_evals)
-        shifted = (spectral * ((state.amps / phases) @ to_eigen)) @ from_eigen
-        w[i] = 2.0 / np.pi * (np.abs(shifted) ** 2 @ signs)
+    z = grid.points()
+    b_p = beta[:, None, None, None]
+    b_q = beta[None, :, None, None]
+    terms = np.exp(log_w[:, :, None, None] - 2.0 * (z - b_p) * (z.conj() - b_q.conj()))
+    w = 2.0 / np.pi * np.real(terms.sum(axis=(0, 1))) / norm
+    if not np.all(np.isfinite(w)):
+        raise NonFinite(f"cat Wigner function is not finite (normalization {norm!r})")
     return w
 
 

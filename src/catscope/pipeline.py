@@ -33,6 +33,7 @@ import yaml
 
 from . import __version__
 from .darkmatter import (
+    C_KM_S,
     OMEGA_M_OFFSET,
     HaloParams,
     SearchPoint,
@@ -61,7 +62,6 @@ from .fits import (
 from .fock import (
     CatSpec,
     PhaseGrid,
-    cat_state,
     required_dim,
     wigner,
     wigner_to_csv,
@@ -303,6 +303,7 @@ def _check_mimic(where: str, beta: float, probe: dict, applied: float) -> None:
 # campaign's 1500 x 81.
 MAX_CAMPAIGN_DRAWS = 2**27
 ROC_TRIALS = 800  # trials of the readout-roc figure's campaign
+GROWTH_SPAN = 20.0  # the sensitivity-growth figure's last time, in tau_DM
 
 
 def build_device(cfg: dict) -> DeviceParams:
@@ -359,9 +360,20 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(
             f"scan.inject_bin must be a bin index below scan.bins, got {jbin!r}"
         )
-    tau_dm = coherence_time(build_point(cfg), build_halo(cfg))
+    halo = build_halo(cfg)
+    tau_dm = coherence_time(build_point(cfg), halo)
     if not (math.isfinite(tau_dm) and tau_dm > 0.0):
         raise ConfigError(f"DM coherence time must be finite and > 0, got {tau_dm!r}")
+    # the g(t) integrand peaks below (C_KM_S / v_vir) t^2 (the speed pdf
+    # stays below 1 / v_vir), and a 21-point rule sums it with weights
+    # totalling 2; tau_DM grows as 1 / m_dm
+    t_max = GROWTH_SPAN * tau_dm
+    if not math.isfinite(2.0 * C_KM_S / halo.v_vir * t_max * t_max):
+        raise ConfigError(
+            f"point.m_dm must be large enough that g(t) stays finite up to the "
+            f"sensitivity-growth figure's last time, {GROWTH_SPAN:g} tau_DM = "
+            f"{t_max:.3g} s, got {cfg['point']['m_dm']!r}"
+        )
     worst = max(cfg["search"]["tau_grid"])
     if worst >= tau_dm:
         warnings.warn(
@@ -375,15 +387,17 @@ def canonical_config_text(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
 
 
-def config_sha256(cfg: dict) -> str:
-    return hashlib.sha256(canonical_config_text(cfg).encode("utf-8")).hexdigest()
+def config_sha256(config_text: str) -> str:
+    """SHA-256 of a config's canonical text (canonical_config_text)."""
+    return hashlib.sha256(config_text.encode("utf-8")).hexdigest()
 
 
-def run_id(cfg: dict, command: str) -> str:
-    """Directory name for one (config, command) pair."""
+def run_id(config_text: str, command: str) -> str:
+    """Directory name for one (config, command) pair, from the config's
+    canonical text (canonical_config_text)."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    text = canonical_config_text(cfg) + f"command: {command}\n"
+    text = config_text + f"command: {command}\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
@@ -848,12 +862,12 @@ def _compass_alpha_sq(cfg: dict) -> float:
     return max(vals) if vals else 4.0
 
 
-def _read_artifact(fid: str, cfg: dict, out_root) -> str:
+def _read_artifact(fid: str, config_text: str, out_root) -> str:
     """The source file of an artifact-backed figure, once its run's
     manifest.json vouches for it: the file's SHA-256 must be the one the
     manifest registered, and the manifest's versions this process's."""
     command, fname = _ARTIFACT_FIGURES[fid]
-    run_dir = Path(out_root) / "results" / run_id(cfg, command)
+    run_dir = Path(out_root) / "results" / run_id(config_text, command)
     src = run_dir / fname
     if not src.exists():
         raise MissingArtifact(
@@ -882,12 +896,12 @@ def _read_artifact(fid: str, cfg: dict, out_root) -> str:
     return data.decode("utf-8")
 
 
-def _render_figure(fid: str, cfg: dict, out_root) -> str:
+def _render_figure(fid: str, cfg: dict, config_text: str, out_root) -> str:
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
     if fid in _ARTIFACT_FIGURES:
-        text = _read_artifact(fid, cfg, out_root)
+        text = _read_artifact(fid, config_text, out_root)
         if fid == "enhancement":
             report = json.loads(text)
             by_label = report.get("enhancement", {})
@@ -908,15 +922,14 @@ def _render_figure(fid: str, cfg: dict, out_root) -> str:
         spec = CatSpec(alpha=math.sqrt(_compass_alpha_sq(cfg)))
         ext = abs(spec.alpha) + 2.0
         grid = PhaseGrid(-ext, ext, 61, -ext, ext, 61)
-        dim = required_dim(abs(spec.alpha) + math.sqrt(2.0) * ext + 1.0)
-        return wigner_to_csv(grid, wigner(cat_state(spec, dim), grid))
+        return wigner_to_csv(grid, wigner(spec, grid))
     if fid == "transition-curves":
         alpha = math.sqrt(_compass_alpha_sq(cfg))
         times = np.linspace(0.0, 0.25 * device.T1c, 51)
         return transition_curves_to_csv(4, alpha, 1.0 / device.T1c, times)
     if fid == "sensitivity-growth":
         tau_dm = coherence_time(point, halo)
-        times = np.geomspace(tau_dm / 100.0, 20.0 * tau_dm, 81)
+        times = np.geomspace(tau_dm / 100.0, GROWTH_SPAN * tau_dm, 81)
         return g_curve_to_csv(times, point, halo)
     if fid == "lineshape":
         omegas = point.m_dm * (1.0 + np.linspace(0.0, 5e-6, 241))
@@ -935,11 +948,12 @@ def _render_figure(fid: str, cfg: dict, out_root) -> str:
     raise ConfigError(f"unknown figure {fid!r}")
 
 
-def run_figures(cfg: dict, which=None, out_root="."):
+def run_figures(cfg: dict, config_text: str, which=None, out_root="."):
     """CSV tables behind the plots.  Figures needing campaign artifacts read
-    the matching run directory under out_root and fail with MissingArtifact
-    when the producing command has not run with this config, or when its
-    manifest.json does not vouch for the file (see _read_artifact)."""
+    the matching run directory under out_root, found from the config's
+    canonical text, and fail with MissingArtifact when the producing command
+    has not run with this config, or when its manifest.json does not vouch
+    for the file (see _read_artifact)."""
     if not which:
         ids = list(_CONFIG_FIGURES)
     elif list(which) == ["all"]:
@@ -954,7 +968,7 @@ def run_figures(cfg: dict, which=None, out_root="."):
                 )
     files = {}
     for fid in ids:
-        files[f"{fid}.csv"] = _render_figure(fid, cfg, out_root)
+        files[f"{fid}.csv"] = _render_figure(fid, cfg, config_text, out_root)
     return files, [f"{len(files)} figure tables: {', '.join(sorted(files))}"]
 
 
@@ -967,6 +981,7 @@ def run_command(command: str, cfg: dict, out_root=".", which=None):
 
     Returns (final run directory, human-readable summary lines)."""
     validate_config(cfg)
+    config_text = canonical_config_text(cfg)
     if command == "calibrate":
         files, summary = run_calibrate(cfg)
     elif command == "search":
@@ -974,19 +989,19 @@ def run_command(command: str, cfg: dict, out_root=".", which=None):
     elif command == "tune-scan":
         files, summary = run_tune_scan(cfg)
     elif command == "figures":
-        files, summary = run_figures(cfg, which=which, out_root=out_root)
+        files, summary = run_figures(cfg, config_text, which=which, out_root=out_root)
     elif command == "simulate-record":
         files, summary = run_simulate_record(cfg)
     else:
         raise ConfigError(f"unknown command {command!r}")
-    rid = run_id(cfg, command)
+    rid = run_id(config_text, command)
     writer = RunWriter(out_root, rid)
     for name in sorted(files):
         writer.write(name, files[name])
     manifest = RunManifest(
         command=command,
         run_id=rid,
-        config_sha256=config_sha256(cfg),
+        config_sha256=config_sha256(config_text),
         master_seed=cfg["master_seed"],
         versions=module_versions(),
         files=dict(sorted(writer.hashes.items())),

@@ -14,10 +14,14 @@ itself does not need:
   breakpoints with a scalar integrand, against darkmatter.g_of_t.
 
 The rest, in plain NumPy, are reference models no command runs: Fock-space
-states and overlap measures; simulate_record, the scalar simulator that
-measurement.run_campaign is checked against, with record_rows, the row
-view of a Records set; prepare_compass, the trajectory-level compass
-preparation; and threshold_complement.
+states and overlap measures; fock_wigner, the Wigner function of a state
+by displacing it in Fock space, against the closed-form cat Wigner
+fock.wigner; cat_transition_probability, one (t, j, l) cell of the loss
+transition sum, against lindblad.transition_curves_to_csv;
+simulate_record, the scalar simulator that measurement.run_campaign is
+checked against, with record_rows, the row view of a Records set;
+prepare_compass, the trajectory-level compass preparation; and
+threshold_complement.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from catscope.errors import (
     CatscopeError,
     ConfigError,
     DimMismatch,
+    InvalidIndex,
     LeakageSymbol,
     NonConvergence,
     NonFinite,
@@ -44,12 +49,15 @@ from catscope.errors import (
 )
 from catscope.fock import (
     _TAIL_TOL,
+    PhaseGrid,
     StateVector,
+    _displacement_basis,
     _log_poisson_amps,
     annihilation_operator,
     required_dim,
 )
 from catscope.hmm import HmmModel
+from catscope.lindblad import _cat_norm_sq
 from catscope.measurement import (
     SYMBOL_ALPHABET,
     SYMBOL_EXCITED,
@@ -165,6 +173,99 @@ def population_fidelity(p_meas: np.ndarray, p_ideal: np.ndarray) -> float:
     p = np.clip(np.pad(p, (0, n - p.size)), 0.0, None)
     q = np.clip(np.pad(q, (0, n - q.size)), 0.0, None)
     return float(np.sum(np.sqrt(p * q)))
+
+
+def mean_photon(state: StateVector) -> float:
+    return float(np.sum(np.arange(state.dim) * state.populations()))
+
+
+def grid_max_abs(grid: PhaseGrid) -> float:
+    corners = [
+        abs(complex(r, i))
+        for r in (grid.re_min, grid.re_max)
+        for i in (grid.im_min, grid.im_max)
+    ]
+    return max(corners)
+
+
+def fock_wigner(state: StateVector, grid: PhaseGrid) -> np.ndarray:
+    """W(z) = (2/pi) <psi| D(z) P D^dag(z) |psi> sampled on the grid, with P
+    the photon-number parity (-1)^n.
+
+    Returns a real array of shape (n_re, n_im) matching PhaseGrid.points().
+    The state is displaced by D(-z) through the spectral form of
+    fock._displace_vector, one grid row (fixed Re z) at a time: two
+    (n_im, dim) @ (dim, dim) products per row on the cached eigenbasis.  The
+    outer phase R(theta) of that form is dropped, since the parity
+    expectation needs only |D(-z) psi|^2.  Raises TruncationTooSmall when the
+    displaced state would spill out of the truncated space (|z|_max plus the
+    state's amplitude scale exceeds the dim budget).
+    """
+    a_eff = np.sqrt(mean_photon(state))
+    budget = required_dim(grid_max_abs(grid) + a_eff)
+    if state.dim < budget:
+        raise TruncationTooSmall(
+            f"dim={state.dim} < {budget} needed for |z| up to {grid_max_abs(grid):.2f} "
+            f"on a state with <n> = {a_eff**2:.2f}"
+        )
+    levels = np.arange(state.dim)
+    signs = (-1.0) ** levels
+    gen_evals, gen_evecs = _displacement_basis(state.dim)
+    to_eigen = gen_evecs.conj()  # row @ to_eigen = (evecs^dag @ column)^T
+    from_eigen = gen_evecs.T
+    zs = -grid.points()
+    w = np.zeros(zs.shape, dtype=float)
+    for i, row in enumerate(zs):
+        phases = np.exp(1j * np.angle(row)[:, None] * levels)
+        spectral = np.exp(-1j * np.abs(row)[:, None] * gen_evals)
+        shifted = (spectral * ((state.amps / phases) @ to_eigen)) @ from_eigen
+        w[i] = 2.0 / np.pi * (np.abs(shifted) ** 2 @ signs)
+    return w
+
+
+def cat_transition_probability(
+    m: int, j: int, l: int, alpha: complex, kappa: float, t: float
+) -> float:
+    """Probability Tr[rho_j(t) rho_l(0)] that the j-th m-component cat,
+    after pure loss for time t, is found in the l-th cat at the original
+    amplitude.
+
+    Evaluated as an exact finite sum: the loss channel maps each coherent
+    dyad |a_p><a_q| to a known multiple of the dyad at the decayed
+    amplitude, and every factor (normalization constants included) is kept
+    exact rather than using the large-alpha shorthands, so the value agrees
+    with a numerical Lindblad propagation to integrator precision.
+    """
+    if m < 2:
+        raise InvalidIndex(f"m must be >= 2, got {m}")
+    if not (0 <= j < m and 0 <= l < m):
+        raise InvalidIndex(f"indices j={j}, l={l} outside [0, {m})")
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t!r}")
+    if kappa < 0.0:
+        raise ValueError(f"kappa must be >= 0, got {kappa!r}")
+    a = abs(complex(alpha))
+    a2 = a * a
+    ap = a * np.exp(-kappa * t / 2.0)  # decayed amplitude
+    decay = 1.0 - np.exp(-kappa * t)
+    phi = 2.0 * np.pi * np.arange(m) / m
+
+    # rho_j(t) = N_j^2 sum_{p,q} e^{-ij(phi_p - phi_q)} f_{pq} |ap_p><ap_q|
+    # with f_{pq} = exp[-a2 (1 - e^{-kt}) (1 - e^{i(phi_p - phi_q)})]
+    p_ = phi[:, None, None, None]
+    q_ = phi[None, :, None, None]
+    r_ = phi[None, None, :, None]
+    s_ = phi[None, None, None, :]
+    f_pq = np.exp(-a2 * decay * (1.0 - np.exp(1j * (p_ - q_))))
+    # <ap e^{i phi_q} | a e^{i phi_r}> and <a e^{i phi_s} | ap e^{i phi_p}>
+    ov_qr = np.exp(-0.5 * (ap * ap + a2) + ap * a * np.exp(1j * (r_ - q_)))
+    ov_sp = np.exp(-0.5 * (a2 + ap * ap) + a * ap * np.exp(1j * (p_ - s_)))
+    weight = np.exp(-1j * j * (p_ - q_)) * np.exp(-1j * l * (r_ - s_))
+    total = np.sum(weight * f_pq * ov_qr * ov_sp)
+    prob = _cat_norm_sq(m, j, a2) * _cat_norm_sq(m, l, a2) * float(np.real(total))
+    if not -1e-9 <= prob <= 1.0 + 1e-9:
+        raise ValueError(f"transition probability {prob!r} outside [0, 1]")
+    return min(max(prob, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from catscope.fits import (
 )
 from catscope.fock import CatSpec, cat_state, required_dim
 from catscope.hmm import build_model
-from catscope.lindblad import cat_transition_probability
+from oracles import cat_transition_probability
 from catscope.measurement import DeviceParams, TrialConfig, run_campaign
 
 POINT = SearchPoint(m_dm=2.0 * math.pi * 6.442e9, v_eff=4.45)

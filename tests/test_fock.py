@@ -5,6 +5,8 @@ from oracles import (
     NegativeProbability,
     coherent_state,
     displacement_operator,
+    fock_wigner,
+    mean_photon,
     population_fidelity,
     transition_probability,
 )
@@ -37,7 +39,7 @@ def test_coherent_vacuum_population():
 def test_coherent_mean_photon():
     alpha = np.sqrt(12.0)
     psi = coherent_state(alpha, required_dim(alpha))
-    assert abs(psi.mean_photon() - 12.0) < 1e-6
+    assert abs(mean_photon(psi) - 12.0) < 1e-6
 
 
 def test_coherent_norm_and_phase():
@@ -152,7 +154,7 @@ def test_wigner_vacuum_peak_and_gaussian():
     dim = 36
     vac = coherent_state(0.0, dim)
     grid = PhaseGrid(-1.0, 1.0, 5, -1.0, 1.0, 5)
-    w = wigner(vac, grid)
+    w = fock_wigner(vac, grid)
     # center point: W(0) = 2/pi
     assert_allclose(w[2, 2], 2.0 / np.pi, rtol=1e-8)
     # W(z) = (2/pi) exp(-2|z|^2)
@@ -165,7 +167,7 @@ def test_wigner_coherent_peak_location():
     dim = 64
     psi = coherent_state(alpha, dim)
     grid = PhaseGrid(0.0, 2.0, 21, -1.0, 1.0, 21)
-    w = wigner(psi, grid)
+    w = fock_wigner(psi, grid)
     i, k = np.unravel_index(np.argmax(w), w.shape)
     z_peak = grid.points()[i, k]
     assert abs(z_peak - alpha) < 0.11
@@ -185,13 +187,13 @@ def _expm_wigner(rho, zs):
 
 
 def test_wigner_matches_expm_route():
-    # the row-batched spectral displacement inside wigner() agrees with the
+    # the row-batched spectral displacement inside fock_wigner() agrees with the
     # expm-built operator at every point of a non-square, off-centre grid,
     # so a swapped or transposed axis cannot pass
     dim = 48
     psi = coherent_state(0.9 - 0.4j, dim)
     grid = PhaseGrid(-0.7, 0.5, 3, 0.2, 1.3, 4)
-    got = wigner(psi, grid)
+    got = fock_wigner(psi, grid)
     assert got.shape == (3, 4)
     expected = _expm_wigner(np.outer(psi.amps, psi.amps.conj()), grid.points())
     assert_allclose(got, expected, atol=1e-10)
@@ -210,7 +212,7 @@ def test_wigner_even_cat_fringe_period():
     period = np.pi / (2.0 * alpha)
     ys = np.linspace(0.0, 2.0 * period, 33)
     grid = PhaseGrid(0.0, 1e-9, 2, ys[0], ys[-1], 33)
-    w = wigner(psi, grid)[0, :]
+    w = fock_wigner(psi, grid)[0, :]
     # W(iy) ~ 2 e^{-2 y^2} cos(4 alpha y) / pi x (1 + e^{-2 alpha^2})
     envelope = np.exp(-2.0 * ys**2)
     model = 2.0 / np.pi * envelope * np.cos(4.0 * alpha * ys) / (
@@ -229,7 +231,7 @@ def test_wigner_normalization_and_marginal():
     psi = coherent_state(alpha, dim)
     span = 3.2
     grid = PhaseGrid(alpha - span, alpha + span, 49, -span, span, 49)
-    w = wigner(psi, grid)
+    w = fock_wigner(psi, grid)
     dx = grid.re_axis()[1] - grid.re_axis()[0]
     dy = grid.im_axis()[1] - grid.im_axis()[0]
     total = np.trapezoid(np.trapezoid(w, dx=dy, axis=1), dx=dx)
@@ -242,11 +244,57 @@ def test_wigner_normalization_and_marginal():
     assert np.max(np.abs(marg - expected)) < 0.01
 
 
+@pytest.mark.parametrize("a2", [1.0, 4.0, 12.0])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_closed_form_cat_wigner_matches_fock_route(m, a2):
+    # the M^2 Gaussian dyad terms against the Fock-space displacement route,
+    # for every sector j, on a centred square grid and on an off-centre
+    # non-square one with a complex amplitude
+    for alpha in (np.sqrt(a2), np.sqrt(a2) * np.exp(0.3j)):
+        ext = abs(alpha) + 2.0
+        if alpha.imag == 0.0:
+            grid = PhaseGrid(-ext, ext, 17, -ext, ext, 17)
+        else:
+            grid = PhaseGrid(-0.5, ext, 13, -0.3 * ext, 0.8 * ext, 11)
+        dim = required_dim(abs(alpha) + np.sqrt(2.0) * ext + 1.0)
+        for j in range(m):
+            spec = CatSpec(alpha, m, j)
+            got = wigner(spec, grid)
+            assert got.shape == (grid.n_re, grid.n_im)
+            expected = fock_wigner(cat_state(spec, dim), grid)
+            assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+
+
+def test_closed_form_cat_wigner_at_large_amplitude():
+    # at |alpha|^2 = 900 a dyad's overlap underflows where its Gaussian
+    # overflows; summed in the exponent every value stays finite, within
+    # the parity bound |W| <= 2/pi, and 2/pi at the origin (even parity)
+    spec = CatSpec(30.0)
+    grid = PhaseGrid(-32.0, 32.0, 61, -32.0, 32.0, 61)
+    w = wigner(spec, grid)
+    assert np.all(np.isfinite(w))
+    assert np.max(np.abs(w)) <= 2.0 / np.pi * (1.0 + 1e-12)
+    assert w[30, 30] == pytest.approx(2.0 / np.pi, rel=1e-12)
+
+
+def test_closed_form_cat_wigner_edges():
+    # a sector with no weight at alpha = 0 has N = 0 up to rounding, where
+    # the sums would return noise
+    grid = PhaseGrid(-1.0, 1.0, 3, -1.0, 1.0, 3)
+    for j in (1, 2, 3):
+        with pytest.raises(ValueError, match="normalization"):
+            wigner(CatSpec(0.0, 4, j), grid)
+    # sector 0 at alpha = 0 is the vacuum
+    zs = grid.points()
+    expected = 2.0 / np.pi * np.exp(-2.0 * np.abs(zs) ** 2)
+    assert_allclose(wigner(CatSpec(0.0, 4, 0), grid), expected, atol=1e-15)
+
+
 def test_wigner_budget_guard():
     psi = coherent_state(1.0, 16)
     grid = PhaseGrid(-3.0, 3.0, 5, -3.0, 3.0, 5)
     with pytest.raises(TruncationTooSmall):
-        wigner(psi, grid)
+        fock_wigner(psi, grid)
 
 
 def test_cat_displacement_sector_transfer():

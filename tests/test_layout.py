@@ -7,9 +7,11 @@ statements are roots.  A local that shadows a top-level name counts as a
 use of it.  Reference code only tests call belongs in tests/oracles.py."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "catscope"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "catscope"
 
 # (module, name) kept without a production caller, with the reason
 ALLOWED = {
@@ -78,3 +80,24 @@ def test_every_top_level_name_is_reachable_from_the_cli():
     every = {(m, name) for m, (defs, _, _) in tables.items() for name in defs}
     # equality: an allowlisted name that gains a caller or goes leaves the list
     assert every - reached == set(ALLOWED), sorted((every - reached) ^ set(ALLOWED))
+
+
+def test_benchmark_hooks_exist():
+    # perfbench/spans.py wraps catscope functions by name (getattr); a
+    # renamed or moved function would break the traced benchmark run
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    lists = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "functions" for t in node.targets)
+    ]
+    assert len(lists) == 1
+    hooks = [(e.elts[0].id, e.elts[1].value) for e in lists[0].elts]
+    assert len(hooks) >= 10
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in hooks
+        if not callable(getattr(importlib.import_module(f"catscope.{module}"), attr, None))
+    ]
+    assert not missing, missing

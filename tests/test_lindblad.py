@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from oracles import (
     EvolutionResult,
     LossChannel,
+    cat_transition_probability,
     coherent_state,
     lindblad_evolve,
     to_density,
@@ -12,7 +13,7 @@ from oracles import (
 
 from catscope.errors import InvalidIndex
 from catscope.fock import CatSpec, cat_state, required_dim
-from catscope.lindblad import cat_transition_probability, transition_curves_to_csv
+from catscope.lindblad import transition_curves_to_csv
 
 
 def test_loss_channel_validation():
@@ -169,3 +170,28 @@ def test_transition_curves_csv():
     t, j, l, p = lines[1].split(",")
     assert float(t) == 0.0 and int(j) == 0 and int(l) == 0
     assert float(p) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a2", [1.0, 4.0, 12.0, 20.0])
+def test_transition_curves_match_scalar_cells_bit_for_bit(a2):
+    # the per-time blocks keep every product and the pairwise order of each
+    # 256-term sum, so each cell equals the one-cell oracle exactly
+    alpha = np.sqrt(a2)
+    kappa = 1.0 / 3.0e-4
+    times = np.linspace(0.0, 0.25 / kappa, 51)
+    lines = ["t,j,l,p"]
+    for t in times:
+        for j in range(4):
+            for l in range(4):
+                p = cat_transition_probability(4, j, l, alpha, kappa, float(t))
+                lines.append(f"{float(t)!r},{j},{l},{p!r}")
+    assert transition_curves_to_csv(4, alpha, kappa, times) == "\n".join(lines) + "\n"
+
+
+def test_transition_curves_argument_errors():
+    with pytest.raises(InvalidIndex):
+        transition_curves_to_csv(1, 2.0, 1.0, np.array([0.1]))
+    with pytest.raises(ValueError, match="kappa"):
+        transition_curves_to_csv(4, 2.0, -1.0, np.array([0.1]))
+    with pytest.raises(ValueError, match="t must be"):
+        transition_curves_to_csv(4, 2.0, 1.0, np.array([0.1, -0.1]))

@@ -36,6 +36,10 @@ def _small_cfg(seed=11, trials=200):
     return cfg
 
 
+def _run_id(cfg, command):
+    return pipeline.run_id(pipeline.canonical_config_text(cfg), command)
+
+
 def _read_csv(path):
     return list(csv.DictReader(io.StringIO(path.read_text())))
 
@@ -58,17 +62,17 @@ def test_default_config_validates():
     # canonical text is stable and key-sorted, so the hash is reproducible
     txt = pipeline.canonical_config_text(cfg)
     assert txt == pipeline.canonical_config_text(pipeline.default_config())
-    assert pipeline.config_sha256(cfg) == pipeline.config_sha256(cfg)
+    assert pipeline.config_sha256(txt) == hashlib.sha256(txt.encode()).hexdigest()
     # the run id folds in the command, so sibling commands get distinct dirs
-    assert pipeline.run_id(cfg, "search") != pipeline.run_id(cfg, "calibrate")
-    assert len(pipeline.run_id(cfg, "search")) == 12
+    assert pipeline.run_id(txt, "search") != pipeline.run_id(txt, "calibrate")
+    assert len(pipeline.run_id(txt, "search")) == 12
 
 
 def test_default_run_ids_are_pinned():
     # the run id hashes the canonical config text, defaults included, so a
     # drifted default value (DeviceParams, HaloParams, ...) shows here
-    cfg = pipeline.default_config()
-    assert {c: pipeline.run_id(cfg, c) for c in pipeline.COMMANDS} == {
+    txt = pipeline.canonical_config_text(pipeline.default_config())
+    assert {c: pipeline.run_id(txt, c) for c in pipeline.COMMANDS} == {
         "calibrate": "7c7686bc9a36",
         "search": "82ff19e008cf",
         "tune-scan": "de41767841a9",
@@ -190,7 +194,7 @@ def test_derive_seed_is_stage_and_index_dependent():
 def test_calibrate_artifacts_and_enhancement(tmp_path):
     cfg = _small_cfg(trials=800)
     final, summary = pipeline.run_command("calibrate", cfg, out_root=tmp_path)
-    assert final == tmp_path / "results" / pipeline.run_id(cfg, "calibrate")
+    assert final == tmp_path / "results" / _run_id(cfg, "calibrate")
     assert (final / "manifest.json").exists()
 
     cal = json.loads((final / "calibration.json").read_text())
@@ -211,7 +215,8 @@ def test_calibrate_artifacts_and_enhancement(tmp_path):
 
     man = json.loads((final / "manifest.json").read_text())
     assert man["command"] == "calibrate"
-    assert man["config_sha256"] == pipeline.config_sha256(cfg)
+    txt = pipeline.canonical_config_text(cfg)
+    assert man["config_sha256"] == pipeline.config_sha256(txt)
     assert "wall_clock_s" not in man
     assert set(man["files"]) == {"calibration.json", "calibration.csv"}
 
@@ -460,10 +465,10 @@ _GOLDEN_FILES = {
     },
     "figures": {
         "cat-wigner.csv": (
-            "fa3dbdcec2d51948fe5affbe1ac793e014647a1c965876d890dee054b4afb41e"
+            "0434f4b36e87277944d3536ce63d634d75f7a6c669a91fad2fb563fba4a8f6e1"
         ),
         "lineshape.csv": (
-            "31f5e3cbf51a7eedc566562708dbd69835fe8eebc19816c648b8ae43ecae22f5"
+            "074ebce262fc21295e221bb8a12cb7ff1ee42fc67aa99eb20790702aea21fe4b"
         ),
         "readout-roc.csv": (
             "79279df17b2e55c07ba28c7c8e01d9fb0529aba07dac4280e248f7e31e6e0e47"
@@ -674,6 +679,37 @@ def test_figures_default_set(tmp_path):
         assert len(rows) > 2  # header plus data
 
 
+def test_cat_wigner_figure_at_large_amplitude(tmp_path):
+    # |alpha|^2 = 400 is within MAX_MIMIC_AMPLITUDE; there a dyad's overlap
+    # underflows where its Gaussian overflows, which a product of the two
+    # would write as NaN
+    cfg = _small_cfg(trials=60)
+    cfg["probes"] = [{"kind": "vacuum"}, {"kind": "compass", "alpha_sq": 400.0}]
+    final, _ = pipeline.run_command(
+        "figures", cfg, out_root=tmp_path, which=["cat-wigner"]
+    )
+    w = np.array([float(r["w"]) for r in _read_csv(final / "cat-wigner.csv")])
+    assert w.size == 61 * 61
+    assert np.all(np.isfinite(w))
+    assert np.max(np.abs(w)) <= 2.0 / np.pi * (1.0 + 1e-12)
+
+
+def test_config_text_is_dumped_once_per_command(monkeypatch, tmp_path):
+    # run_id, config_sha256 and the artifact lookups share one canonical text
+    calls = []
+    dump = yaml.safe_dump
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dump(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.yaml, "safe_dump", counted)
+    cfg = _small_cfg(seed=1, trials=40)  # calibrates positive efficiencies
+    final, _ = pipeline.run_command("search", cfg, out_root=tmp_path)
+    assert len(calls) == 1
+    assert final.name == _run_id(cfg, "search")
+
+
 def test_figures_artifact_flow(tmp_path):
     cfg = _small_cfg(trials=60)
     with pytest.raises(MissingArtifact, match="calibration.csv"):
@@ -692,7 +728,7 @@ def test_figures_artifact_flow(tmp_path):
         pipeline.run_command("figures", cfg, out_root=tmp_path, which=["nope"])
 
     # a source its run's manifest.json does not vouch for is refused
-    cal_dir = tmp_path / "results" / pipeline.run_id(cfg, "calibrate")
+    cal_dir = tmp_path / "results" / _run_id(cfg, "calibrate")
     source = cal_dir / "calibration.csv"
     original = source.read_bytes()
     source.write_bytes(original + b"vacuum,0.5,1,1,1\n")
@@ -726,7 +762,7 @@ def test_cli_search_and_timing(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote" in out
     cfg = pipeline.apply_overrides(pipeline.default_config(), seed=7, trials=120)
-    rid = pipeline.run_id(cfg, "search")
+    rid = _run_id(cfg, "search")
     assert (tmp_path / "results" / rid / "fit.json").exists()
     timing = (tmp_path / "logs" / f"{rid}-timing.txt").read_text()
     assert timing.startswith(f"search {rid} wall_clock_s=")
@@ -797,6 +833,10 @@ def test_cli_exit_codes(tmp_path, capsys):
             "scan.inject_epsilon",
             "scan:\n  inject_epsilon: 1.0e+200\n  inject_bin: 3\n",
         ),
+        # a coherence time whose sensitivity-growth times square past the
+        # float range once failed the g(t) quadrature, exit 1
+        ("figures", "point.m_dm", "point:\n  m_dm: 1.0e-300\n"),
+        ("figures", "point.m_dm", "point:\n  m_dm: 1.0e-200\n"),
     ]
     for i, (command, leaf, text) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
@@ -993,6 +1033,6 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     capsys.readouterr()
     cfg = pipeline.load_config(p)
     cfg = pipeline.apply_overrides(cfg, trials=6)
-    rid = pipeline.run_id(cfg, "simulate-record")
+    rid = _run_id(cfg, "simulate-record")
     lines = (tmp_path / "results" / rid / "records.jsonl").read_text().splitlines()
     assert len(lines) == 6  # the flag wins over the file
