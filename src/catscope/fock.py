@@ -21,13 +21,14 @@ rather than silently clipping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimMismatch, InvalidIndex, NonFinite, TruncationTooSmall
-from .special import log_factorials, poisson_sf
+from .special import poisson_sf
 
 _TAIL_TOL = 1e-8
 _NORM_TOL = 1e-10
@@ -64,10 +65,6 @@ class StateVector:
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state not normalized: sum |amps|^2 = {norm!r}")
         object.__setattr__(self, "amps", amps)
-
-    def populations(self) -> np.ndarray:
-        """Photon-number distribution P_n = |amps_n|^2."""
-        return np.abs(self.amps) ** 2
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,8 @@ def _log_poisson_amps(alpha: complex, dim: int) -> np.ndarray:
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
         return amps
-    log_mod = -0.5 * mag * mag + n * np.log(mag) - 0.5 * log_factorials(dim)
+    log_n_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    log_mod = -0.5 * mag * mag + n * np.log(mag) - 0.5 * log_n_fact
     return np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
 
 

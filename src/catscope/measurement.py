@@ -60,7 +60,6 @@ class DeviceParams:
     probability.  Times are seconds, frequencies rad/s.
     """
 
-    omega_c: float = 2 * math.pi * 6.442e9
     chi: float = 2 * math.pi * 0.6e6
     T1c: float = 4.6e-3
     T1q: float = 175.3e-6
@@ -74,10 +73,8 @@ class DeviceParams:
     p_leak: float = 0.002
 
     def __post_init__(self):
-        for name in ("omega_c", "chi"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
+        if not (np.isfinite(self.chi) and self.chi > 0.0):
+            raise ConfigError(f"chi must be finite and > 0, got {self.chi!r}")
         for name in ("T1c", "T1q", "T2q", "t_m"):
             v = getattr(self, name)
             if not v > 0.0:

@@ -188,10 +188,7 @@ def apply_overrides(
 # ending in "?" also admits null; a list kind applies the bound to each item.
 CONFIG_SCHEMA = {
     "master_seed": ("int", ">= 0"),
-    **{
-        f"device.{k}": ("num", "> 0")
-        for k in ("omega_c", "chi", "T1c", "T1q", "T2q", "t_m")
-    },
+    **{f"device.{k}": ("num", "> 0") for k in ("chi", "T1c", "T1q", "T2q", "t_m")},
     **{
         f"device.{k}": ("num", "in [0, 1]")
         for k in ("n_c", "n_q", "readout_Fge", "readout_Fge_inv", "p_d", "p_leak")
@@ -512,6 +509,22 @@ def _probe_parts(p: dict):
     return CatSpec(alpha=math.sqrt(a2)), "compass", f"a{a2:g}", a2
 
 
+def _campaign(
+    cfg: dict, device, trials: int, init, stage: str, *indices, beta=None, p=None
+):
+    """One campaign of the probe init (None = vacuum) with a mimic
+    displacement beta or a signal probability p, at the config's repeats and
+    the seed of the labeled path (stage, *indices)."""
+    tc = TrialConfig(
+        init=init,
+        injected_beta=beta,
+        p_signal=p,
+        repeats=cfg["repeats"],
+        rng_seed=derive_seed(cfg["master_seed"], stage, *indices),
+    )
+    return run_campaign(trials, tc, device)
+
+
 def _count_positives(model, threshold: float, campaign):
     """(k_pos, n_kept, n_dropped) after post-selection and classification."""
     kept, dropped = postselect(campaign.records)
@@ -521,20 +534,28 @@ def _count_positives(model, threshold: float, campaign):
     return int(np.sum(lam > threshold)), len(kept), dropped
 
 
-def _signal_probability(where: str, eps: float, point, halo, t, alpha_sq, g=None):
-    """p_signal of one injected campaign, checked before any campaign runs:
-    an epsilon (the config value at where) that overflows p or takes it
-    past 1 is a config error."""
-    try:
-        p = excitation_probability(eps, point, halo, t, alpha_sq, g)
-    except (OverflowError, UnitOverflow):
-        p = math.inf
-    if not p <= 1.0:
-        raise ConfigError(
-            f"{where} must be small enough that every injected campaign's "
-            f"p_signal <= 1, got {eps!r} (p_signal {p:.3g} at t = {t!r} s)"
-        )
-    return p
+def _signal_probabilities(where: str, eps: float, halo, cases) -> list[float]:
+    """p_signal of each injected campaign, one per (point, t, alpha_sq, g)
+    case, checked before any campaign runs: an epsilon (the config value at
+    where) that overflows a p or takes it past 1 is a config error, raised
+    without the perturbative-regime warnings of the cases before it."""
+    ps = []
+    with warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("always")
+        for point, t, alpha_sq, g in cases:
+            try:
+                p = excitation_probability(eps, point, halo, t, alpha_sq, g)
+            except (OverflowError, UnitOverflow):
+                p = math.inf
+            if not p <= 1.0:
+                raise ConfigError(
+                    f"{where} must be small enough that every injected campaign's "
+                    f"p_signal <= 1, got {eps!r} (p_signal {p:.3g} at t = {t!r} s)"
+                )
+            ps.append(p)
+    for w in held:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return ps
 
 
 def _calibrated_eta(etas_by_label: dict, label: str, hint: str = "") -> float:
@@ -564,8 +585,6 @@ def run_calibrate(cfg: dict):
     alpha_sq * |beta_applied|^2 fixed across probes.  Every probe then sees
     the same response range, inside the linear regime of the fit model."""
     device = build_device(cfg)
-    master = cfg["master_seed"]
-    repeats = cfg["repeats"]
     trials = cfg["calibration"]["trials"]
     betas = [float(b) for b in cfg["calibration"]["betas"]]
     rows = []
@@ -576,15 +595,9 @@ def run_calibrate(cfg: dict):
         thr = float(cfg["thresholds"][mode])
         pts = []
         for bi, beta in enumerate(betas):
-            seed = derive_seed(master, "calibrate", pi, bi)
             applied = beta / math.sqrt(a2)
-            tc = TrialConfig(
-                init=init,
-                injected_beta=applied if beta > 0 else None,
-                repeats=repeats,
-                rng_seed=seed,
-            )
-            camp = run_campaign(trials, tc, device)
+            drive = applied if beta > 0 else None
+            camp = _campaign(cfg, device, trials, init, "calibrate", pi, bi, beta=drive)
             k, n_kept, n_drop = _count_positives(model, thr, camp)
             n_inj = applied * applied
             pts.append((n_inj, k, n_kept))
@@ -659,8 +672,6 @@ def run_search(cfg: dict):
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
-    master = cfg["master_seed"]
-    repeats = cfg["repeats"]
     sr = cfg["search"]
     taus = [float(t) for t in sr["tau_grid"]]
     eps = sr["inject_epsilon"]
@@ -670,20 +681,13 @@ def run_search(cfg: dict):
     g_at = dict(zip(taus, g_of_t(taus, point, halo)))
     p_signal = {}  # (probe index, tau) -> p, checked before any campaign runs
     if eps:
-        for pi, (init, _, _, _) in enumerate(probes):
-            # the simulated probe's |alpha|^2, which can differ from a2 in
-            # the last bit: abs(sqrt(12)) ** 2 is 11.999999999999998
-            a2_sim = abs(init.alpha) ** 2 if init is not None else 1.0
-            for tau in taus:
-                p_signal[pi, tau] = _signal_probability(
-                    "search.inject_epsilon",
-                    float(eps),
-                    point,
-                    halo,
-                    tau,
-                    a2_sim,
-                    g_at[tau],
-                )
+        # the simulated probe's |alpha|^2, which can differ from a2 in the
+        # last bit: abs(sqrt(12)) ** 2 is 11.999999999999998
+        a2_sim = [1.0 if init is None else abs(init.alpha) ** 2 for init, *_ in probes]
+        keys = list(itertools.product(range(len(probes)), taus))
+        cases = [(point, tau, a2_sim[pi], g_at[tau]) for pi, tau in keys]
+        ps = _signal_probabilities("search.inject_epsilon", float(eps), halo, cases)
+        p_signal = dict(zip(keys, ps))
     etas_by_label, files = _load_calibration(cfg)
     # every probe's efficiency is checked before any campaign runs
     etas = [_calibrated_eta(etas_by_label, label) for _, _, label, _ in probes]
@@ -695,10 +699,8 @@ def run_search(cfg: dict):
         thr = float(cfg["thresholds"][mode])
         ks, ns = [], []
         for ti, tau in enumerate(taus):
-            seed = derive_seed(master, "search", pi, ti)
             p = p_signal.get((pi, tau))
-            tc = TrialConfig(init=init, p_signal=p, repeats=repeats, rng_seed=seed)
-            camp = run_campaign(sr["trials"], tc, device)
+            camp = _campaign(cfg, device, sr["trials"], init, "search", pi, ti, p=p)
             k, n_kept, n_drop = _count_positives(model, thr, camp)
             ks.append(k)
             ns.append(n_kept)
@@ -731,8 +733,6 @@ def run_tune_scan(cfg: dict):
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
-    master = cfg["master_seed"]
-    repeats = cfg["repeats"]
     sc = cfg["scan"]
     n_bins = sc["bins"]
     spacing = 2.0 * math.pi * float(sc["spacing_hz"])
@@ -747,17 +747,12 @@ def run_tune_scan(cfg: dict):
     p_signal = [None] * n_bins  # per bin, checked before any campaign runs
     if eps and jbin is not None:
         m_inj = omegas[jbin] / (1.0 + OMEGA_M_OFFSET)
-        p_signal = [
-            _signal_probability(
-                "scan.inject_epsilon",
-                float(eps),
-                SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff),
-                halo,
-                t1c,
-                abs(init.alpha) ** 2,
-            )
+        a2_sim = abs(init.alpha) ** 2
+        cases = [
+            (SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff), t1c, a2_sim, None)
             for om in omegas
         ]
+        p_signal = _signal_probabilities("scan.inject_epsilon", float(eps), halo, cases)
     etas_by_label, files = _load_calibration(cfg)
     eta = _calibrated_eta(etas_by_label, f"a{a2:g}", "; add it to probes")
     # the calibration slope is an efficiency estimate and can overshoot 1
@@ -768,11 +763,7 @@ def run_tune_scan(cfg: dict):
     bins = []
     counts = []
     for i, om in enumerate(omegas):
-        seed = derive_seed(master, "tune", i)
-        tc = TrialConfig(
-            init=init, p_signal=p_signal[i], repeats=repeats, rng_seed=seed
-        )
-        camp = run_campaign(sc["trials"], tc, device)
+        camp = _campaign(cfg, device, sc["trials"], init, "tune", i, p=p_signal[i])
         k, n_kept, n_drop = _count_positives(model, thr, camp)
         bins.append(FrequencyBin(om, k, n_kept, eta, t1c))
         counts.append((i, om, k, n_kept, n_drop))
@@ -822,14 +813,9 @@ def run_simulate_record(cfg: dict):
     rc = cfg["records"]
     init, mode, label, a2 = _probe_parts(rc["probe"])
     beta = float(rc["injected_beta"])
-    seed = derive_seed(cfg["master_seed"], "records", 0)
-    tc = TrialConfig(
-        init=init,
-        injected_beta=beta if beta > 0 else None,
-        repeats=cfg["repeats"],
-        rng_seed=seed,
+    camp = _campaign(
+        cfg, device, rc["trials"], init, "records", 0, beta=beta if beta > 0 else None
     )
-    camp = run_campaign(rc["trials"], tc, device)
     _, dropped = postselect(camp.records)
     files = {"records.jsonl": records_to_jsonl(camp.records)}
     summary = [f"{rc['trials']} records ({label}), {dropped} with leakage"]
@@ -938,11 +924,7 @@ def _render_figure(fid: str, cfg: dict, config_text: str, out_root) -> str:
         a2 = _compass_alpha_sq(cfg)
         init = CatSpec(alpha=math.sqrt(a2))
         model = build_model(device, alpha_sq=a2, mode="compass")
-        seed = derive_seed(cfg["master_seed"], "figures", 0)
-        tc = TrialConfig(
-            init=init, injected_beta=0.15, repeats=cfg["repeats"], rng_seed=seed
-        )
-        camp = run_campaign(ROC_TRIALS, tc, device)
+        camp = _campaign(cfg, device, ROC_TRIALS, init, "figures", 0, beta=0.15)
         rows = threshold_sweep(camp, model, np.geomspace(1e-2, 1e6, 33))
         return sweep_to_csv(rows)
     raise ConfigError(f"unknown figure {fid!r}")

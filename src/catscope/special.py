@@ -1,25 +1,23 @@
 """The few special functions catscope needs, on Python floats.
 
-ndtr and the log-factorial are ports of the Cephes routines behind
-SciPy's ndtr and gammaln (S. L. Moshier, *Cephes Math Library*: ndtr.c and
-gamma.c): the same coefficients and the same operations in the same order,
-with libm's exp and log through the math module, so they return the same
-floats.  xlogy is SciPy's xlogy with libm's log; numpy's vectorized log
-differs from libm's in the last ulp on some inputs.  poisson_sf is an
-independent upward sum for the Fock-space truncation checks, where SciPy's
-pdtrc was used; it agrees with it to about 1e-12 relative.
+ndtr is a port of the Cephes routine behind SciPy's ndtr (S. L. Moshier,
+*Cephes Math Library*: ndtr.c): the same coefficients and the same
+operations in the same order, with libm's exp through the math module, so
+it returns the same floats.  xlogy is SciPy's xlogy with libm's log;
+numpy's vectorized log differs from libm's in the last ulp on some inputs.
+poisson_sf is an independent upward sum for the Fock-space truncation
+checks, where SciPy's pdtrc was used; it agrees with it to about 1e-12
+relative.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 _SQRT1_2 = 0.70710678118654752440  # 1/sqrt(2)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 
 # erfc(x) = exp(-x^2) P(x)/Q(x) on [1, 8), exp(-x^2) R(x)/S(x) on [8, inf);
 # erf(x) = x T(x^2)/U(x^2) on [0, 1].  Q, S and U have an implicit leading 1.
@@ -48,11 +46,6 @@ _T = (
 _U = (
     3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
     2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-# Stirling series of log Gamma(x) for 13 <= x < 1000, in 1/x^2
-_A = (
-    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
 )
 
 
@@ -103,34 +96,6 @@ def _erf(x: float) -> float:
     """Cephes' erf for |x| <= 1."""
     z = x * x
     return x * _polevl(z, _T) / _p1evl(z, _U)
-
-
-def log_factorial(n: int) -> float:
-    """log(n!) for an integer n >= 0, bit-equal to SciPy's gammaln(n + 1).
-
-    Below 13 Cephes' lgam takes the log of the exact product; above, its
-    Stirling series."""
-    if n < 12:
-        return math.log(math.factorial(n))
-    x = float(n + 1)
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + (
-            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-            + 0.0833333333333333333333
-        ) / x
-    return q + _polevl(p, _A) / x
-
-
-@lru_cache(maxsize=16)
-def log_factorials(dim: int) -> np.ndarray:
-    """log(n!) for n = 0 .. dim-1, read-only."""
-    out = np.array([log_factorial(n) for n in range(dim)])
-    out.setflags(write=False)
-    return out
 
 
 def poisson_sf(k: int, m: float) -> float:

@@ -175,8 +175,13 @@ def population_fidelity(p_meas: np.ndarray, p_ideal: np.ndarray) -> float:
     return float(np.sum(np.sqrt(p * q)))
 
 
+def populations(state: StateVector) -> np.ndarray:
+    """Photon-number distribution P_n = |amps_n|^2."""
+    return np.abs(state.amps) ** 2
+
+
 def mean_photon(state: StateVector) -> float:
-    return float(np.sum(np.arange(state.dim) * state.populations()))
+    return float(np.sum(np.arange(state.dim) * populations(state)))
 
 
 def grid_max_abs(grid: PhaseGrid) -> float:

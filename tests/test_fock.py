@@ -8,14 +8,17 @@ from oracles import (
     fock_wigner,
     mean_photon,
     population_fidelity,
+    populations,
     transition_probability,
 )
+from scipy.special import gammaln
 
 from catscope.errors import DimMismatch, TruncationTooSmall
 from catscope.fock import (
     CatSpec,
     PhaseGrid,
     StateVector,
+    _log_poisson_amps,
     annihilation_operator,
     cat_state,
     required_dim,
@@ -33,7 +36,7 @@ def test_required_dim_examples():
 def test_coherent_vacuum_population():
     psi = coherent_state(2.0, 64)
     # P_0 = e^{-|alpha|^2}
-    assert_allclose(psi.populations()[0], np.exp(-4.0), rtol=1e-9)
+    assert_allclose(populations(psi)[0], np.exp(-4.0), rtol=1e-9)
 
 
 def test_coherent_mean_photon():
@@ -44,7 +47,7 @@ def test_coherent_mean_photon():
 
 def test_coherent_norm_and_phase():
     psi = coherent_state(1.5 * np.exp(0.7j), 48)
-    assert_allclose(np.sum(psi.populations()), 1.0, atol=1e-12)
+    assert_allclose(np.sum(populations(psi)), 1.0, atol=1e-12)
     # amplitude phases follow n * arg(alpha)
     ratio = psi.amps[3] / abs(psi.amps[3])
     assert_allclose(ratio, np.exp(3 * 0.7j), atol=1e-10)
@@ -109,7 +112,7 @@ def test_cat_modular_support():
     dim = required_dim(alpha)
     for j in range(4):
         psi = cat_state(CatSpec(alpha, 4, j), dim)
-        pops = psi.populations()
+        pops = populations(psi)
         n = np.arange(dim)
         assert np.all(pops[n % 4 != j] == 0.0)
         assert pops[n % 4 == j].sum() == pytest.approx(1.0, abs=1e-12)
@@ -147,7 +150,25 @@ def test_cat_alpha_zero_limit():
     psi = cat_state(CatSpec(0.0, 4, 2), 12)
     expected = np.zeros(12)
     expected[2] = 1.0
-    assert_allclose(psi.populations(), expected, atol=1e-15)
+    assert_allclose(populations(psi), expected, atol=1e-15)
+
+
+def test_log_poisson_amps_match_gammaln():
+    # e^{-|alpha|^2/2} alpha^n / sqrt(n!) with log n! from SciPy's gammaln.
+    # An ulp of log n! (4.5e-13 near n = 600) moves an amplitude by half
+    # that, relatively, and libm's lgamma and gammaln differ there by up to
+    # two ulps, so the bound is 1e-13 of the largest amplitude plus one ulp
+    # of log (dim - 1)!.
+    top = required_dim(22.0)
+    for mag in np.linspace(0.0, 22.0, 89)[1:]:
+        for alpha in mag * np.exp([0.0, 0.7j, -2.5j]):
+            for dim in (required_dim(mag), top):
+                n = np.arange(dim)
+                log_mod = -0.5 * mag**2 + n * np.log(mag) - 0.5 * gammaln(n + 1.0)
+                ref = np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
+                tol = 1e-13 + np.spacing(gammaln(float(dim)))
+                err = np.max(np.abs(_log_poisson_amps(alpha, dim) - ref))
+                assert err <= tol * np.max(np.abs(ref)), (alpha, dim)
 
 
 def test_wigner_vacuum_peak_and_gaussian():
@@ -370,4 +391,4 @@ def test_dim_property_random_states():
         v /= np.linalg.norm(v)
         s = StateVector(dim, v)
         assert s.dim == dim
-        assert_allclose(np.sum(s.populations()), 1.0, atol=1e-12)
+        assert_allclose(np.sum(populations(s)), 1.0, atol=1e-12)

@@ -1,10 +1,13 @@
-"""Every top-level name in src/catscope has a production caller: a walk of
-name references from cli.main reaches it.  A bare name resolves to its
-module's own definition or through a relative `from .x import y`; `mod.attr`
-resolves when `from . import mod` bound mod.  A reached definition reaches
-every name its code mentions (a class's methods included), and import-time
-statements are roots.  A local that shadows a top-level name counts as a
-use of it.  Reference code only tests call belongs in tests/oracles.py."""
+"""Every top-level name and every method in src/catscope has a production
+caller: a walk of name references from cli.main reaches it.  A bare name
+resolves to its module's own definition or through a relative
+`from .x import y`; `mod.attr` resolves when `from . import mod` bound mod.
+A reached definition reaches every name its code mentions, and import-time
+statements are roots.  A reached class reaches its bases, decorators, class
+body and dunder methods; any other method or property of it is reached once
+reached code loads an attribute of that name, on whatever object.  A local
+that shadows a top-level name counts as a use of it.  Reference code only
+tests call belongs in tests/oracles.py."""
 
 import ast
 import importlib
@@ -65,19 +68,57 @@ def _mentions(tables, module, node):
             yield where, name
 
 
+def _split(node):
+    """(the code a definition reaches at once, its methods by qualified
+    name): a class's methods other than dunders wait for an attribute load."""
+    if not isinstance(node, ast.ClassDef):
+        return [node], {}
+    own, methods = node.bases + node.keywords + node.decorator_list, {}
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+            methods[f"{node.name}.{stmt.name}"] = stmt
+        else:
+            own.append(stmt)
+    return own, methods
+
+
 def test_every_top_level_name_is_reachable_from_the_cli():
     tables = _tables()
-    todo = [("cli", "main")]
+    todo, loaded, waiting, reached = [("cli", "main")], set(), {}, set()
+
+    def visit(module, node):
+        own, methods = _split(node)
+        for part in own:
+            todo.extend(_mentions(tables, module, part))
+            loaded.update(
+                sub.attr
+                for sub in ast.walk(part)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            )
+        waiting.update({(module, name): meth for name, meth in methods.items()})
+
     for module, (_, _, roots) in tables.items():
         for stmt in roots:
-            todo.extend(_mentions(tables, module, stmt))
-    reached = set()
-    while todo:
-        key = todo.pop()
-        if key not in reached:
+            visit(module, stmt)
+    while True:
+        while todo:
+            key = todo.pop()
+            if key not in reached:
+                reached.add(key)
+                visit(key[0], tables[key[0]][0][key[1]])
+        ready = [k for k in waiting if k[1].split(".")[1] in loaded]
+        if not ready:
+            break
+        for key in ready:
             reached.add(key)
-            todo.extend(_mentions(tables, key[0], tables[key[0]][0][key[1]]))
+            visit(key[0], waiting.pop(key))
     every = {(m, name) for m, (defs, _, _) in tables.items() for name in defs}
+    every |= {
+        (m, method)
+        for m, (defs, _, _) in tables.items()
+        for node in defs.values()
+        for method in _split(node)[1]
+    }
     # equality: an allowlisted name that gains a caller or goes leaves the list
     assert every - reached == set(ALLOWED), sorted((every - reached) ^ set(ALLOWED))
 

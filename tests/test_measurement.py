@@ -13,6 +13,7 @@ from oracles import (
     ReadoutRecord,
     displacement_operator,
     population_fidelity,
+    populations,
     prepare_compass,
     record_rows,
     simulate_record,
@@ -378,10 +379,10 @@ def test_prepare_noisy_population_fidelity():
         except PrepFailed:
             continue
         if ok:
-            pops.append(state.populations())
+            pops.append(populations(state))
     assert len(pops) >= 150
     mean_pops = np.mean(pops, axis=0)
-    fid = population_fidelity(mean_pops, ideal.populations())
+    fid = population_fidelity(mean_pops, populations(ideal))
     assert 0.88 <= fid < 1.0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -73,11 +74,11 @@ def test_default_run_ids_are_pinned():
     # drifted default value (DeviceParams, HaloParams, ...) shows here
     txt = pipeline.canonical_config_text(pipeline.default_config())
     assert {c: pipeline.run_id(txt, c) for c in pipeline.COMMANDS} == {
-        "calibrate": "7c7686bc9a36",
-        "search": "82ff19e008cf",
-        "tune-scan": "de41767841a9",
-        "figures": "681068d23162",
-        "simulate-record": "508ab857a559",
+        "calibrate": "ed677258250a",
+        "search": "6ef5df9b7415",
+        "tune-scan": "6f401054bda2",
+        "figures": "2561d1c8957f",
+        "simulate-record": "c2e436d4713d",
     }
 
 
@@ -171,10 +172,30 @@ def test_injection_checked_before_calibration(monkeypatch, tmp_path, command, se
     cfg["scan"]["inject_bin"] = 3
     for eps in (1.0e-12, 1.0e200):
         cfg[section]["inject_epsilon"] = eps
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the perturbative one
-            with pytest.raises(ConfigError, match=f"{section}.inject_epsilon"):
-                pipeline.run_command(command, cfg, out_root=tmp_path)
+        with pytest.raises(ConfigError, match=f"{section}.inject_epsilon"):
+            pipeline.run_command(command, cfg, out_root=tmp_path)
+
+
+def test_accepted_injection_keeps_its_warnings(monkeypatch):
+    # an injection past the perturbative regime with every p_signal <= 1 is
+    # accepted, and warns once per campaign above p = 0.1: at this epsilon
+    # the compass probe's last three search times
+    class Checked(Exception):
+        pass
+
+    def stop(cfg):
+        raise Checked
+
+    monkeypatch.setattr(pipeline, "_load_calibration", stop)
+    cfg = pipeline.default_config()
+    cfg["search"]["inject_epsilon"] = 6.0e-15
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Checked):
+            pipeline.run_search(cfg)
+    texts = [str(w.message) for w in caught]
+    assert len(texts) == 3, texts
+    assert all("outside the perturbative regime" in t for t in texts), texts
 
 
 def test_derive_seed_is_stage_and_index_dependent():
@@ -788,7 +809,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("figures", "halo.rho_dm", "halo:\n  rho_dm: -1\n"),
         ("figures", "point.m_dm", "point:\n  m_dm: -5\n"),
         ("figures", "halo.v_vir", "halo:\n  v_vir: .nan\n"),
-        ("figures", "device.omega_c", "device:\n  omega_c: true\n"),
+        ("figures", "device.chi", "device:\n  chi: true\n"),
         (
             "simulate-record",
             "records.injected_beta",
@@ -820,8 +841,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("simulate-record", "repeats", "repeats: 100000000000\n"),
         # an injection whose p_signal exceeds 1 once exited 2 naming no
         # leaf, after the whole self-calibration; one that overflows it
-        # ended in an OverflowError traceback
+        # ended in an OverflowError traceback.  Each once printed the
+        # perturbative-regime warnings of its campaigns before the error:
+        # at 1e-13 the first two vacuum campaigns pass and the third fails
         ("search", "search.inject_epsilon", "search:\n  inject_epsilon: 1.0e-12\n"),
+        ("search", "search.inject_epsilon", "search:\n  inject_epsilon: 1.0e-13\n"),
         ("search", "search.inject_epsilon", "search:\n  inject_epsilon: 1.0e+200\n"),
         (
             "tune-scan",
@@ -841,11 +865,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     for i, (command, leaf, text) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
         p.write_text(text)
-        rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2, leaf
         err = capsys.readouterr().err
         assert f"error: {leaf} must be" in err
         assert "Traceback" not in err
+        assert not caught, (text, [str(w.message) for w in caught])
+
+    # the cavity frequency is the search point's; device has no omega_c
+    p = tmp_path / "device-omega.yaml"
+    p.write_text("device:\n  omega_c: 1.0\n")
+    rc = cli.main(["figures", "--config", str(p), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: unknown config key 'device.omega_c'" in capsys.readouterr().err
 
     # extreme halo speeds pass every leaf bound but leave a coherence time
     # of 0 s, which once ended in a traceback from np.geomspace (or, for
@@ -925,6 +959,67 @@ def test_config_schema_covers_every_default_leaf():
         if p != "probes" and not p.startswith("records.probe.")
     }
     assert set(pipeline.CONFIG_SCHEMA) == leaves
+
+
+class _ReadLog(dict):
+    """A config tree that logs the dotted path of every key read."""
+
+    def __init__(self, tree, reads, prefix=""):
+        super().__init__(
+            (k, _ReadLog(v, reads, f"{prefix}{k}.") if isinstance(v, dict) else v)
+            for k, v in tree.items()
+        )
+        self.reads, self.prefix = reads, prefix
+
+    def __getitem__(self, key):
+        self.reads.add(self.prefix + key)
+        return super().__getitem__(key)
+
+
+def _watched(obj, prefix, reads):
+    """obj, from now on logging each read of one of its dataclass fields as
+    prefix.field; its construction has already read them all."""
+    names = {f.name for f in dataclasses.fields(obj)}
+
+    class Watched(type(obj)):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(f"{prefix}.{name}")
+            return object.__getattribute__(self, name)
+
+    object.__setattr__(obj, "__class__", Watched)
+    return obj
+
+
+def test_every_config_leaf_is_read_by_a_command(monkeypatch):
+    # a leaf that only validation and the canonical text read changes the
+    # run id but nothing a command does.  The device, halo and point leaves
+    # count when a command reads the dataclass attribute, not when
+    # build_device and its siblings pass them all to the constructor; the
+    # point's omega_c is read, so a search by name cannot tell a device
+    # omega_c from it
+    reads, fields = set(), set()
+    for section in ("device", "halo", "point"):
+        build = getattr(pipeline, f"build_{section}")
+        monkeypatch.setattr(
+            pipeline,
+            f"build_{section}",
+            lambda cfg, build=build, section=section: _watched(
+                build(cfg), section, fields
+            ),
+        )
+    base = _small_cfg(seed=1, trials=40)  # calibrates positive efficiencies
+    base["scan"].update(inject_epsilon=2e-16, inject_bin=3)
+    base["records"]["injected_beta"] = 0.1
+    config_text = pipeline.canonical_config_text(base)
+    cfg = _ReadLog(base, reads)
+    pipeline.run_search(cfg)  # self-calibrates
+    pipeline.run_tune_scan(cfg)
+    pipeline.run_simulate_record(cfg)
+    pipeline.run_figures(cfg, config_text)
+    dict_read = {r for r in reads if r.split(".")[0] not in ("device", "halo", "point")}
+    unread = set(pipeline.CONFIG_SCHEMA) - dict_read - fields
+    assert not unread, sorted(unread)
 
 
 HOSTILE = [0, -1, math.nan, math.inf, -math.inf, "x", True, None, [1.0]]

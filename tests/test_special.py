@@ -27,15 +27,6 @@ def test_ndtr_equals_scipy():
     assert np.isnan(special.ndtr(float("nan")))
 
 
-def test_log_factorial_equals_gammaln():
-    n = np.concatenate([np.arange(20000), np.arange(20000, 200000, 37)])
-    mine = np.array([special.log_factorial(int(v)) for v in n])
-    assert np.array_equal(mine, sc.gammaln(n + 1.0))
-    big = [10**8 - 1, 10**8, 10**9 + 7, 10**12]
-    assert [special.log_factorial(v) for v in big] == list(sc.gammaln(np.array(big) + 1.0))
-    assert np.array_equal(special.log_factorials(300), sc.gammaln(np.arange(300) + 1.0))
-
-
 def test_xlogy_equals_scipy():
     rng = np.random.default_rng(9)
     x = rng.integers(0, 2000, 20000).astype(float)
