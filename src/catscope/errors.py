@@ -10,10 +10,6 @@ class CatscopeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TruncationTooSmall(CatscopeError):
-    """Fock-space dimension cannot hold the requested state to tail mass < 1e-8."""
-
-
 class NonFinite(CatscopeError):
     """NaN or infinity encountered in an input amplitude or parameter."""
 

@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DegenerateDesign,
     NonConvergence,
+    NonFinite,
     SingleBin,
     ZeroBaseline,
     ZeroEfficiency,
@@ -570,6 +571,10 @@ def background_subtract(
             rv = rho_m_veff(pt, halo)
         shape = 2.0 * math.pi * float(lineshape(b.omega_i, pt, halo))
         n_ref = eta_fit * rv * b.t1c_i * shape
+        if not math.isfinite(n_ref):
+            raise NonFinite(
+                f"bin at omega={b.omega_i!r} has a non-finite signal response {n_ref!r}"
+            )
         if not n_ref > 0.0:
             raise ZeroSignalDenominator(
                 f"bin at omega={b.omega_i!r} has no signal response"

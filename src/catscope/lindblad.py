@@ -13,14 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidIndex
-from .fock import _dyad_log_weights
-
-
-def _cat_norm_sq(m: int, idx: int, a2: float) -> float:
-    """Exact normalization N^2 of the m-component cat with modular index idx
-    and |alpha|^2 = a2, from the finite sum over coherent overlaps."""
-    s = np.sum(np.exp(_dyad_log_weights(m, idx, a2)))
-    return float(1.0 / np.real(s))
+from .fock import _sector_norm
 
 
 def transition_curves_to_csv(
@@ -60,7 +53,7 @@ def transition_curves_to_csv(
             for j in range(m)
         ]
     )
-    norms = [_cat_norm_sq(m, idx, a2) for idx in range(m)]
+    norms = [1.0 / _sector_norm(m, idx, a2) for idx in range(m)]
     lines = ["t,j,l,p"]
     for t in times:
         ap = a * np.exp(-kappa * t / 2.0)  # decayed amplitude

@@ -13,6 +13,8 @@ p_leak; records containing L are meant to be dropped downstream.
 A planted signal enters only as a number: the probability p_signal that it
 has moved the probe up one sector before the first check, which the
 commands compute from the halo model (darkmatter.excitation_probability).
+A calibration's mimic displacement enters as the sector populations it
+leaves, closed-form sums over coherent dyads (_mimic_sector_populations).
 
 run_campaign draws hidden paths for every trial of a campaign together
 from the transition matrix augmented with a per-step demolition channel
@@ -32,12 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, InvalidMode
-from .fock import CatSpec, _displace_vector, cat_state, required_dim
+from .fock import CatSpec, _sector_norm
 
 SYMBOL_GROUND = "G"
 SYMBOL_EXCITED = "E"
@@ -269,30 +270,44 @@ def build_emission_matrix(device: DeviceParams, mode: str = "compass") -> np.nda
 # signal injection
 
 
-@lru_cache(maxsize=128)
 def _mimic_sector_populations(
     alpha: complex, m: int, j: int, beta: complex
-) -> tuple[float, ...]:
+) -> np.ndarray:
     """Sector distribution after a mimic displacement.
 
-    The l != j entries are the cat-basis overlaps |<phi_l| D(beta) |phi_j>|^2;
-    the part of the displaced state that leaves the cat-code space (mass of
-    order |beta|^2 times the photon-number spread) is folded back into the
-    starting sector.  This keeps the hidden-sector flip probability equal to
-    the plain two-state transition probability the analysis calibrates
-    against, rather than the somewhat larger bare modular mass.
+    The l != j entries are the cat-basis overlaps |<phi_l| D(beta) |phi_j>|^2,
+    each the sum over coherent dyads (b_p = alpha e^{i phi_p})
+
+        <phi_l|D(beta)|phi_j> = (N_l N_j)^{-1/2} sum_{r,q} e^{il phi_r}
+            e^{-ij phi_q} exp((beta b_q^* - beta^* b_q)/2 - |b_r|^2/2
+                              - |b_q + beta|^2/2 + b_r^* (b_q + beta)),
+
+    with each term's phase added to its exponent before the one exp, so
+    no term exceeds 1 in modulus.  The part of the displaced state that
+    leaves the cat-code space (mass of order |beta|^2 times the
+    photon-number spread) is folded back into the starting sector.  This
+    keeps the hidden-sector flip probability equal to the plain two-state
+    transition probability the analysis calibrates against, rather than
+    the somewhat larger bare modular mass.
     """
-    dim = required_dim(abs(alpha) + abs(beta))
-    psi = cat_state(CatSpec(alpha, m, j), dim).amps
-    disp = _displace_vector(complex(beta), psi)
-    probs = np.zeros(m)
-    for lsec in range(m):
-        if lsec == j:
-            continue
-        target = cat_state(CatSpec(alpha, m, lsec), dim).amps
-        probs[lsec] = abs(np.vdot(target, disp)) ** 2
+    phi = 2.0 * np.pi * np.arange(m) / m
+    b = alpha * np.exp(1j * phi)
+    a2 = abs(alpha) ** 2
+    moved = b + beta  # D(beta)|b_q> = e^{(beta b_q^* - beta^* b_q)/2} |b_q + beta>
+    log_t = (  # terms (l, r, q)
+        1j * np.arange(m)[:, None, None] * phi[:, None]
+        - 1j * j * phi
+        + (beta * b.conj() - np.conj(beta) * b) / 2.0
+        - a2 / 2.0
+        - np.abs(moved) ** 2 / 2.0
+        + b.conj()[:, None] * moved
+    )
+    amps = np.exp(log_t).sum(axis=(1, 2))
+    norms = np.array([_sector_norm(m, lsec, a2) for lsec in range(m)])
+    probs = np.abs(amps) ** 2 / (norms * norms[j])
+    probs[j] = 0.0
     probs[j] = 1.0 - probs.sum()
-    return tuple(probs)
+    return probs
 
 
 def _initial_sector_probs(cfg: TrialConfig) -> np.ndarray:
@@ -300,10 +315,8 @@ def _initial_sector_probs(cfg: TrialConfig) -> np.ndarray:
     if cfg.mode == "compass":
         j0 = cfg.init.j
         if cfg.injected_beta is not None:
-            return np.array(
-                _mimic_sector_populations(
-                    complex(cfg.init.alpha), cfg.init.m, j0, complex(cfg.injected_beta)
-                )
+            return _mimic_sector_populations(
+                complex(cfg.init.alpha), cfg.init.m, j0, complex(cfg.injected_beta)
             )
         p = cfg.p_signal or 0.0
         probs = np.zeros(4)

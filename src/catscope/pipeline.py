@@ -59,13 +59,8 @@ from .fits import (
     sweep_to_csv,
     threshold_sweep,
 )
-from .fock import (
-    CatSpec,
-    PhaseGrid,
-    required_dim,
-    wigner,
-    wigner_to_csv,
-)
+from .fock import _MIN_CAT_NORM, CatSpec, PhaseGrid, _sector_norm, wigner
+from .fock import wigner_to_csv
 from .hmm import batch_posteriors, build_model, postselect
 from .lindblad import transition_curves_to_csv
 from .measurement import DeviceParams, TrialConfig, records_to_jsonl, run_campaign
@@ -271,26 +266,36 @@ def _check_probe(p, where: str) -> None:
         _check_leaf(f"{where}.alpha_sq", p.get("alpha_sq"), "num", "> 0")
 
 
-# A mimic displacement beta on a probe of amplitude alpha is simulated on
-# fock.required_dim(|alpha| + |beta|) levels with a dense eigenbasis; this
-# amplitude, 648 levels, is the most the simulator should allocate, far
-# above the drives a calibration uses (|beta| <= 0.2).
+# A mimic displacement beta on a probe of amplitude alpha is folded back into
+# the cat sectors (measurement._mimic_sector_populations), a model of small
+# displacements; this bound, far above the drives a calibration uses
+# (|beta| <= 0.2), keeps drives in its regime and |beta|^2 finite.
 MAX_MIMIC_AMPLITUDE = 22.0
 
 
-def _check_mimic(where: str, beta: float, probe: dict, applied: float) -> None:
-    """Reject a displacement whose truncation exceeds MAX_MIMIC_AMPLITUDE;
+def _check_mimic(
+    where: str, beta: float, probe: dict, at: str, applied: float
+) -> None:
+    """Reject a displacement beyond MAX_MIMIC_AMPLITUDE, or one on a compass
+    probe (config path at) with a sector normalization below _MIN_CAT_NORM;
     applied is the displacement the simulator uses for config value beta."""
     if beta == 0.0:
         return  # no displacement is simulated
-    _, _, label, a2 = _probe_parts(probe)
-    alpha = math.sqrt(a2) if probe["kind"] == "compass" else 0.0
+    init, _, label, a2 = _probe_parts(probe)
+    alpha = math.sqrt(a2) if init is not None else 0.0
     if not alpha + applied <= MAX_MIMIC_AMPLITUDE:
-        dim = required_dim(MAX_MIMIC_AMPLITUDE)
         raise ConfigError(
             f"{where} must be small enough that |alpha| + |beta| <= "
-            f"{MAX_MIMIC_AMPLITUDE:g} ({dim} Fock levels); on probe {label}, "
-            f"{beta!r} displaces by {applied!r}"
+            f"{MAX_MIMIC_AMPLITUDE:g}; on probe {label}, {beta!r} displaces by "
+            f"{applied!r}"
+        )
+    if init is not None and not min(
+        _sector_norm(init.m, j, a2) for j in range(init.m)
+    ) > _MIN_CAT_NORM:
+        raise ConfigError(
+            f"{at}.alpha_sq must be large enough that every cat sector's "
+            f"normalization exceeds {_MIN_CAT_NORM:g} when {where} displaces it, "
+            f"got {a2!r}"
         )
 
 
@@ -338,12 +343,16 @@ def validate_config(cfg: dict) -> None:
     betas = cfg["calibration"]["betas"]
     if len(set(betas)) < 3:
         raise ConfigError("calibration.betas needs at least 3 distinct values")
-    for p in probes:
+    for i, p in enumerate(probes):
         a2 = _probe_parts(p)[3]
         for beta in betas:
-            _check_mimic("calibration.betas", beta, p, beta / math.sqrt(a2))
+            applied = beta / math.sqrt(a2)
+            _check_mimic("calibration.betas", beta, p, f"probes[{i}]", applied)
     beta = cfg["records"]["injected_beta"]
-    _check_mimic("records.injected_beta", beta, cfg["records"]["probe"], beta)
+    probe = cfg["records"]["probe"]
+    _check_mimic("records.injected_beta", beta, probe, "records.probe", beta)
+    if len(set(cfg["search"]["tau_grid"])) < 2:
+        raise ConfigError("search.tau_grid needs at least 2 distinct values")
     draws = 1 + 4 * cfg["repeats"]
     trials = max([cfg[s]["trials"] for s in _TRIAL_SECTIONS] + [ROC_TRIALS])
     if trials * draws > MAX_CAMPAIGN_DRAWS:

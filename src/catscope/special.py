@@ -5,9 +5,6 @@ ndtr is a port of the Cephes routine behind SciPy's ndtr (S. L. Moshier,
 operations in the same order, with libm's exp through the math module, so
 it returns the same floats.  xlogy is SciPy's xlogy with libm's log;
 numpy's vectorized log differs from libm's in the last ulp on some inputs.
-poisson_sf is an independent upward sum for the Fock-space truncation
-checks, where SciPy's pdtrc was used; it agrees with it to about 1e-12
-relative.
 """
 
 from __future__ import annotations
@@ -96,24 +93,6 @@ def _erf(x: float) -> float:
     """Cephes' erf for |x| <= 1."""
     z = x * x
     return x * _polevl(z, _T) / _p1evl(z, _U)
-
-
-def poisson_sf(k: int, m: float) -> float:
-    """P(X > k) for X ~ Poisson(m), the mass a truncation at k + 1 levels
-    leaves out.
-
-    The terms j > k are summed upward in log space, from the first term
-    that can matter to where they fall below e^-800 of the largest: a term
-    more than 40 sqrt(m) + 60 away from the mode m is that small.  When
-    the whole window lies above k the tail is 1 to double precision."""
-    if m == 0.0:
-        return 0.0
-    width = 40.0 * math.sqrt(m) + 60.0
-    if k + 1 < m - width:
-        return 1.0
-    j = np.arange(k + 1, int(max(k + 1, m) + width) + 1, dtype=float)
-    log_j_factorial = np.array([math.lgamma(v + 1.0) for v in j.tolist()])
-    return float(np.sum(np.exp(j * math.log(m) - m - log_j_factorial)))
 
 
 def _log(y: float) -> float:

@@ -7,14 +7,17 @@ itself does not need:
 - lindblad_evolve: a dense Lindblad propagation (solve_ivp) of photon loss
   and heating, against lindblad's closed-form cat transitions;
 - displacement_operator: D(beta) by matrix exponential (expm), against
-  fock's spectral displacement and the record simulator;
+  the closed-form mimic sector populations, the spectral displacement of
+  fock_wigner and the record simulator;
 - forward_backward: the scalar logsumexp posterior recursion, with its own
   G/E symbol encoder and Posterior check, against hmm.batch_posteriors;
 - g_of_t_reference: g(t) from scipy.integrate.quad over the same sinc-null
   breakpoints with a scalar integrand, against darkmatter.g_of_t.
 
-The rest, in plain NumPy, are reference models no command runs: Fock-space
-states and overlap measures; fock_wigner, the Wigner function of a state
+The rest, in plain NumPy, are reference models no command runs: the
+truncated Fock space (required_dim, StateVector, cat_state and the
+Poisson tail check poisson_sf), states and overlap measures on it;
+fock_wigner, the Wigner function of a state
 by displacing it in Fock space, against the closed-form cat Wigner
 fock.wigner; cat_transition_probability, one (t, j, l) cell of the loss
 transition sum, against lindblad.transition_curves_to_csv;
@@ -45,19 +48,9 @@ from catscope.errors import (
     NonConvergence,
     NonFinite,
     QuadratureFailure,
-    TruncationTooSmall,
 )
-from catscope.fock import (
-    _TAIL_TOL,
-    PhaseGrid,
-    StateVector,
-    _displacement_basis,
-    _log_poisson_amps,
-    annihilation_operator,
-    required_dim,
-)
+from catscope.fock import CatSpec, PhaseGrid, _sector_norm
 from catscope.hmm import HmmModel
-from catscope.lindblad import _cat_norm_sq
 from catscope.measurement import (
     SYMBOL_ALPHABET,
     SYMBOL_EXCITED,
@@ -73,7 +66,129 @@ from catscope.measurement import (
     _qubit_kernel,
     _sector_kinds,
 )
-from catscope.special import poisson_sf
+
+
+# ---------------------------------------------------------------------------
+# the truncated Fock space
+
+
+class TruncationTooSmall(CatscopeError):
+    """Fock-space dimension cannot hold the requested state to tail mass < 1e-8."""
+
+
+_TAIL_TOL = 1e-8
+_NORM_TOL = 1e-10
+
+
+def poisson_sf(k: int, m: float) -> float:
+    """P(X > k) for X ~ Poisson(m), the mass a truncation at k + 1 levels
+    leaves out.
+
+    The terms j > k are summed upward in log space, from the first term
+    that can matter to where they fall below e^-800 of the largest: a term
+    more than 40 sqrt(m) + 60 away from the mode m is that small.  When
+    the whole window lies above k the tail is 1 to double precision."""
+    if m == 0.0:
+        return 0.0
+    width = 40.0 * math.sqrt(m) + 60.0
+    if k + 1 < m - width:
+        return 1.0
+    j = np.arange(k + 1, int(max(k + 1, m) + width) + 1, dtype=float)
+    log_j_factorial = np.array([math.lgamma(v + 1.0) for v in j.tolist()])
+    return float(np.sum(np.exp(j * math.log(m) - m - log_j_factorial)))
+
+
+def required_dim(alpha_max: float) -> int:
+    """Smallest truncation holding amplitudes up to |alpha_max| (tail < 1e-8)."""
+    a = abs(alpha_max)
+    return int(np.ceil(a * a + 7.0 * a + 10.0))
+
+
+def annihilation_operator(dim: int) -> np.ndarray:
+    """Matrix of a: a|n> = sqrt(n)|n-1>."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Pure state |psi> = sum_n amps[n] |n> on a truncated Fock space."""
+
+    dim: int
+    amps: np.ndarray
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        amps = np.asarray(self.amps, dtype=complex)
+        if amps.shape != (self.dim,):
+            raise DimMismatch(f"amps shape {amps.shape} != ({self.dim},)")
+        if not np.all(np.isfinite(amps)):
+            raise NonFinite("state amplitudes contain NaN/inf")
+        norm = float(np.sum(np.abs(amps) ** 2))
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise ValueError(f"state not normalized: sum |amps|^2 = {norm!r}")
+        object.__setattr__(self, "amps", amps)
+
+
+def _log_poisson_amps(alpha: complex, dim: int) -> np.ndarray:
+    """Unnormalized coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!), computed
+    in log space so large n never overflows."""
+    n = np.arange(dim)
+    mag = abs(alpha)
+    if mag == 0.0:
+        amps = np.zeros(dim, dtype=complex)
+        amps[0] = 1.0
+        return amps
+    log_n_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    log_mod = -0.5 * mag * mag + n * np.log(mag) - 0.5 * log_n_fact
+    return np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
+
+
+def cat_state(spec: CatSpec, dim: int) -> StateVector:
+    """M-component cat |phi_{M,j}>: the coherent superposition
+    sum_k e^{-ij phi_k} |alpha e^{i phi_k}>, phi_k = 2 pi k / M.
+
+    Built directly in the Fock basis, where the state is the Poisson
+    amplitude sequence restricted to n = j (mod M), with the exact
+    normalization from the finite sum (the M^{-1/2} shorthand is an
+    approximation that fails for |alpha|^2 of a few).
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if spec.j >= dim:
+        raise TruncationTooSmall(f"dim={dim} cannot hold Fock level j={spec.j}")
+    alpha = complex(spec.alpha)
+    if abs(alpha) == 0.0:
+        # Limit alpha -> 0: the leading term alpha^j dominates, so the state
+        # tends to the Fock state |j>.
+        amps = np.zeros(dim, dtype=complex)
+        amps[spec.j] = 1.0
+        return StateVector(dim, amps)
+    amps = _log_poisson_amps(alpha, dim)
+    mask = (np.arange(dim) % spec.m) == spec.j
+    amps = np.where(mask, amps, 0.0)
+    sector_mass = float(np.sum(np.abs(amps) ** 2))
+    tail = poisson_sf(dim - 1, abs(alpha) ** 2)
+    if sector_mass <= 0.0 or tail >= _TAIL_TOL * (sector_mass + tail):
+        raise TruncationTooSmall(
+            f"dim={dim} leaves relative tail {tail:.3e} on sector j={spec.j} (mod {spec.m})"
+        )
+    return StateVector(dim, amps / np.sqrt(sector_mass))
+
+
+def _displacement_basis(dim: int):
+    """Eigendecomposition of the Hermitian generator i(a^dag - a).
+
+    On the truncated space D(z) = R(theta) exp(-i r H) R(theta)^dag with
+    z = r e^{i theta}, H = i(a^dag - a), and R(theta) = e^{i theta n}; this
+    identity is exact for the truncated matrices, so the spectral form
+    reproduces expm(z a^dag - z^* a) to rounding error while costing one
+    diagonalization per dim instead of one expm per phase-space point.
+    """
+    a = annihilation_operator(dim)
+    h = 1j * (a.conj().T - a)
+    evals, evecs = np.linalg.eigh(h)
+    return evals, evecs
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +314,8 @@ def fock_wigner(state: StateVector, grid: PhaseGrid) -> np.ndarray:
 
     Returns a real array of shape (n_re, n_im) matching PhaseGrid.points().
     The state is displaced by D(-z) through the spectral form of
-    fock._displace_vector, one grid row (fixed Re z) at a time: two
-    (n_im, dim) @ (dim, dim) products per row on the cached eigenbasis.  The
+    _displacement_basis, one grid row (fixed Re z) at a time: two
+    (n_im, dim) @ (dim, dim) products per row on the one eigenbasis.  The
     outer phase R(theta) of that form is dropped, since the parity
     expectation needs only |D(-z) psi|^2.  Raises TruncationTooSmall when the
     displaced state would spill out of the truncated space (|z|_max plus the
@@ -267,7 +382,8 @@ def cat_transition_probability(
     ov_sp = np.exp(-0.5 * (a2 + ap * ap) + a * ap * np.exp(1j * (p_ - s_)))
     weight = np.exp(-1j * j * (p_ - q_)) * np.exp(-1j * l * (r_ - s_))
     total = np.sum(weight * f_pq * ov_qr * ov_sp)
-    prob = _cat_norm_sq(m, j, a2) * _cat_norm_sq(m, l, a2) * float(np.real(total))
+    norm_j, norm_l = 1.0 / _sector_norm(m, j, a2), 1.0 / _sector_norm(m, l, a2)
+    prob = norm_j * norm_l * float(np.real(total))
     if not -1e-9 <= prob <= 1.0 + 1e-9:
         raise ValueError(f"transition probability {prob!r} outside [0, 1]")
     return min(max(prob, 0.0), 1.0)

@@ -12,12 +12,14 @@ import pytest
 from conftest import enumerate_posterior
 from oracles import (
     LossChannel,
+    cat_state,
     displacement_operator,
     forward_backward,
     lindblad_evolve,
     population_fidelity,
     prepare_compass,
     record_rows,
+    required_dim,
     threshold_complement,
     to_density,
     transition_probability,
@@ -39,7 +41,7 @@ from catscope.fits import (
     epsilon_limit,
     threshold_sweep,
 )
-from catscope.fock import CatSpec, cat_state, required_dim
+from catscope.fock import CatSpec
 from catscope.hmm import build_model
 from oracles import cat_transition_probability
 from catscope.measurement import DeviceParams, TrialConfig, run_campaign

@@ -3,28 +3,24 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import (
     NegativeProbability,
+    StateVector,
+    TruncationTooSmall,
+    _log_poisson_amps,
+    annihilation_operator,
+    cat_state,
     coherent_state,
     displacement_operator,
     fock_wigner,
     mean_photon,
     population_fidelity,
     populations,
+    required_dim,
     transition_probability,
 )
 from scipy.special import gammaln
 
-from catscope.errors import DimMismatch, TruncationTooSmall
-from catscope.fock import (
-    CatSpec,
-    PhaseGrid,
-    StateVector,
-    _log_poisson_amps,
-    annihilation_operator,
-    cat_state,
-    required_dim,
-    wigner,
-    wigner_to_csv,
-)
+from catscope.errors import DimMismatch
+from catscope.fock import CatSpec, PhaseGrid, wigner, wigner_to_csv
 
 
 def test_required_dim_examples():

@@ -5,14 +5,16 @@ from numpy.testing import assert_allclose
 from oracles import (
     EvolutionResult,
     LossChannel,
+    cat_state,
     cat_transition_probability,
     coherent_state,
     lindblad_evolve,
+    required_dim,
     to_density,
 )
 
 from catscope.errors import InvalidIndex
-from catscope.fock import CatSpec, cat_state, required_dim
+from catscope.fock import CatSpec
 from catscope.lindblad import transition_curves_to_csv
 
 

@@ -11,11 +11,13 @@ from numpy.testing import assert_allclose
 from oracles import (
     PrepFailed,
     ReadoutRecord,
+    cat_state,
     displacement_operator,
     population_fidelity,
     populations,
     prepare_compass,
     record_rows,
+    required_dim,
     simulate_record,
     transition_probability,
 )
@@ -24,7 +26,7 @@ from scipy.stats import chi2
 from catscope import measurement as ms
 from catscope.darkmatter import SearchPoint, coherence_time, excitation_probability
 from catscope.errors import ConfigError, InvalidMode
-from catscope.fock import CatSpec, cat_state, required_dim
+from catscope.fock import CatSpec
 
 
 def test_device_defaults():
@@ -386,13 +388,35 @@ def test_prepare_noisy_population_fidelity():
     assert 0.88 <= fid < 1.0
 
 
-def test_mimic_populations_cached_and_normalized():
+def test_mimic_populations_normalized():
     pops = ms._mimic_sector_populations(2.0, 4, 0, 0.1)
     assert len(pops) == 4
     assert sum(pops) == pytest.approx(1.0, abs=1e-12)
     assert pops[0] > 0.9
-    again = ms._mimic_sector_populations(2.0, 4, 0, 0.1)
-    assert pops == again
+
+
+@pytest.mark.parametrize(
+    "a2, tol",
+    [(0.01, 1e-9), (0.1, 1e-12), (1.0, 1e-12), (4.0, 1e-12), (12.0, 1e-12)]
+    + [(100.0, 1e-12), (400.0, 1e-12)],
+)
+def test_mimic_populations_match_expm_route(a2, tol):
+    # the coherent-dyad sum against |<phi_l| D(beta) |phi_j>|^2 with D(beta)
+    # built by expm on a truncated Fock space, for every j and l != j, with
+    # complex alpha and beta; the entry l = j takes the folded-back rest.
+    # At |alpha|^2 = 0.01 the sector norms N ~ 16 |alpha|^{2j} / j! lose
+    # digits to cancellation, hence the looser bound there
+    alpha = math.sqrt(a2) * np.exp(0.4j)
+    for beta in (0.04 - 0.03j, 0.3 * np.exp(1.1j)):
+        dim = required_dim(abs(alpha) + abs(beta))
+        d = displacement_operator(beta, dim)
+        cats = [cat_state(CatSpec(alpha, 4, lsec), dim) for lsec in range(4)]
+        for j in range(4):
+            got = ms._mimic_sector_populations(alpha, 4, j, beta)
+            assert sum(got) == pytest.approx(1.0, abs=1e-12)
+            for lsec in set(range(4)) - {j}:
+                ref = transition_probability(cats[lsec], d, cats[j])
+                assert abs(got[lsec] - ref) <= tol, (j, lsec, beta)
 
 
 # ---------------------------------------------------------------------------

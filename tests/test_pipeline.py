@@ -410,6 +410,26 @@ def test_tune_scan_localizes_injection(tmp_path):
     assert int(np.argmax(eps90)) == 5
 
 
+def test_tune_scan_rejects_non_finite_signal_response(tmp_path, capsys):
+    # each leaf passes its bound, but the epsilon = 1 signal expectation of
+    # a bin overflows; with n_ref = inf every residual and its error were 0,
+    # so the scan once printed a RuntimeWarning and exited 0 with
+    # "median eps90 = 0"
+    leaves = ["halo.rho_dm", "point.m_dm", "point.omega_c", "point.v_eff", "scan.t1c"]
+    for leaf in leaves:
+        out = tmp_path / leaf
+        cfg_file = _overlay(tmp_path, leaf, 1.0e300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args = ["tune-scan", "--trials", "40", "--config", str(cfg_file)]
+            rc = cli.main([*args, "--out", str(out)])
+        assert rc == 1, leaf
+        err = capsys.readouterr().err
+        assert "non-finite signal response" in err, leaf
+        assert not [w for w in caught if w.category is RuntimeWarning], leaf
+        assert not (out / "results").exists(), leaf
+
+
 # ---------------------------------------------------------------------------
 # simulate-record
 
@@ -837,6 +857,21 @@ def test_cli_exit_codes(tmp_path, capsys):
             "probes:\n  - {kind: vacuum}\n  - {kind: compass, alpha_sq: 1.0e-6}\n"
             "calibration:\n  betas: [0.0, 0.1, 20.0]\n  trials: 20\n",
         ),
+        # a mimic displacement on a compass probe whose smallest sector
+        # normalization (about 2.7e-9 here) is lost to rounding; calibrate
+        # once exited 0 with eta = -2.9 +- 20
+        (
+            "calibrate",
+            "probes[1].alpha_sq",
+            "probes:\n  - {kind: vacuum}\n  - {kind: compass, alpha_sq: 0.001}\n"
+            "calibration:\n  trials: 20\n",
+        ),
+        (
+            "simulate-record",
+            "records.probe.alpha_sq",
+            "records:\n  probe: {kind: compass, alpha_sq: 0.001}\n"
+            "  injected_beta: 0.1\n",
+        ),
         # a campaign's uniforms once asked numpy for 186 TiB
         ("simulate-record", "repeats", "repeats: 100000000000\n"),
         # an injection whose p_signal exceeds 1 once exited 2 naming no
@@ -873,6 +908,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert f"error: {leaf} must be" in err
         assert "Traceback" not in err
         assert not caught, (text, [str(w.message) for w in caught])
+
+    # the small-amplitude guard applies only to a displaced probe
+    p = tmp_path / "small-probe.yaml"
+    p.write_text("records:\n  probe: {kind: compass, alpha_sq: 0.001}\n  trials: 4\n")
+    rc = cli.main(["simulate-record", "--config", str(p), "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+
+    # one search time leaves the joint fit no design; it once exited 1 with
+    # DegenerateDesign after the whole self-calibration
+    p = tmp_path / "one-tau.yaml"
+    p.write_text("search:\n  tau_grid: [5.0e-5, 5.0e-5]\n")
+    for extra in (["--config", str(p)], ["--tau-max", "2.5e-5"]):
+        rc = cli.main(["search", *extra, "--out", str(tmp_path)])
+        assert rc == 2, extra
+        err = capsys.readouterr().err
+        assert "error: search.tau_grid needs at least 2 distinct values" in err
 
     # the cavity frequency is the search point's; device has no omega_c
     p = tmp_path / "device-omega.yaml"
