@@ -8,7 +8,8 @@ fits have a rate affine in the parameters and clipped to [0, 1], so their
 log-likelihood is concave; one active-set Newton solver maximizes it, and
 the covariance is the inverse Fisher information at the optimum.  Reported
 log-likelihoods omit the data-only combinatorial constant, which makes them
-invariant under rebinning trials at fixed rates.  The one-sided 90% Gaussian
+invariant under rebinning trials at fixed rates; their x log y terms use
+math.log, and the normal CDF is math.erfc.  The one-sided 90% Gaussian
 quantile is hard-coded as 1.28 (not 1.2816) to match the published
 arithmetic.
 """
@@ -39,7 +40,6 @@ from .errors import (
     ZeroSignalDenominator,
 )
 from .hmm import batch_posteriors, postselect
-from .special import ndtr, xlogy
 
 # No optimizer is used here.  The benchmark's tracer (perfbench/spans.py)
 # still wraps these two attributes of this module and fails if they are
@@ -47,6 +47,7 @@ from .special import ndtr, xlogy
 minimize = minimize_scalar = None
 
 GAUSS_90 = 1.28  # one-sided 90% quantile, kept at two decimals deliberately
+_SQRT1_2 = 0.70710678118654752440  # 1/sqrt(2)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +188,19 @@ class SearchSeries:
 # generic pieces
 
 
+def _xlogy(x: float, y: float) -> float:
+    """x log y, and 0 where x == 0 (unless y is NaN), as SciPy's xlogy; the
+    log is libm's, which numpy's vectorized log is not on some inputs."""
+    if x == 0.0 and y == y:
+        return 0.0
+    return x * (math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan)
+
+
 def _binom_ll(k, n, p) -> float:
     """Binomial log-likelihood without the combinatorial constant."""
-    val = float(np.sum(xlogy(k, p) + xlogy(np.asarray(n) - np.asarray(k), 1.0 - p)))
-    return val
+    k, n, p = (np.asarray(v, dtype=float).tolist() for v in (k, n, p))
+    terms = [_xlogy(a, q) + _xlogy(m - a, 1.0 - q) for a, m, q in zip(k, n, p)]
+    return float(np.sum(terms))
 
 
 def _binomial_information(design, k, n, p_lin) -> np.ndarray:
@@ -517,17 +527,22 @@ class BackgroundResult:
     eta_fit: float
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x * _SQRT1_2)
+
+
 def _truncated_gauss_q90(mu: float, sigma: float) -> float:
     """0.9 quantile of a Gaussian truncated to [0, inf)."""
     lo, hi = 0.0, max(mu, 0.0) + 20.0 * sigma
-    base = ndtr(-mu / sigma)
+    base = _ndtr(-mu / sigma)
     norm = 1.0 - base
     if norm <= 0.0:  # mean buried far below zero; quantile collapses to ~0
         return 1e-12 * sigma
     target = base + 0.9 * norm
     while hi - lo > 1e-12 * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
-        if ndtr((mid - mu) / sigma) < target:
+        if _ndtr((mid - mu) / sigma) < target:
             lo = mid
         else:
             hi = mid
@@ -545,7 +560,8 @@ def background_subtract(
     epsilon=1 signal expectation n_ref = eta_fit * rho m V * T1c * F(omega),
     with eta_fit = 1 - 1/N accounting for the signal leaking into the mean.
     Bin variances are binomial with a one-count floor.  The limit per bin is
-    the 0.9 quantile of a Gaussian in epsilon^2 truncated at zero.
+    the 0.9 quantile of a Gaussian in epsilon^2 truncated at zero; a bin with
+    no kept trials, or with variance 0, has none (DegenerateDesign).
 
     With per_bin_mass each bin is tested against its own resonant mass
     m_i = omega_i / (1 + detuning offset) instead of the single point.m_dm,
@@ -555,6 +571,9 @@ def background_subtract(
     bins = list(bins)
     if len(bins) < 2:
         raise SingleBin("background subtraction needs at least 2 bins")
+    for b in bins:
+        if b.n_trials_i == 0:
+            raise DegenerateDesign(f"bin at omega={b.omega_i!r} has no kept trials")
     w = np.array([b.n_trials_i for b in bins], dtype=float)
     n_i = np.array([b.n_meas_i / (b.eta_i * b.n_trials_i) for b in bins])
     n_bar = float(np.sum(w * n_i) / np.sum(w))
@@ -584,6 +603,11 @@ def background_subtract(
         sig_n = math.sqrt(p_eff * (1.0 - p_eff) / b.n_trials_i) / b.eta_i
         p_i = (ni - n_bar) / n_ref
         sigma_p = sig_n / n_ref
+        if not sigma_p > 0.0:
+            raise DegenerateDesign(
+                f"bin at omega={b.omega_i!r} has no spread to set a limit: "
+                f"{b.n_meas_i} of {b.n_trials_i} kept trials positive"
+            )
         eps90 = math.sqrt(_truncated_gauss_q90(p_i, sigma_p))
         out.append(BinLimit(b.omega_i, float(ni), p_i, sigma_p, eps90))
     return BackgroundResult(tuple(out), n_bar, sigma_n, eta_fit)

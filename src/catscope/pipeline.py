@@ -321,8 +321,7 @@ def build_point(cfg: dict) -> SearchPoint:
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise ConfigError on a bad config; warn when the search schedule
-    reaches beyond the DM coherence time (allowed, but worth flagging).
+    """Raise ConfigError on a bad config.
 
     Each leaf is checked against CONFIG_SCHEMA; only the rules that span
     several fields are spelled out here."""
@@ -366,8 +365,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(
             f"scan.inject_bin must be a bin index below scan.bins, got {jbin!r}"
         )
+    point = build_point(cfg)
     halo = build_halo(cfg)
-    tau_dm = coherence_time(build_point(cfg), halo)
+    tau_dm = coherence_time(point, halo)
     if not (math.isfinite(tau_dm) and tau_dm > 0.0):
         raise ConfigError(f"DM coherence time must be finite and > 0, got {tau_dm!r}")
     # the g(t) integrand peaks below (C_KM_S / v_vir) t^2 (the speed pdf
@@ -380,11 +380,14 @@ def validate_config(cfg: dict) -> None:
             f"sensitivity-growth figure's last time, {GROWTH_SPAN:g} tau_DM = "
             f"{t_max:.3g} s, got {cfg['point']['m_dm']!r}"
         )
-    worst = max(cfg["search"]["tau_grid"])
-    if worst >= tau_dm:
-        warnings.warn(
-            f"search times reach {worst:.3g} s, at or beyond the DM "
-            f"coherence time {tau_dm:.3g} s; the signal shape saturates there"
+    # the lowest bin of run_tune_scan, computed as it computes it
+    sc = cfg["scan"]
+    spacing = 2.0 * math.pi * float(sc["spacing_hz"])
+    lowest = point.effective_omega_c() - (sc["bins"] - 1) / 2.0 * spacing
+    if not (math.isfinite(lowest) and lowest > 0.0):
+        raise ConfigError(
+            f"scan.spacing_hz must be small enough that every bin lies above 0 Hz, "
+            f"got {sc['spacing_hz']!r} (lowest bin {lowest / (2.0 * math.pi):.4g} Hz)"
         )
 
 
@@ -675,14 +678,22 @@ def _load_calibration(cfg: dict):
 
 def run_search(cfg: dict):
     """Integration-time scan per probe, the pooled signal fit, and the
-    kinetic-mixing exclusion point at the configured mass.  An injected
-    epsilon reaches the simulator as each campaign's p_signal, computed
-    here from one g(tau) batch that the fit reads as well."""
+    kinetic-mixing exclusion point at the configured mass.  Warns when the
+    search times reach the DM coherence time (allowed, but the signal shape
+    saturates there).  An injected epsilon reaches the simulator as each
+    campaign's p_signal, computed here from one g(tau) batch that the fit
+    reads as well."""
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
     sr = cfg["search"]
     taus = [float(t) for t in sr["tau_grid"]]
+    tau_dm = coherence_time(point, halo)
+    if max(taus) >= tau_dm:
+        warnings.warn(
+            f"search times reach {max(taus):.3g} s, at or beyond the DM "
+            f"coherence time {tau_dm:.3g} s; the signal shape saturates there"
+        )
     eps = sr["inject_epsilon"]
     probes = [_probe_parts(probe) for probe in cfg["probes"]]
     # g(tau) depends on neither the probe nor the injection: one batch
@@ -747,6 +758,14 @@ def run_tune_scan(cfg: dict):
     spacing = 2.0 * math.pi * float(sc["spacing_hz"])
     t1c = float(sc["t1c"])
     a2 = float(sc["alpha_sq"])
+    label = f"a{a2:g}"
+    cal = cfg["calibration"]
+    labels = [_probe_parts(p)[2] for p in cfg["probes"]]
+    if cal["path"] is None and cal["self_calibrate"] and label not in labels:
+        raise ConfigError(
+            f"scan.alpha_sq must be the alpha_sq of a compass probe when tune-scan "
+            f"self-calibrates, got {sc['alpha_sq']!r}; add it to probes"
+        )
     init = CatSpec(alpha=math.sqrt(a2))
     center = point.effective_omega_c()
     omegas = [center + (i - (n_bins - 1) / 2.0) * spacing for i in range(n_bins)]
@@ -763,7 +782,7 @@ def run_tune_scan(cfg: dict):
         ]
         p_signal = _signal_probabilities("scan.inject_epsilon", float(eps), halo, cases)
     etas_by_label, files = _load_calibration(cfg)
-    eta = _calibrated_eta(etas_by_label, f"a{a2:g}", "; add it to probes")
+    eta = _calibrated_eta(etas_by_label, label, "; add it to probes")
     # the calibration slope is an efficiency estimate and can overshoot 1
     # at small trial counts; project it back to the physical boundary
     eta = min(eta, 1.0)

@@ -573,10 +573,21 @@ def test_background_subtract_errors():
     ok = FrequencyBin(omega, 5, 100, 0.5, 4.6e-3)
     with pytest.raises(ZeroSignalDenominator):
         background_subtract([low, ok], POINT)
+    # a bin with no kept trials, or with no spread, carries no limit
+    with pytest.raises(DegenerateDesign, match="no kept trials"):
+        background_subtract([ok, FrequencyBin(omega, 0, 0, 0.5, 4.6e-3)], POINT)
+    for k, n in [(100, 100), (0, 1)]:
+        with pytest.raises(DegenerateDesign, match="no spread"):
+            background_subtract([ok, FrequencyBin(omega, k, n, 0.5, 4.6e-3)], POINT)
 
 
 def test_truncated_quantile_against_scipy():
-    for mu, sigma in [(2.0, 1.0), (0.0, 1.0), (-1.5, 0.5), (3e-32, 1e-32)]:
+    # mu/sigma across [-5, 10], the far tails included, at scales far from
+    # 1.  Below -5, 1 - Phi(-mu/sigma) cancels and the quantile loses digits
+    ratios = [-5.0, -4.5, -3.0, -1.5, -0.5, 0.0, 0.3, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0]
+    pairs = [(2.0, 1.0), (0.0, 1.0), (-1.5, 0.5), (3e-32, 1e-32)]
+    pairs += [(r * s, s) for r in ratios for s in (1.0, 1e-20, 2.5e3)]
+    for mu, sigma in pairs:
         want = truncnorm.ppf(0.9, a=(0.0 - mu) / sigma, b=np.inf, loc=mu, scale=sigma)
         got = _truncated_gauss_q90(mu, sigma)
         assert_allclose(got, want, rtol=1e-9)

@@ -137,18 +137,23 @@ def test_validate_rejects_bad_values():
         pipeline.validate_config(cfg)
 
 
-def test_validate_warns_past_coherence_time():
-    cfg = pipeline.default_config()
-    point = pipeline.build_point(cfg)
-    halo = pipeline.build_halo(cfg)
-    tau_dm = coherence_time(point, halo)
+def test_only_search_warns_past_coherence_time(tmp_path):
+    # the warning is about search times, so only the search command gives
+    # it; validate_config once gave it for every command
+    cfg = _small_cfg(seed=1, trials=40)
+    tau_dm = coherence_time(pipeline.build_point(cfg), pipeline.build_halo(cfg))
     cfg["search"]["tau_grid"] = [tau_dm / 2.0, 2.0 * tau_dm]
-    with pytest.warns(UserWarning, match="coherence time"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         pipeline.validate_config(cfg)
+        pipeline.run_command("figures", cfg, out_root=tmp_path)
+    assert not caught, [str(w.message) for w in caught]
+    with pytest.warns(UserWarning, match="coherence time"):
+        pipeline.run_search(cfg)
 
 
 def test_search_past_coherence_time_warns_once(tmp_path):
-    # validate_config flags the schedule; the fit once warned a second time
+    # run_search flags the schedule; the fit once warned a second time
     cfg = _small_cfg(seed=1, trials=40)
     cfg["search"]["tau_grid"] = [2.0e-5, 1.0e-3, 3.0e-3]
     with warnings.catch_warnings(record=True) as caught:
@@ -896,6 +901,22 @@ def test_cli_exit_codes(tmp_path, capsys):
         # float range once failed the g(t) quadrature, exit 1
         ("figures", "point.m_dm", "point:\n  m_dm: 1.0e-300\n"),
         ("figures", "point.m_dm", "point:\n  m_dm: 1.0e-200\n"),
+        # bins at or below 0 Hz once ran every campaign and then exited 2
+        # naming no leaf; with an injected bin they ended in a traceback
+        ("tune-scan", "scan.spacing_hz", "scan:\n  spacing_hz: 1.0e+10\n"),
+        (
+            "tune-scan",
+            "scan.spacing_hz",
+            "scan:\n  spacing_hz: 1.0e+10\n  inject_epsilon: 1.0e-16\n"
+            "  inject_bin: 0\n",
+        ),
+        # a scan probe that self-calibration does not cover once exited 1
+        # after the whole self-calibration
+        (
+            "tune-scan",
+            "scan.alpha_sq",
+            "calibration:\n  path: null\nscan:\n  alpha_sq: 8.0\n",
+        ),
     ]
     for i, (command, leaf, text) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
@@ -908,6 +929,38 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert f"error: {leaf} must be" in err
         assert "Traceback" not in err
         assert not caught, (text, [str(w.message) for w in caught])
+
+    # bins that carry no limit are a runtime failure: one with no kept
+    # trials once ended in a ZeroDivisionError traceback, one with every
+    # kept trial positive printed a RuntimeWarning and exited 0
+    cal = Path(__file__).resolve().parents[1] / "perfbench" / "calibration.json"
+    cal = json.dumps(str(cal))  # a YAML string, whatever the path holds
+    no_limit = [
+        ("device:\n  p_leak: 1.0\n", [], "has no kept trials"),
+        ("", ["--threshold", "1.0e-300"], "has no spread to set a limit"),
+    ]
+    for i, (text, extra, why) in enumerate(no_limit):
+        p = tmp_path / f"no-limit{i}.yaml"
+        p.write_text(f"calibration:\n  path: {cal}\n{text}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(
+                ["tune-scan", "--config", str(p), "--trials", "40", *extra,
+                 "--out", str(tmp_path)]
+            )
+        assert rc == 1, text
+        err = capsys.readouterr().err
+        assert "error: bin at omega=" in err and why in err
+        assert "Traceback" not in err
+        assert not caught, (text, [str(w.message) for w in caught])
+
+    # with calibration.path set, the file is the runtime input: a scan
+    # probe it lacks stays a missing calibration, exit 1
+    p = tmp_path / "scan-probe.yaml"
+    p.write_text(f"calibration:\n  path: {cal}\nscan:\n  alpha_sq: 8.0\n")
+    rc = cli.main(["tune-scan", "--config", str(p), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: calibration has no entry for probe 'a8'" in capsys.readouterr().err
 
     # the small-amplitude guard applies only to a displaced probe
     p = tmp_path / "small-probe.yaml"

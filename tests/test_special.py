@@ -1,32 +1,14 @@
-"""catscope.special against scipy.special: the ports must return the same
-floats, and the independent Poisson tail of the Fock-space oracles
-(oracles.poisson_sf) the same values to 1e-9."""
+"""scipy.special as an oracle: the x log y terms of the fits' binomial
+log-likelihood must be the same floats as SciPy's xlogy, and the
+independent Poisson tail of the Fock-space oracles (oracles.poisson_sf) the
+same values as pdtrc to 1e-9."""
 
 import numpy as np
 import pytest
 from oracles import poisson_sf
 from scipy import special as sc
 
-from catscope import special
-
-
-def test_ndtr_equals_scipy():
-    rng = np.random.default_rng(5)
-    x = np.concatenate(
-        [
-            np.linspace(-40.0, 40.0, 80001),
-            rng.normal(0.0, 3.0, 50000),
-            # both sides of each branch: |a|/sqrt(2) at 1/sqrt(2), 1 and 8
-            rng.uniform(-1.6, 1.6, 50000),
-            rng.uniform(10.0, 12.5, 10000),
-            -rng.uniform(10.0, 12.5, 10000),
-            rng.normal(0.0, 1e-3, 10000),
-            [0.0, -0.0, 1.0, -1.0, np.sqrt(2.0), -np.sqrt(2.0), -38.5, -37.5, 38.5],
-        ]
-    )
-    mine = np.array([special.ndtr(v) for v in x.tolist()])
-    assert np.array_equal(mine, sc.ndtr(x))
-    assert np.isnan(special.ndtr(float("nan")))
+from catscope import fits
 
 
 def test_xlogy_equals_scipy():
@@ -37,10 +19,15 @@ def test_xlogy_equals_scipy():
     y[::11] = 0.0
     y[::13] = 1.0
     y[::17] = 1e-300
-    assert np.array_equal(special.xlogy(x, y), sc.xlogy(x, y))
-    grid = special.xlogy([[0.0], [2.0]], [0.0, 0.5, 1.0])
-    assert np.array_equal(grid, sc.xlogy([[0.0], [2.0]], [0.0, 0.5, 1.0]))
-    assert np.isnan(special.xlogy(0.0, np.nan)) and np.isnan(special.xlogy(1.0, -1.0))
+    mine = [fits._xlogy(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert np.array_equal(mine, sc.xlogy(x, y))
+    assert np.isnan(fits._xlogy(0.0, np.nan)) and np.isnan(fits._xlogy(1.0, -1.0))
+    # the likelihood sums the terms of each point in SciPy's order
+    n = x + rng.integers(0, 2000, 20000)
+    for i in range(0, 20000, 10):
+        k_, n_, p_ = x[i : i + 10], n[i : i + 10], y[i : i + 10]
+        want = float(np.sum(sc.xlogy(k_, p_) + sc.xlogy(n_ - k_, 1.0 - p_)))
+        assert fits._binom_ll(k_, n_, p_) == want
 
 
 @pytest.mark.parametrize("m", [1e-8, 1e-3, 0.1, 1.0, 4.0, 12.0, 30.0, 144.0, 400.0, 2500.0])
