@@ -23,7 +23,7 @@ class DimMismatch(CatscopeError):
 
 
 class QuadratureFailure(CatscopeError):
-    """Adaptive quadrature did not converge."""
+    """The g(t) quadrature did not converge, or would need too many panels."""
 
 
 class UnitOverflow(CatscopeError):

@@ -9,7 +9,7 @@ log-likelihood is concave; one active-set Newton solver maximizes it, and
 the covariance is the inverse Fisher information at the optimum.  Reported
 log-likelihoods omit the data-only combinatorial constant, which makes them
 invariant under rebinning trials at fixed rates; their x log y terms use
-math.log, and the normal CDF is math.erfc.  The one-sided 90% Gaussian
+math.log, and the normal tails come from math.erfc.  The one-sided 90% Gaussian
 quantile is hard-coded as 1.28 (not 1.2816) to match the published
 arithmetic.
 """
@@ -48,6 +48,7 @@ minimize = minimize_scalar = None
 
 GAUSS_90 = 1.28  # one-sided 90% quantile, kept at two decimals deliberately
 _SQRT1_2 = 0.70710678118654752440  # 1/sqrt(2)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +137,16 @@ class ExclusionPoint:
 
 @dataclass(frozen=True)
 class FrequencyBin:
-    """One tuning step of the frequency scan."""
+    """One tuning step of the frequency scan; alpha_sq_i is the probe's
+    |alpha|^2 (1 for a vacuum probe), by which the signal response grows
+    while the calibrated eta_i stays per unit alpha_sq."""
 
     omega_i: float
     n_meas_i: int
     n_trials_i: int
     eta_i: float
     t1c_i: float
+    alpha_sq_i: float = 1.0
 
     def __post_init__(self):
         if not self.omega_i > 0.0:
@@ -155,6 +159,10 @@ class FrequencyBin:
             )
         if not self.t1c_i > 0.0:
             raise ConfigError(f"t1c_i must be > 0, got {self.t1c_i!r}")
+        if not 0.0 < self.alpha_sq_i < math.inf:
+            raise ConfigError(
+                f"alpha_sq_i must be finite and > 0, got {self.alpha_sq_i!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,10 @@ def _invert_information(info, scales) -> np.ndarray:
     uncertainty.  Normalizing first keeps them; flooring the spectrum keeps
     the result positive semidefinite."""
     s = np.asarray(scales, dtype=float)
-    hs = info * np.outer(s, s)
+    with np.errstate(all="ignore"):
+        hs = info * np.outer(s, s)
+    if not np.all(np.isfinite(hs)):
+        raise NonFinite("the fit's information matrix is not finite")
     hs = 0.5 * (hs + hs.T)
     w, v = np.linalg.eigh(hs)
     floor = 1e-12 * max(float(w[-1]), 1.0)
@@ -527,22 +538,33 @@ class BackgroundResult:
     eta_fit: float
 
 
-def _ndtr(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-x * _SQRT1_2)
+def _log_erfc(z: float) -> float:
+    """log erfc(z); past z = 26, where erfc nears the float range's end, by
+    its asymptotic series exp(-z^2) / (z sqrt(pi)) sum_k (-1)^k (2k-1)!! /
+    (2 z^2)^k (Abramowitz & Stegun 7.1.23), cut where the next term is
+    below 1e-16."""
+    if z <= 26.0:
+        return math.log(math.erfc(z))
+    r = 0.5 / (z * z)
+    series = 1.0 + r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (
+        -945.0 + r * 10395.0)))))
+    return -z * z + math.log(series / (z * _SQRT_PI))
+
+
+_LOG_TENTH = math.log(0.1)
 
 
 def _truncated_gauss_q90(mu: float, sigma: float) -> float:
-    """0.9 quantile of a Gaussian truncated to [0, inf)."""
+    """0.9 quantile of a Gaussian truncated to [0, inf): the x whose upper
+    tail is 0.1 of the tail above 0, found by bisection on the log of
+    complementary error functions, so neither a 1 - Phi cancels nor a tail
+    underflows when mu lies many sigma below 0."""
+    z0 = -mu / sigma * _SQRT1_2
+    log_target = _LOG_TENTH + _log_erfc(z0)
     lo, hi = 0.0, max(mu, 0.0) + 20.0 * sigma
-    base = _ndtr(-mu / sigma)
-    norm = 1.0 - base
-    if norm <= 0.0:  # mean buried far below zero; quantile collapses to ~0
-        return 1e-12 * sigma
-    target = base + 0.9 * norm
     while hi - lo > 1e-12 * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
-        if _ndtr((mid - mu) / sigma) < target:
+        if _log_erfc((mid - mu) / sigma * _SQRT1_2) > log_target:
             lo = mid
         else:
             hi = mid
@@ -589,7 +611,7 @@ def background_subtract(
             )
             rv = rho_m_veff(pt, halo)
         shape = 2.0 * math.pi * float(lineshape(b.omega_i, pt, halo))
-        n_ref = eta_fit * rv * b.t1c_i * shape
+        n_ref = eta_fit * rv * b.t1c_i * shape * b.alpha_sq_i
         if not math.isfinite(n_ref):
             raise NonFinite(
                 f"bin at omega={b.omega_i!r} has a non-finite signal response {n_ref!r}"

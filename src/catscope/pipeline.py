@@ -33,7 +33,7 @@ import yaml
 
 from . import __version__
 from .darkmatter import (
-    C_KM_S,
+    MAX_G_PANELS,
     OMEGA_M_OFFSET,
     HaloParams,
     SearchPoint,
@@ -41,9 +41,11 @@ from .darkmatter import (
     excitation_probability,
     g_curve_to_csv,
     g_of_t,
+    g_panels,
     lineshape_to_csv,
 )
-from .errors import ConfigError, MissingArtifact, MissingCalibration, UnitOverflow
+from .errors import ConfigError, MissingArtifact, MissingCalibration
+from .errors import QuadratureFailure, UnitOverflow
 from .fits import (
     CalibrationCurve,
     ExclusionPoint,
@@ -308,6 +310,19 @@ ROC_TRIALS = 800  # trials of the readout-roc figure's campaign
 GROWTH_SPAN = 20.0  # the sensitivity-growth figure's last time, in tau_DM
 
 
+def _growth_times(tau_dm: float) -> np.ndarray:
+    """The sensitivity-growth figure's 81 times, tau_DM / 100 to
+    GROWTH_SPAN tau_DM."""
+    return np.geomspace(tau_dm / 100.0, GROWTH_SPAN * tau_dm, 81)
+
+
+def _bin_omega(point: SearchPoint, sc: dict, i: int) -> float:
+    """Cavity frequency of scan bin i: the scan centres its bins on the
+    search point's cavity frequency, scan.spacing_hz apart."""
+    spacing = 2.0 * math.pi * float(sc["spacing_hz"])
+    return point.effective_omega_c() + (i - (sc["bins"] - 1) / 2.0) * spacing
+
+
 def build_device(cfg: dict) -> DeviceParams:
     return DeviceParams(**cfg["device"])
 
@@ -318,6 +333,17 @@ def build_halo(cfg: dict) -> HaloParams:
 
 def build_point(cfg: dict) -> SearchPoint:
     return SearchPoint(**cfg["point"])
+
+
+def _check_g_panels(where: str, rule: str, times, point, halo, context: str) -> None:
+    """Reject a batch of g_of_t times beyond its MAX_G_PANELS panels; the
+    config leaf at where must be as rule says."""
+    panels = float(g_panels(times, point, halo).sum())
+    if not panels <= MAX_G_PANELS:
+        raise ConfigError(
+            f"{where} must be {rule} that g(t) takes at most {MAX_G_PANELS} "
+            f"quadrature panels {context}, got {panels:.3g}"
+        )
 
 
 def validate_config(cfg: dict) -> None:
@@ -370,25 +396,52 @@ def validate_config(cfg: dict) -> None:
     tau_dm = coherence_time(point, halo)
     if not (math.isfinite(tau_dm) and tau_dm > 0.0):
         raise ConfigError(f"DM coherence time must be finite and > 0, got {tau_dm!r}")
-    # the g(t) integrand peaks below (C_KM_S / v_vir) t^2 (the speed pdf
-    # stays below 1 / v_vir), and a 21-point rule sums it with weights
-    # totalling 2; tau_DM grows as 1 / m_dm
+    # g(t) <= t^2 (|K| <= 1 in darkmatter.g_of_t), and each command hands
+    # g_of_t one batch of times, whose panels must not pass MAX_G_PANELS
     t_max = GROWTH_SPAN * tau_dm
-    if not math.isfinite(2.0 * C_KM_S / halo.v_vir * t_max * t_max):
+    if not math.isfinite(t_max * t_max):
         raise ConfigError(
-            f"point.m_dm must be large enough that g(t) stays finite up to the "
-            f"sensitivity-growth figure's last time, {GROWTH_SPAN:g} tau_DM = "
+            f"point.m_dm must be large enough that g(t) <= t^2 stays finite up to "
+            f"the sensitivity-growth figure's last time, {GROWTH_SPAN:g} tau_DM = "
             f"{t_max:.3g} s, got {cfg['point']['m_dm']!r}"
         )
+    _check_g_panels(
+        "point.omega_c", "close enough to point.m_dm", _growth_times(tau_dm), point,
+        halo, f"up to the sensitivity-growth figure's last time, {GROWTH_SPAN:g} tau_DM",
+    )
+    taus = cfg["search"]["tau_grid"]
+    _check_g_panels(
+        "search.tau_grid", "short enough", taus, point, halo,
+        f"up to {max(taus) / tau_dm:.3g} tau_DM (tau_DM = {tau_dm:.3g} s at "
+        f"point.m_dm = {point.m_dm!r})",
+    )
+    ends = [float(min(taus)), float(max(taus))]
+    try:
+        g_ends = g_of_t(ends, point, halo)
+    except QuadratureFailure as exc:
+        raise ConfigError(f"search.tau_grid must be times with a finite g(tau): {exc}")
+    for tau, g in zip(ends, g_ends):
+        if not (math.isfinite(g) and g > 0.0):
+            raise ConfigError(
+                f"search.tau_grid must be times with a finite g(tau) > 0, got "
+                f"g({tau!r}) = {g!r}"
+            )
     # the lowest bin of run_tune_scan, computed as it computes it
     sc = cfg["scan"]
-    spacing = 2.0 * math.pi * float(sc["spacing_hz"])
-    lowest = point.effective_omega_c() - (sc["bins"] - 1) / 2.0 * spacing
+    lowest = _bin_omega(point, sc, 0)
     if not (math.isfinite(lowest) and lowest > 0.0):
         raise ConfigError(
             f"scan.spacing_hz must be small enough that every bin lies above 0 Hz, "
             f"got {sc['spacing_hz']!r} (lowest bin {lowest / (2.0 * math.pi):.4g} Hz)"
         )
+    if sc["inject_epsilon"] and jbin is not None:
+        # one g(t1c) per bin, at the injected mass; the end bins are the
+        # farthest detuned and take the most panels
+        m_inj = _bin_omega(point, sc, jbin) / (1.0 + OMEGA_M_OFFSET)
+        for i in (0, sc["bins"] - 1):
+            pt = SearchPoint(m_dm=m_inj, omega_c=_bin_omega(point, sc, i))
+            context = f"for the injected signal in bin {i}"
+            _check_g_panels("scan.t1c", "short enough", [sc["t1c"]], pt, halo, context)
 
 
 def canonical_config_text(cfg: dict) -> str:
@@ -755,7 +808,6 @@ def run_tune_scan(cfg: dict):
     point = build_point(cfg)
     sc = cfg["scan"]
     n_bins = sc["bins"]
-    spacing = 2.0 * math.pi * float(sc["spacing_hz"])
     t1c = float(sc["t1c"])
     a2 = float(sc["alpha_sq"])
     label = f"a{a2:g}"
@@ -767,8 +819,7 @@ def run_tune_scan(cfg: dict):
             f"self-calibrates, got {sc['alpha_sq']!r}; add it to probes"
         )
     init = CatSpec(alpha=math.sqrt(a2))
-    center = point.effective_omega_c()
-    omegas = [center + (i - (n_bins - 1) / 2.0) * spacing for i in range(n_bins)]
+    omegas = [_bin_omega(point, sc, i) for i in range(n_bins)]
     eps = sc["inject_epsilon"]
     jbin = sc["inject_bin"]
     m_inj = None
@@ -793,7 +844,7 @@ def run_tune_scan(cfg: dict):
     for i, om in enumerate(omegas):
         camp = _campaign(cfg, device, sc["trials"], init, "tune", i, p=p_signal[i])
         k, n_kept, n_drop = _count_positives(model, thr, camp)
-        bins.append(FrequencyBin(om, k, n_kept, eta, t1c))
+        bins.append(FrequencyBin(om, k, n_kept, eta, t1c, a2))
         counts.append((i, om, k, n_kept, n_drop))
     res = background_subtract(bins, point, halo, per_bin_mass=True)
     lines = [
@@ -942,8 +993,7 @@ def _render_figure(fid: str, cfg: dict, config_text: str, out_root) -> str:
         times = np.linspace(0.0, 0.25 * device.T1c, 51)
         return transition_curves_to_csv(4, alpha, 1.0 / device.T1c, times)
     if fid == "sensitivity-growth":
-        tau_dm = coherence_time(point, halo)
-        times = np.geomspace(tau_dm / 100.0, GROWTH_SPAN * tau_dm, 81)
+        times = _growth_times(coherence_time(point, halo))
         return g_curve_to_csv(times, point, halo)
     if fid == "lineshape":
         omegas = point.m_dm * (1.0 + np.linspace(0.0, 5e-6, 241))

@@ -11,8 +11,9 @@ itself does not need:
   fock_wigner and the record simulator;
 - forward_backward: the scalar logsumexp posterior recursion, with its own
   G/E symbol encoder and Posterior check, against hmm.batch_posteriors;
-- g_of_t_reference: g(t) from scipy.integrate.quad over the same sinc-null
-  breakpoints with a scalar integrand, against darkmatter.g_of_t.
+- g_of_t_reference: g(t) as the lineshape integral in the speed variable,
+  by scipy.integrate.quad between the nulls of the sinc factor, against
+  darkmatter.g_of_t's closed form in the lag.
 
 The rest, in plain NumPy, are reference models no command runs: the
 truncated Fock space (required_dim, StateVector, cat_state and the
@@ -38,7 +39,7 @@ from scipy.integrate import IntegrationWarning, quad, solve_ivp
 from scipy.linalg import expm
 from scipy.special import logsumexp, pdtrc
 
-from catscope.darkmatter import C_KM_S, HaloParams, SearchPoint, _v_max
+from catscope.darkmatter import C_KM_S, HaloParams, SearchPoint
 from catscope.errors import (
     CatscopeError,
     ConfigError,
@@ -812,6 +813,12 @@ def forward_backward(model: HmmModel, record) -> Posterior:
 # g(t) by scipy.integrate.quad
 
 
+def _v_max(halo: HaloParams) -> float:
+    """Upper speed cutoff in units of c: the boost plus six virial widths,
+    beyond which the Maxwellian mass is ~1e-16 of the total."""
+    return (halo.v_g + 6.0 * halo.v_vir) / C_KM_S
+
+
 def g_integrand_reference(t: float, point: SearchPoint, halo: HaloParams = HaloParams()):
     """The g(t) integrand in the speed variable on Python floats: the
     speed pdf (as halo_speed_pdf computes it, np.exp on scalars, squares
@@ -836,9 +843,10 @@ def g_integrand_reference(t: float, point: SearchPoint, halo: HaloParams = HaloP
 
 
 def g_of_t_reference(t: float, point: SearchPoint, halo: HaloParams = HaloParams()) -> float:
-    """g(t) as darkmatter computed it with scipy.integrate.quad: the same
-    sinc-null breakpoints found in a scalar loop, one quad call per
-    segment, and the scalar g_integrand_reference."""
+    """g(t) as the integral over speed of g_integrand_reference, by
+    scipy.integrate.quad to epsrel 1e-9: the nulls of the sinc factor,
+    found in a scalar loop, split the speed range at the cutoff _v_max,
+    and each segment takes one quad call."""
     if t == 0.0:
         return 0.0
     m = point.m_dm

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import g_integrand_reference, g_of_t_reference
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from catscope import darkmatter
 from catscope.darkmatter import (
     C_KM_S,
     GEV_TO_RAD_PER_S,
@@ -18,6 +20,7 @@ from catscope.darkmatter import (
     excitation_probability,
     g_curve_to_csv,
     g_of_t,
+    g_panels,
     halo_speed_pdf,
     lineshape,
     lineshape_to_csv,
@@ -139,23 +142,65 @@ def test_g_of_t_asymptote_crossover_near_tau():
     assert tau / 2.0 < crossing < 2.0 * tau
 
 
+def test_gauss_legendre_rules_match_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    for n in (16, 32):
+        x, w = darkmatter._gauss_legendre(n)
+        order = np.argsort(x)
+        ref_x, ref_w = leggauss(n)
+        assert_allclose(x[order], ref_x, rtol=0.0, atol=1e-15)
+        assert_allclose(w[order], ref_w, rtol=1e-13)
+        # exact on every polynomial of degree below 2n
+        moments = [float(np.sum(w * x**k)) for k in range(2 * n)]
+        want = [(1.0 + (-1.0) ** k) / (k + 1.0) for k in range(2 * n)]
+        assert_allclose(moments, want, rtol=0.0, atol=2e-15)
+
+
+def _scan_points(cfg):
+    """The default scan's injections in its first and last bins, each seen
+    from every bin's cavity frequency: detunings out to the farthest bin,
+    on either side."""
+    from catscope import pipeline
+
+    point = pipeline.build_point(cfg)
+    sc = cfg["scan"]
+    omegas = [pipeline._bin_omega(point, sc, i) for i in range(sc["bins"])]
+    masses = [om / (1.0 + darkmatter.OMEGA_M_OFFSET) for om in (omegas[0], omegas[-1])]
+    return [SearchPoint(m_dm=m, omega_c=om) for m in masses for om in omegas]
+
+
 def test_g_of_t_matches_quad_reference():
-    # bit for bit against scipy.integrate.quad over the same breakpoints,
-    # on the sensitivity-growth times and the default search tau grid
+    # within 1e-8 of scipy.integrate.quad over speed, on the
+    # sensitivity-growth times, the default search tau grid, and the
+    # injected scan signal at t = scan.t1c in every bin, whose detuning
+    # sizes the panels (about 1,700 of them 15 bins away)
     from catscope import pipeline
 
     cfg = pipeline.default_config()
     point = pipeline.build_point(cfg)
     halo = pipeline.build_halo(cfg)
     tau = coherence_time(point, halo)
-    times = [float(t) for t in np.geomspace(tau / 100.0, 20.0 * tau, 81)]
+    times = [float(t) for t in pipeline._growth_times(tau)]
     times += [float(t) for t in cfg["search"]["tau_grid"]]
     expected = [g_of_t_reference(t, point, halo) for t in times]
     for t, ref in zip(times, expected):
-        assert g_of_t(t, point, halo) == ref, t
-    # all times in one call, as figures and search integrate them
-    assert g_of_t(times, point, halo) == expected
-    assert g_of_t([0.0] + times[::-7], point, halo) == [0.0] + expected[::-7]
+        assert g_of_t(t, point, halo) == pytest.approx(ref, rel=1e-8, abs=0.0), t
+    # all times in one call, as figures and search integrate them, agree
+    # with one call per time
+    batch = g_of_t(times, point, halo)
+    assert_allclose(batch, [g_of_t(t, point, halo) for t in times], rtol=1e-13)
+    assert_allclose(batch, expected, rtol=1e-8)
+    lead = g_of_t([0.0] + times[::-7], point, halo)
+    assert lead[0] == 0.0
+    assert_allclose(lead[1:], expected[::-7], rtol=1e-8)
+
+    t1c = cfg["scan"]["t1c"]
+    points = _scan_points(cfg)
+    assert max(g_panels([t1c], pt, halo)[0] for pt in points) > 1600
+    for pt in points:
+        ref = g_of_t_reference(t1c, pt, halo)
+        assert g_of_t(t1c, pt, halo) == pytest.approx(ref, rel=1e-8, abs=0.0), pt
 
 
 @pytest.mark.parametrize(
@@ -165,9 +210,8 @@ def test_g_of_t_matches_quad_reference():
     [HaloParams(), HaloParams(v_vir=211.015, v_g=247.9)],
 )
 def test_g_integrand_reference_is_halo_speed_pdf_route(halo):
-    # the oracle that g_of_t matches is the public speed pdf on arrays (as
-    # g_of_t evaluates it) times t^2 sinc^2, bit for bit, across the whole
-    # speed range
+    # the oracle g_of_t is checked against integrates the public speed pdf
+    # on arrays times t^2 sinc^2, bit for bit, across the whole speed range
     from catscope import pipeline
 
     cfg = pipeline.default_config()
@@ -185,7 +229,7 @@ def test_g_integrand_reference_is_halo_speed_pdf_route(halo):
             assert integrand(v) == f * t * t * (sinc * sinc), (t, v)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     t_over_tau=st.floats(1e-2, 20.0),
     m_ghz=st.floats(1.0, 20.0),
@@ -200,20 +244,39 @@ def test_g_of_t_matches_quad_reference_anywhere(t_over_tau, m_ghz, detuning, v_v
     halo = HaloParams(v_vir=v_vir, v_g=v_g)
     t = t_over_tau * coherence_time(point, halo)
     ref = g_of_t_reference(t, point, halo)
-    assert g_of_t(t, point, halo) == ref
+    assert g_of_t(t, point, halo) == pytest.approx(ref, rel=1e-8, abs=0.0)
     # and within a batch, beside shorter times
-    assert g_of_t([t / 10.0, t, t / 3.0], point, halo)[1] == ref
+    got = g_of_t([t / 10.0, t, t / 3.0], point, halo)[1]
+    assert got == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 def test_g_of_t_fails_quietly_on_extreme_inputs():
-    # a mass of 1e-300 rad/s overflows the integrand; the quadrature carries
-    # inf and NaN to the error check, which raises, with no numpy warning
-    pt = SearchPoint(m_dm=1e-300)
-    t = coherence_time(pt) / 100.0
+    pt = SearchPoint(m_dm=M_REF)
+    tau = coherence_time(pt)
+    width = tau / 4.0  # the default detuning's quarter period is longer
+    assert g_panels([tau, 0.0, 1e-300], pt).tolist() == [4.0, 0.0, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(QuadratureFailure, match="accumulated quadrature error"):
-            g_of_t(t, pt)
+        # the whole bound fits in one call, one panel more does not, and
+        # neither does a time past the float range of panel counts; each is
+        # refused before any array is built
+        limit = darkmatter.MAX_G_PANELS * width
+        assert g_panels([limit], pt)[0] == darkmatter.MAX_G_PANELS
+        assert g_of_t(limit, pt) > 0.0
+        for t in ([limit * 1.001], [limit / 2.0, limit / 1.9], [1e300], [math.inf], [math.nan]):
+            with pytest.raises(QuadratureFailure, match="quadrature panels"):
+                g_of_t(t, pt)
+        # a mass of 1e-300 rad/s gives tau_DM ~ 6e306 s: g overflows at
+        # tau_DM / 100, and the non-finite sums reach the check, which raises
+        tiny = SearchPoint(m_dm=1e-300)
+        with pytest.raises(QuadratureFailure, match="16- and 32-node rules"):
+            g_of_t(coherence_time(tiny) / 100.0, tiny)
+    # a subnormal mass gives tau_DM = inf (with the lineshape's overflow
+    # warning) and no detuning: t still takes one panel, and g is t^2
+    subnormal = SearchPoint(m_dm=1e-310)
+    with np.errstate(over="ignore"):
+        assert g_panels([1e-5], subnormal).tolist() == [1.0]
+        assert g_of_t(1e-5, subnormal) == pytest.approx(1e-10, rel=1e-12)
 
 
 def test_excitation_probability_prefactor_anchor():

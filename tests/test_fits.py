@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +17,12 @@ from numpy.testing import assert_allclose
 from scipy.special import xlogy
 from scipy.stats import truncnorm
 
-from catscope import pipeline
+from catscope import fits, pipeline
 from catscope.darkmatter import SearchPoint, coherence_time, g_of_t, rho_m_veff
 from catscope.errors import (
     ConfigError,
     DegenerateDesign,
+    NonFinite,
     SingleBin,
     ZeroBaseline,
     ZeroEfficiency,
@@ -582,15 +585,59 @@ def test_background_subtract_errors():
 
 
 def test_truncated_quantile_against_scipy():
-    # mu/sigma across [-5, 10], the far tails included, at scales far from
-    # 1.  Below -5, 1 - Phi(-mu/sigma) cancels and the quantile loses digits
-    ratios = [-5.0, -4.5, -3.0, -1.5, -0.5, 0.0, 0.3, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0]
+    # mu/sigma across [-40, 10], the far tails included, at scales far from
+    # 1.  The bisection compares upper tails: 1 - Phi(-mu/sigma) once
+    # cancelled below -5 and returned 1e-12 sigma at -8.5, where the
+    # quantile is 0.263 sigma; past -37.7 the tail above 0 leaves the float
+    # range and the asymptotic series takes over
+    ratios = [-40.0, -37.0, -30.0, -26.0, -20.0, -12.0, -8.5, -8.0, -6.0, -5.5]
+    ratios += [-5.0, -4.5, -3.0, -1.5, -0.5, 0.0, 0.3, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0]
     pairs = [(2.0, 1.0), (0.0, 1.0), (-1.5, 0.5), (3e-32, 1e-32)]
     pairs += [(r * s, s) for r in ratios for s in (1.0, 1e-20, 2.5e3)]
     for mu, sigma in pairs:
         want = truncnorm.ppf(0.9, a=(0.0 - mu) / sigma, b=np.inf, loc=mu, scale=sigma)
         got = _truncated_gauss_q90(mu, sigma)
         assert_allclose(got, want, rtol=1e-9)
+
+
+def test_log_erfc_against_scipy():
+    # math.erfc up to z = 26, the asymptotic series just past it and far
+    # beyond erfc's underflow at z = 27.3
+    from scipy.special import log_ndtr
+
+    for z in (-3.0, 0.0, 5.0, 26.0, 26.000001, 26.5, 27.0, 30.0, 100.0, 1e4):
+        want = math.log(2.0) + float(log_ndtr(-z * math.sqrt(2.0)))
+        assert_allclose(fits._log_erfc(z), want, rtol=1e-14)
+
+
+def test_background_subtract_scales_the_response_by_alpha_sq():
+    # eta is calibrated per unit alpha_sq, so a compass probe's response to
+    # epsilon = 1 is alpha_sq times the vacuum probe's: p_i and sigma_p
+    # shrink by alpha_sq, eps90 by about sqrt(alpha_sq)
+    rng = np.random.default_rng(44)
+    bins = _uniform_bins(rng, signal=(5, 1e-4))
+    base = background_subtract(bins, POINT)
+    cat = background_subtract([replace(b, alpha_sq_i=12.0) for b in bins], POINT)
+    for b1, b12 in zip(base.bins, cat.bins):
+        assert_allclose(b12.p_i, b1.p_i / 12.0, rtol=1e-14)
+        assert_allclose(b12.sigma_p, b1.sigma_p / 12.0, rtol=1e-14)
+    assert FrequencyBin(1.0, 0, 1, 0.5, 1.0).alpha_sq_i == 1.0
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="alpha_sq_i"):
+            FrequencyBin(1.0, 0, 1, 0.5, 1.0, bad)
+
+
+def test_invert_information_rejects_non_finite_matrices():
+    # a search tau grid of 1e-300 s once overflowed the scaled information
+    # and ended in numpy's LinAlgError from eigh, after two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for info, scales in (
+            (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1e300])),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0])),
+        ):
+            with pytest.raises(NonFinite, match="information matrix"):
+                fits._invert_information(info, scales)
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,8 @@ def test_search_recovers_injected_signal(tmp_path):
 def test_injected_search_integrates_each_tau_once(monkeypatch, tmp_path):
     # both probes and the fit share one g(t) quadrature per search time,
     # all in one batched call; only the probe's alpha_sq differs between
-    # their excitation probabilities
+    # their excitation probabilities.  validate_config, which run_command
+    # calls first, checks g at the grid's two ends in one call of its own
     cfg = _small_cfg(seed=11, trials=50)
     cfg["calibration"]["trials"] = 200
     cfg["search"]["inject_epsilon"] = 1e-15
@@ -349,10 +350,11 @@ def test_injected_search_integrates_each_tau_once(monkeypatch, tmp_path):
         assert calls == [cfg["search"]["tau_grid"]]
         # nothing is cached across commands: a repeated command in the same
         # process integrates afresh, as a run in a new process would
+        ends = [min(cfg["search"]["tau_grid"]), max(cfg["search"]["tau_grid"])]
         for _ in range(2):
             calls.clear()
             pipeline.run_command("search", cfg, out_root=tmp_path)
-            assert calls == [cfg["search"]["tau_grid"]]
+            assert calls == [ends, cfg["search"]["tau_grid"]]
 
 
 def test_injected_signal_uses_the_simulated_probe(monkeypatch):
@@ -381,7 +383,11 @@ def test_injected_signal_uses_the_simulated_probe(monkeypatch):
         for tau in cfg["search"]["tau_grid"]
     ]
     assert [p for _, p in seen] == expected
-    assert expected[3] != excitation_probability(1e-15, point, halo, 1.4e-4, 12.0)
+    # the config's 12.0 would give other bits (at tau = 2e-5 s here)
+    grid = cfg["search"]["tau_grid"]
+    assert expected[2:] != [
+        excitation_probability(1e-15, point, halo, tau, 12.0) for tau in grid
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +421,31 @@ def test_tune_scan_localizes_injection(tmp_path):
     assert int(np.argmax(eps90)) == 5
 
 
+def test_tune_scan_recovers_the_injected_epsilon_sq():
+    # the simulator's signal carries the probe's alpha_sq and the scan's
+    # reference response must carry it too: a compass scan once reported
+    # p_i = 11.7 eps^2 +- 1.7 eps^2 here.  The injection sits in the top
+    # bin, since the line extends above its mass and would put about 30%
+    # of its signal into a bin above, and so into the background mean;
+    # the supplied calibration's efficiency is known to about 15%
+    cal = Path(__file__).resolve().parents[1] / "perfbench" / "calibration.json"
+    cfg = pipeline.default_config()
+    cfg["calibration"].update(path=str(cal), self_calibrate=False)
+    eps = 2e-16
+    cfg["scan"].update(bins=4, trials=4000, inject_epsilon=eps, inject_bin=3)
+    files, _ = pipeline.run_tune_scan(cfg)
+    rows = list(csv.DictReader(io.StringIO(files["bins.csv"])))
+    p, sigma = float(rows[3]["p_i"]), float(rows[3]["sigma_p"])
+    assert sigma < 0.2 * eps**2
+    assert abs(p - eps**2) < 3.0 * sigma
+
+
 def test_tune_scan_rejects_non_finite_signal_response(tmp_path, capsys):
     # each leaf passes its bound, but the epsilon = 1 signal expectation of
     # a bin overflows; with n_ref = inf every residual and its error were 0,
     # so the scan once printed a RuntimeWarning and exited 0 with
     # "median eps90 = 0"
-    leaves = ["halo.rho_dm", "point.m_dm", "point.omega_c", "point.v_eff", "scan.t1c"]
+    leaves = ["halo.rho_dm", "point.v_eff", "scan.t1c"]
     for leaf in leaves:
         out = tmp_path / leaf
         cfg_file = _overlay(tmp_path, leaf, 1.0e300)
@@ -432,6 +457,21 @@ def test_tune_scan_rejects_non_finite_signal_response(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "non-finite signal response" in err, leaf
         assert not [w for w in caught if w.category is RuntimeWarning], leaf
+        assert not (out / "results").exists(), leaf
+    # a mass or cavity frequency of 1e300 once ran every campaign and then
+    # failed the same way; validate_config now refuses the g(t) they imply
+    # (a tau_DM of 6e-294 s, a detuning of 1e300 rad/s) before any campaign
+    for leaf, named in (("point.m_dm", "search.tau_grid"), ("point.omega_c",) * 2):
+        out = tmp_path / leaf
+        cfg_file = _overlay(tmp_path, leaf, 1.0e300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args = ["tune-scan", "--trials", "40", "--config", str(cfg_file)]
+            rc = cli.main([*args, "--out", str(out)])
+        assert rc == 2, leaf
+        err = capsys.readouterr().err
+        assert f"error: {named} must be" in err, leaf
+        assert "RuntimeWarning" not in err and not caught, leaf
         assert not (out / "results").exists(), leaf
 
 
@@ -483,10 +523,10 @@ _GOLDEN_FILES = {
             "babfb7c80bcda79d4c37234ad93d915a0dcfb9c75cbd2095f155be7c7509c5df"
         ),
         "fit.json": (
-            "afca10a2599834a48682a00cfa42c3b9a90b0a1951cc3f0092d6de6351e48579"
+            "de9495dce68e546c1b5f86a7512363f3ec1b2fc51b172fab4ae6f976598a1c1f"
         ),
         "limits.csv": (
-            "a1dac3002fa14c7cb1e38e67bad6ca25d3ceabafa601e9df6c809357dcfcf7c7"
+            "b909994632fcb8681f29b180b881e629ec261e4212b49d64f8de8aaf6a760aeb"
         ),
         "rates.csv": (
             "900e26938e883e42d109b47c07e624e73475d5ade64ce41f591ff602d2d2e6b2"
@@ -497,7 +537,7 @@ _GOLDEN_FILES = {
     },
     "tune-scan": {
         "bins.csv": (
-            "bae210dd7951c1513c02bf3ca702e81ca8d6fa0918299ed12cafef5d07d330aa"
+            "743f0c8dd691495f0a96076fa94e6a7b6d8d667d69045fca2ed6318b10bfaf7f"
         ),
         "calibration.csv": (
             "876ffb7109bffb980a32a720f87a4bd850398feb3b3487927e14d24c21fede00"
@@ -506,7 +546,7 @@ _GOLDEN_FILES = {
             "babfb7c80bcda79d4c37234ad93d915a0dcfb9c75cbd2095f155be7c7509c5df"
         ),
         "limits.csv": (
-            "44fe1e2b646a25d3280f8e0c33434418e2422d2eb008f4cd2d652a022c1a44ca"
+            "82bfc0097bd8ea2d4d986dd3d65ab339721b3d8d3802e41b386a03e5497b103f"
         ),
     },
     "figures": {
@@ -520,7 +560,7 @@ _GOLDEN_FILES = {
             "79279df17b2e55c07ba28c7c8e01d9fb0529aba07dac4280e248f7e31e6e0e47"
         ),
         "sensitivity-growth.csv": (
-            "d12103db60061a58032e9bfac78c38949741a219bd322e24834e32b773d3f03e"
+            "63b726c58d9273ac889acdc8610ebbefe2d0a8fc6b5c1094b564c5fbd334fa61"
         ),
         "transition-curves.csv": (
             "a3e56976909d67234cfe55ba88040fea0655fb9e3a2ed24dfe483a9c8a30e4f5"
@@ -548,10 +588,10 @@ _GOLDEN_INJECTED_FILES = {
             "c65d13427fca52c8cbf3ae57710a296dc6cd534bf01f8d26542f16a1ec4a5a91"
         ),
         "fit.json": (
-            "47f3b3ecd5a430b01e8a8d42530d635f71b42699681c69fc52d33c9490be0e06"
+            "b5356dcb3dbaa7bc6b16a11dd23705675c7ff4a0fe3cb4daa90d69576f2bfa18"
         ),
         "limits.csv": (
-            "bf5ce6f23413570cf20a8fe9939f077c4a7cc7e904e5c63dc11ae0a4f7e73745"
+            "d22313a6314fea461c21adb7d7f34f0a81dc00e3977d9e4a6c7e5c4fb65458e3"
         ),
         "rates.csv": (
             "8e4ae2c2a34af6c2fc30842264978a942a233a32a4cef0119c1972199a03ab59"
@@ -563,10 +603,10 @@ _GOLDEN_INJECTED_FILES = {
     "tune-scan": {
         **_GOLDEN_FILES["calibrate"],
         "bins.csv": (
-            "85aeed4ac6fc6d3fdb0cf8abe44a0db4a800c38f11b252682152957063f8ab42"
+            "51ee028c2c4a34a0c1cf607314ab268aff124f628e440433a445eb34d793741c"
         ),
         "limits.csv": (
-            "c5f0cbfb889ca52aa4a307a43b616ea27a7c5dd2a5fd01051270dfa2025213f0"
+            "033f92cee5b632b20c70f8586a941496faa6d7f1f901ad82ce5dddbd24f775f1"
         ),
     },
 }
@@ -696,7 +736,7 @@ print(sorted(m for m in sys.modules if m.startswith("catscope.")))
 
 def test_simulator_loads_no_halo_physics():
     # the record simulator takes the signal as a probability: importing it
-    # loads neither the halo model nor its quadrature
+    # loads no halo model
     src = str(Path(pipeline.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -707,7 +747,6 @@ def test_simulator_loads_no_halo_physics():
     loaded = done.stdout.splitlines()[-1]
     assert "catscope.measurement" in loaded
     assert "catscope.darkmatter" not in loaded
-    assert "catscope.quadpack" not in loaded
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +940,19 @@ def test_cli_exit_codes(tmp_path, capsys):
         # float range once failed the g(t) quadrature, exit 1
         ("figures", "point.m_dm", "point:\n  m_dm: 1.0e-300\n"),
         ("figures", "point.m_dm", "point:\n  m_dm: 1.0e-200\n"),
+        # a g(tau) that underflows to 0 leaves the fit's a0 column empty and
+        # once ended in a LinAlgError traceback after two RuntimeWarnings;
+        # times far past tau_DM once exited 1 naming no leaf ("produces
+        # 9e304 oscillation nodes"), as did an injected scan at such a t1c
+        ("search", "search.tau_grid", "search:\n  tau_grid: [1.0e-300, 2.0e-300]\n"),
+        ("search", "search.tau_grid", "search:\n  tau_grid: [1.0e+300, 2.0e+300]\n"),
+        (
+            "tune-scan",
+            "scan.t1c",
+            "scan:\n  t1c: 1.0e+300\n  inject_epsilon: 1.0e-16\n  inject_bin: 3\n",
+        ),
+        # a cavity this far from the mass would need 1e9 panels for g(t)
+        ("figures", "point.omega_c", "point:\n  omega_c: 1.0e+11\n"),
         # bins at or below 0 Hz once ran every campaign and then exited 2
         # naming no leaf; with an injected bin they ended in a traceback
         ("tune-scan", "scan.spacing_hz", "scan:\n  spacing_hz: 1.0e+10\n"),
@@ -927,7 +979,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert rc == 2, leaf
         err = capsys.readouterr().err
         assert f"error: {leaf} must be" in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not caught, (text, [str(w.message) for w in caught])
 
     # bins that carry no limit are a runtime failure: one with no kept
