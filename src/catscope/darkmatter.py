@@ -6,7 +6,8 @@ signal accumulation function g(t), and cavity excitation probabilities.
 Unit conventions: every frequency and mass is angular (rad/s); velocities
 are km/s at the interface and converted to fractions of c internally; the
 halo energy density stays in GeV/cm^3 and is converted to rad/s via
-GEV_TO_RAD_PER_S exactly once, inside excitation_probability.
+GEV_TO_RAD_PER_S exactly once, inside rho_m_veff.  excitation_probability
+is arithmetic on a g value the caller integrated with g_of_t.
 
 g(t) is a closed form in the lag s: the lineshape's characteristic function
 (the standard halo's speed is the magnitude of a 3-D Gaussian velocity)
@@ -19,12 +20,11 @@ rounded product, on arrays and on 0-d input alike.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureFailure, UnitOverflow
+from .errors import QuadratureFailure
 
 C_KM_S = 299792.458  # speed of light, km/s
 _E_CHARGE = 1.602176634e-19  # elementary charge, C (exact SI)
@@ -106,7 +106,7 @@ def lineshape(omega, point: SearchPoint, halo: HaloParams = HaloParams()):
     m = point.m_dm
     rel = 2.0 * (omega / m - 1.0)
     v_nat = np.sqrt(np.clip(rel, 0.0, None))  # v as a fraction of c
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f_v = halo_speed_pdf(v_nat * C_KM_S, halo) * C_KM_S
         out = np.where(rel > 0.0, f_v / (m * np.where(rel > 0.0, v_nat, 1.0)), 0.0)
     return out if out.ndim else float(out)
@@ -225,32 +225,28 @@ def g_of_t(t, point: SearchPoint, halo: HaloParams = HaloParams()):
 def excitation_probability(
     epsilon: float,
     point: SearchPoint,
-    halo: HaloParams = HaloParams(),
-    t: float = 0.0,
+    halo: HaloParams,
+    g: float,
     alpha_sq: float = 1.0,
-    g: float | None = None,
 ) -> float:
     """Probability that the DM drive moves the detector up one sector:
 
-        p = epsilon^2 m^2 rho_DM V_eff / omega_c * g(t) * alpha_sq
+        p = epsilon^2 rho_DM m_DM V_eff (m_DM / omega_c) g(t) alpha_sq
 
-    with alpha_sq = 1 for a vacuum probe and |alpha|^2 for a compass probe.
-    g is g_of_t(t, point, halo) when the caller already has it.
-    Perturbative expression: warns above 0.1.
+    with g = g_of_t(t, point, halo) at the integration time t, and
+    alpha_sq = 1 for a vacuum probe and |alpha|^2 for a compass probe.
+    Perturbative expression: a product that overflows is inf, and the
+    caller judges a p near or past 1.
     """
     if epsilon == 0.0:
         return 0.0
-    g = g_of_t(t, point, halo) if g is None else g
-    rho_rad = point.v_eff * halo.rho_dm * GEV_TO_RAD_PER_S  # rad/s
-    wc = point.effective_omega_c()
-    p = epsilon**2 * point.m_dm**2 * rho_rad / wc * g * alpha_sq
-    if not np.isfinite(p):
-        raise UnitOverflow(f"excitation probability overflowed: {p!r}")
-    if p > 0.1:
-        warnings.warn(
-            f"excitation probability {p:.3g} is outside the perturbative regime",
-            stacklevel=2,
-        )
+    m, omega_c = point.m_dm, point.effective_omega_c()
+    try:
+        # epsilon**2 (libm pow, which epsilon * epsilon differs from in the
+        # last bit on some inputs) raises where a float * gives inf
+        p = epsilon**2 * rho_m_veff(point, halo) * (m / omega_c) * g * alpha_sq
+    except OverflowError:
+        return math.inf
     return float(p)
 
 

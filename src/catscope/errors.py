@@ -26,10 +26,6 @@ class QuadratureFailure(CatscopeError):
     """The g(t) quadrature did not converge, or would need too many panels."""
 
 
-class UnitOverflow(CatscopeError):
-    """A unit conversion produced a non-finite intermediate value."""
-
-
 class InvalidMode(CatscopeError):
     """Unknown detector mode (expected 'compass' or 'vacuum')."""
 

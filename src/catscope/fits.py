@@ -251,8 +251,10 @@ def _invert_information(info, scales) -> np.ndarray:
     floor = 1e-12 * max(float(w[-1]), 1.0)
     w = np.maximum(w, floor)
     cov_s = (v / w) @ v.T
-    cov = cov_s * np.outer(s, s)
-    return 0.5 * (cov + cov.T)
+    # an entry that overflows is not finite, which FitResult refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = cov_s * np.outer(s, s)
+        return 0.5 * (cov + cov.T)
 
 
 _MAX_ITERATIONS = 200
@@ -387,11 +389,12 @@ def enhancement_factor(eta_alpha: float, alpha_sq: float, eta_0: float) -> float
 def search_fit(series, g, eta_alpha) -> FitResult:
     """Joint MLE over all probe amplitudes with a shared signal strength a0.
 
-    The rate of series i at tau is a0*eta_i*alpha_sq_i*g(tau) + b_i*tau + c_i,
-    clipped to [0, 1]; params come out as {'a0', 'b_<alpha_sq>',
-    'c_<alpha_sq>', ...}.  a0 >= 0 is a constraint of the fit.  When a0 ends
-    within 1e-6 sigma of zero it is reported as exactly 0 with
-    boundary_hit=True, and log_likelihood is taken at the reported
+    The rate of series i at tau is a0*eta_i*alpha_sq_i*g[tau] + b_i*tau + c_i,
+    clipped to [0, 1], with g mapping each tau to g(tau) as g_of_t integrates
+    it (g does not depend on the probe); params come out as {'a0',
+    'b_<alpha_sq>', 'c_<alpha_sq>', ...}.  a0 >= 0 is a constraint of the
+    fit.  When a0 ends within 1e-6 sigma of zero it is reported as exactly 0
+    with boundary_hit=True, and log_likelihood is taken at the reported
     parameters.  Covariance is the inverse Fisher information in (a0, b, c).
     """
     series = list(series)
@@ -410,13 +413,11 @@ def search_fit(series, g, eta_alpha) -> FitResult:
             )
 
     m = len(series)
-    # g does not depend on the probe: one evaluation per distinct tau
-    g_at = {t: float(g(t)) for t in {t for s in series for t in s.taus}}
     blocks = []
     start = np.zeros(1 + 2 * m)  # a0 = 0, no slope, each series' pooled rate
     for i, s in enumerate(series):
         block = np.zeros((len(s.taus), 1 + 2 * m))
-        block[:, 0] = [eta_alpha[i] * s.alpha_sq * g_at[t] for t in s.taus]
+        block[:, 0] = [eta_alpha[i] * s.alpha_sq * g[t] for t in s.taus]
         block[:, 1 + 2 * i] = s.taus
         block[:, 2 + 2 * i] = 1.0
         blocks.append(block)

@@ -12,7 +12,8 @@ p_leak; records containing L are meant to be dropped downstream.
 
 A planted signal enters only as a number: the probability p_signal that it
 has moved the probe up one sector before the first check, which the
-commands compute from the halo model (darkmatter.excitation_probability).
+commands compute from the halo model and their own g(t) batch
+(darkmatter.excitation_probability).
 A calibration's mimic displacement enters as the sector populations it
 leaves, closed-form sums over coherent dyads (_mimic_sector_populations).
 

@@ -45,7 +45,7 @@ from .darkmatter import (
     lineshape_to_csv,
 )
 from .errors import ConfigError, MissingArtifact, MissingCalibration
-from .errors import QuadratureFailure, UnitOverflow
+from .errors import QuadratureFailure
 from .fits import (
     CalibrationCurve,
     ExclusionPoint,
@@ -308,6 +308,8 @@ def _check_mimic(
 MAX_CAMPAIGN_DRAWS = 2**27
 ROC_TRIALS = 800  # trials of the readout-roc figure's campaign
 GROWTH_SPAN = 20.0  # the sensitivity-growth figure's last time, in tau_DM
+# the search fit scales its a0 column by 1 / g(largest tau) and squares that
+G_FLOOR = 1.0 / math.sqrt(sys.float_info.max)
 
 
 def _growth_times(tau_dm: float) -> np.ndarray:
@@ -426,6 +428,11 @@ def validate_config(cfg: dict) -> None:
                 f"search.tau_grid must be times with a finite g(tau) > 0, got "
                 f"g({tau!r}) = {g!r}"
             )
+    if not g_ends[1] >= G_FLOOR:
+        raise ConfigError(
+            f"search.tau_grid must be long enough that g at its largest time is "
+            f">= {G_FLOOR:.3g} s^2, got g({ends[1]!r}) = {g_ends[1]!r}"
+        )
     # the lowest bin of run_tune_scan, computed as it computes it
     sc = cfg["scan"]
     lowest = _bin_omega(point, sc, 0)
@@ -601,25 +608,22 @@ def _count_positives(model, threshold: float, campaign):
 
 def _signal_probabilities(where: str, eps: float, halo, cases) -> list[float]:
     """p_signal of each injected campaign, one per (point, t, alpha_sq, g)
-    case, checked before any campaign runs: an epsilon (the config value at
-    where) that overflows a p or takes it past 1 is a config error, raised
-    without the perturbative-regime warnings of the cases before it."""
-    ps = []
-    with warnings.catch_warnings(record=True) as held:
-        warnings.simplefilter("always")
-        for point, t, alpha_sq, g in cases:
-            try:
-                p = excitation_probability(eps, point, halo, t, alpha_sq, g)
-            except (OverflowError, UnitOverflow):
-                p = math.inf
-            if not p <= 1.0:
-                raise ConfigError(
-                    f"{where} must be small enough that every injected campaign's "
-                    f"p_signal <= 1, got {eps!r} (p_signal {p:.3g} at t = {t!r} s)"
-                )
-            ps.append(p)
-    for w in held:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    case with g = g(t) at that point, checked before any campaign runs: an
+    epsilon (the config value at where) that overflows a p or takes it past
+    1 is a config error, raised before any warning.  Each p past the
+    perturbative regime (0.1) then warns once."""
+    ps = [excitation_probability(eps, pt, halo, g, a2) for pt, _, a2, g in cases]
+    for p, (_, t, _, _) in zip(ps, cases):
+        if not p <= 1.0:
+            raise ConfigError(
+                f"{where} must be small enough that every injected campaign's "
+                f"p_signal <= 1, got {eps!r} (p_signal {p:.3g} at t = {t!r} s)"
+            )
+    for p in ps:
+        if p > 0.1:
+            warnings.warn(
+                f"excitation probability {p:.3g} is outside the perturbative regime"
+            )
     return ps
 
 
@@ -782,7 +786,7 @@ def run_search(cfg: dict):
             )
             record_chunks.append(records_to_jsonl(camp.records))
         series.append(SearchSeries(a2, tuple(taus), tuple(ks), tuple(ns)))
-    fit = search_fit(series, g_at.__getitem__, tuple(etas))
+    fit = search_fit(series, g_at, tuple(etas))
     a0 = fit.params["a0"]
     sig = fit.stderr("a0")
     lim = epsilon_limit(a0, sig, point, halo)
@@ -827,10 +831,8 @@ def run_tune_scan(cfg: dict):
     if eps and jbin is not None:
         m_inj = omegas[jbin] / (1.0 + OMEGA_M_OFFSET)
         a2_sim = abs(init.alpha) ** 2
-        cases = [
-            (SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff), t1c, a2_sim, None)
-            for om in omegas
-        ]
+        points = [SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff) for om in omegas]
+        cases = [(pt, t1c, a2_sim, g_of_t(t1c, pt, halo)) for pt in points]
         p_signal = _signal_probabilities("scan.inject_epsilon", float(eps), halo, cases)
     etas_by_label, files = _load_calibration(cfg)
     eta = _calibrated_eta(etas_by_label, label, "; add it to probes")

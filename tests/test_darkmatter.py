@@ -157,6 +157,18 @@ def test_gauss_legendre_rules_match_numpy():
         assert_allclose(moments, want, rtol=0.0, atol=2e-15)
 
 
+def test_gauss_legendre_panels_integrate_degree_31_exactly():
+    # g_of_t's 16- and 32-node rules, mapped to [0, 1] and applied panel by
+    # panel as g_of_t applies them, are exact for polynomials up to degree 31
+    x = np.linspace(0.0, 1.0, 5)
+    lo, h = x[:-1, None], np.diff(x)[:, None]
+    values = 32.0 * (lo + h * darkmatter._NODES) ** 31
+    # _WEIGHTS carries g's factor 2, so half of it integrates over [0, 1]
+    result = 0.5 * h * (values @ darkmatter._WEIGHTS)
+    for rule in range(2):
+        assert result[:, rule] == pytest.approx(np.diff(x**32), rel=1e-14)
+
+
 def _scan_points(cfg):
     """The default scan's injections in its first and last bins, each seen
     from every bin's cavity frequency: detunings out to the farthest bin,
@@ -291,28 +303,22 @@ def test_excitation_probability_prefactor_anchor():
 def test_excitation_probability_scalings():
     pt = SearchPoint(m_dm=M_REF)
     halo = HaloParams()
-    tau = coherence_time(pt)
-    t = 5.0 * tau
-    base = excitation_probability(3e-16, pt, halo, t)
+    g = g_of_t(5.0 * coherence_time(pt), pt, halo)
+    base = excitation_probability(3e-16, pt, halo, g)
     assert base > 0.0
-    assert excitation_probability(0.0, pt, halo, t) == 0.0
-    assert excitation_probability(6e-16, pt, halo, t) == pytest.approx(
+    assert excitation_probability(0.0, pt, halo, g) == 0.0
+    assert excitation_probability(6e-16, pt, halo, g) == pytest.approx(
         4.0 * base, rel=1e-12
     )
-    assert excitation_probability(3e-16, pt, halo, t, alpha_sq=12.0) == pytest.approx(
+    assert excitation_probability(3e-16, pt, halo, g, alpha_sq=12.0) == pytest.approx(
         12.0 * base, rel=1e-12
     )
     # the time dependence rides entirely on g(t)
-    t2 = 12.0 * tau
-    ratio = excitation_probability(3e-16, pt, halo, t2) / base
-    assert ratio == pytest.approx(g_of_t(t2, pt, halo) / g_of_t(t, pt, halo), rel=1e-9)
-
-
-def test_excitation_probability_perturbative_warning():
-    pt = SearchPoint(m_dm=M_REF)
-    tau = coherence_time(pt)
-    with pytest.warns(UserWarning):
-        excitation_probability(1e-13, pt, HaloParams(), 20.0 * tau)
+    assert excitation_probability(3e-16, pt, halo, 2.0 * g) == pytest.approx(
+        2.0 * base, rel=1e-12
+    )
+    # a product past the float range is inf, with no error and no warning
+    assert excitation_probability(1e200, pt, halo, g) == math.inf
 
 
 def test_search_point_omega_default():

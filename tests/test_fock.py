@@ -12,12 +12,13 @@ from oracles import (
     displacement_operator,
     fock_wigner,
     mean_photon,
+    poisson_sf,
     population_fidelity,
     populations,
     required_dim,
     transition_probability,
 )
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from catscope.errors import DimMismatch
 from catscope.fock import CatSpec, PhaseGrid, wigner, wigner_to_csv
@@ -388,3 +389,19 @@ def test_dim_property_random_states():
         s = StateVector(dim, v)
         assert s.dim == dim
         assert_allclose(np.sum(populations(s)), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1e-8, 1e-3, 0.1, 1.0, 4.0, 12.0, 30.0, 144.0, 400.0, 2500.0])
+def test_poisson_sf_matches_pdtrc(m):
+    # the oracles' independent Poisson tail agrees with SciPy's pdtrc to 1e-9
+    ks = np.unique(
+        np.concatenate([np.arange(60), np.linspace(0, m + 50 * np.sqrt(m) + 80, 60).astype(int)])
+    )
+    for k in ks.tolist():
+        ref = pdtrc(k, m)
+        got = poisson_sf(k, m)
+        if ref < 1e-290:
+            assert got < 1e-280, (k, m)
+        else:
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0), (k, m)
+    assert poisson_sf(3, 0.0) == 0.0

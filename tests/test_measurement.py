@@ -24,7 +24,13 @@ from oracles import (
 from scipy.stats import chi2
 
 from catscope import measurement as ms
-from catscope.darkmatter import SearchPoint, coherence_time, excitation_probability
+from catscope.darkmatter import (
+    HaloParams,
+    SearchPoint,
+    coherence_time,
+    excitation_probability,
+    g_of_t,
+)
 from catscope.errors import ConfigError, InvalidMode
 from catscope.fock import CatSpec
 
@@ -234,7 +240,8 @@ def test_mimic_injection_matches_overlap():
 
 def test_dm_injection_truth_fraction():
     point = SearchPoint(m_dm=2 * math.pi * 6.442e9)
-    p = excitation_probability(3e-16, point, t=coherence_time(point), alpha_sq=12.0)
+    g = g_of_t(coherence_time(point), point)
+    p = excitation_probability(3e-16, point, HaloParams(), g, alpha_sq=12.0)
     assert 1e-3 < p < 0.1
     cfg = ms.TrialConfig(
         init=CatSpec(math.sqrt(12)), p_signal=p, repeats=2, rng_seed=23
@@ -430,7 +437,7 @@ _INJECTIONS = {
     "beta": lambda a2: {"injected_beta": 0.3},
     "dm": lambda a2: {
         "p_signal": excitation_probability(
-            2e-15, _POINT, t=coherence_time(_POINT), alpha_sq=a2
+            2e-15, _POINT, HaloParams(), g_of_t(coherence_time(_POINT), _POINT), a2
         )
     },
 }

@@ -378,7 +378,7 @@ def test_injected_signal_uses_the_simulated_probe(monkeypatch):
     pipeline.run_search(cfg)
     point, halo = pipeline.build_point(cfg), pipeline.build_halo(cfg)
     expected = [
-        excitation_probability(1e-15, point, halo, tau, a2)
+        excitation_probability(1e-15, point, halo, g_of_t(tau, point, halo), a2)
         for a2 in (1.0, math.sqrt(12.0) ** 2)
         for tau in cfg["search"]["tau_grid"]
     ]
@@ -386,7 +386,8 @@ def test_injected_signal_uses_the_simulated_probe(monkeypatch):
     # the config's 12.0 would give other bits (at tau = 2e-5 s here)
     grid = cfg["search"]["tau_grid"]
     assert expected[2:] != [
-        excitation_probability(1e-15, point, halo, tau, 12.0) for tau in grid
+        excitation_probability(1e-15, point, halo, g_of_t(tau, point, halo), 12.0)
+        for tau in grid
     ]
 
 
@@ -946,6 +947,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         # 9e304 oscillation nodes"), as did an injected scan at such a t1c
         ("search", "search.tau_grid", "search:\n  tau_grid: [1.0e-300, 2.0e-300]\n"),
         ("search", "search.tau_grid", "search:\n  tau_grid: [1.0e+300, 2.0e+300]\n"),
+        # g at the largest time so small that the search fit's 1 / g^2
+        # overflows: the first once ended in a LinAlgError traceback after
+        # six RuntimeWarnings, the second exited 1 naming no leaf
+        ("search", "search.tau_grid", "search:\n  tau_grid: [1.0e-155, 2.0e-155]\n"),
+        ("search", "search.tau_grid", "search:\n  tau_grid: [1.0e-100, 2.0e-100]\n"),
         (
             "tune-scan",
             "scan.t1c",
@@ -981,6 +987,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert f"error: {leaf} must be" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not caught, (text, [str(w.message) for w in caught])
+
+    # a g above that floor whose fit covariance still overflows is refused
+    # without the RuntimeWarning it once printed from fits._invert_information
+    p = tmp_path / "tiny-tau.yaml"
+    p.write_text("search:\n  tau_grid: [1.0e-77, 2.0e-77]\n")
+    rc = cli.main(["search", "--config", str(p), "--trials", "40", "--out", str(tmp_path)])
+    assert rc in (1, 2)
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    # a tiny smallest time is fine while the largest keeps g above the floor
+    p.write_text("search:\n  tau_grid: [1.0e-100, 1.0e-4]\n")
+    rc = cli.main(["search", "--config", str(p), "--trials", "40", "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
 
     # bins that carry no limit are a runtime failure: one with no kept
     # trials once ended in a ZeroDivisionError traceback, one with every
@@ -1040,11 +1061,14 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     # extreme halo speeds pass every leaf bound but leave a coherence time
     # of 0 s, which once ended in a traceback from np.geomspace (or, for
-    # v_vir 1e300, an OverflowError squaring it)
+    # v_vir 1e300, an OverflowError squaring it); a subnormal mass leaves
+    # an infinite one, after a RuntimeWarning from the lineshape it once
+    # printed
     extreme = [
         "halo:\n  v_g: 1.0e+300\n",
         "halo:\n  v_vir: 1.0e-300\n",
         "halo:\n  v_vir: 1.0e+300\n",
+        "point:\n  m_dm: 1.0e-310\n",
     ]
     for i, text in enumerate(extreme):
         p = tmp_path / f"tau{i}.yaml"
