@@ -240,7 +240,7 @@ def _invert_information(info, scales) -> np.ndarray:
     Parameter magnitudes span ten orders here, so a raw pinv would zero the
     small information eigenvalues, i.e. exactly the directions with LARGE
     uncertainty.  Normalizing first keeps them; flooring the spectrum keeps
-    the result positive semidefinite."""
+    the result PSD.  A non-finite matrix or covariance raises NonFinite."""
     s = np.asarray(scales, dtype=float)
     with np.errstate(all="ignore"):
         hs = info * np.outer(s, s)
@@ -251,10 +251,12 @@ def _invert_information(info, scales) -> np.ndarray:
     floor = 1e-12 * max(float(w[-1]), 1.0)
     w = np.maximum(w, floor)
     cov_s = (v / w) @ v.T
-    # an entry that overflows is not finite, which FitResult refuses
     with np.errstate(over="ignore", invalid="ignore"):
         cov = cov_s * np.outer(s, s)
-        return 0.5 * (cov + cov.T)
+        cov = 0.5 * (cov + cov.T)
+    if not np.all(np.isfinite(cov)):
+        raise NonFinite("the fit's covariance is not finite")
+    return cov
 
 
 _MAX_ITERATIONS = 200

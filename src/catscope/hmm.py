@@ -99,29 +99,32 @@ def batch_posteriors(model: HmmModel, records: Records) -> tuple[np.ndarray, np.
     evaluated with a log-domain backward recursion, marginalized over the
     qubit at slot 0, and renormalized once at the end.  The uint8 symbol
     codes index the emission columns directly, and all records run one
-    vectorized recursion with a max-shift normalization per step, so the
-    results match the logsumexp recursion of the tests' forward_backward
-    oracle to rounding.  lam is the signal sector against the rest,
-    p[1]/(p[0]+p[2]+p[3]) for four sectors and p[1]/p[0] for two, and inf
-    where that denominator is 0.  Returns (p_phi, lam) arrays in record
-    order, shapes (n_records, n_sectors) and (n_records,).
+    state-major recursion (log_beta[state, record]) with a max-shift
+    normalization per step, so the results match the logsumexp recursion of
+    the tests' forward_backward oracle to rounding.  lam is the signal
+    sector against the rest, p[1]/(p[0]+p[2]+p[3]) for four sectors and
+    p[1]/p[0] for two, and inf where that denominator is 0.  Returns
+    (p_phi, lam) arrays in record order, shapes (n_records, n_sectors) and
+    (n_records,).
     """
     idx = records.symbols
     if np.any(idx == CODE_LEAK):
         raise LeakageSymbol("record contains a leaked readout; post-select first")
     n_records = len(records)
     with np.errstate(divide="ignore"):
-        log_e = np.log(model.emission).T  # row c: log emission of symbol c
+        log_e = np.log(model.emission)  # column c: log emission of symbol c
         log_p = np.log(model.prior)
-    log_beta = np.zeros((n_records, model.n_states))
+    log_beta = np.zeros((model.n_states, n_records))
+    slots = idx.T.copy()
     for k in range(idx.shape[1] - 1, 0, -1):
-        tail = log_e[idx[:, k]] + log_beta
-        shift = tail.max(axis=1, keepdims=True)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        acc = np.exp(tail - shift) @ model.transition.T
+        tail = log_e.take(slots[k], axis=1) + log_beta
+        shift = tail.max(axis=0)
+        shift[~np.isfinite(shift)] = 0.0
+        acc = model.transition @ np.exp(tail - shift)
         with np.errstate(divide="ignore"):
             log_beta = shift + np.log(acc)
-    log_joint = log_p[None, :] + log_e[idx[:, 0]] + log_beta
+    # record-major (C order) again: the state sums below run along rows
+    log_joint = log_p[None, :] + log_e.T[idx[:, 0]] + log_beta.T
     shift = log_joint.max(axis=1, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     un = np.exp(log_joint - shift)

@@ -449,15 +449,20 @@ def run_campaign(
 
     u = _trial_uniforms(cfg, n_trials)
     steps = u[:, 1:].reshape(n_trials, cfg.repeats, 4)  # sector, qubit, leak, symbol
-    sectors = np.empty((n_trials, cfg.repeats), dtype=np.uint8)
-    qubits = np.zeros((n_trials, cfg.repeats), dtype=np.uint8)
+    u_sec, u_qubit = steps[:, :, 0].T.copy(), steps[:, :, 1].T.copy()  # slot-major
+    sectors = np.zeros((cfg.repeats, n_trials), dtype=np.uint8)
+    qubits = np.zeros((cfg.repeats, n_trials), dtype=np.uint8)
     # a pick is the count of cumulative weights <= u, clamped to the last sector
     first = np.searchsorted(np.cumsum(probs), u[:, 0], side="right")
-    sectors[:, 0] = np.minimum(first, n_sec - 1)
+    sectors[0] = np.minimum(first, n_sec - 1)
+    # rows never fall, so a hop's count over the first n_sec - 1 columns is clamped
+    columns, to_g = cav_cum[:, :-1].T, to_g.ravel()  # to_g[2 sector + qubit]
     for k in range(1, cfg.repeats):
-        hop = (cav_cum[sectors[:, k - 1]] <= steps[:, k, 0, None]).sum(axis=1)
-        sectors[:, k] = np.minimum(hop, n_sec - 1)
-        qubits[:, k] = ~(steps[:, k, 1] < to_g[sectors[:, k], qubits[:, k - 1]])
+        prev, hop, u_k = sectors[k - 1], sectors[k], u_sec[k]
+        for col in columns:
+            hop += col.take(prev) <= u_k
+        qubits[k] = u_qubit[k] >= to_g.take(2 * hop + qubits[k - 1])
+    sectors, qubits = sectors.T.copy(), qubits.T.copy()
     symbols = np.where(steps[:, :, 3] < p_read_g[qubits], 0, 1).astype(np.uint8)
     symbols[steps[:, :, 2] < device.p_leak] = CODE_LEAK
 
@@ -490,13 +495,16 @@ def records_to_jsonl(records: Records) -> str:
     if records.mode is None:
         lines = [f'{{"symbols": "{s}", "trial_id": {t}}}' for s, t in zip(symbols, ids)]
         return "\n".join(lines) + "\n"
+    # one-digit sectors as str(list) prints them, "[d, d, ...]"
+    lists = np.full((len(records), 3 * records.sectors.shape[1]), 10, np.uint8)
+    lists[:, 3::3], lists[:, 1::3], lists[:, [0, -1]] = 11, records.sectors, (12, 13)
     columns = zip(
         symbols,
         ids,
         records.init_sector.tolist(),
         np.where(records.injected, "true", "false").tolist(),
         _code_strings(records.qubits, "ge"),
-        map(str, records.sectors.tolist()),
+        _code_strings(lists, "0123456789, []"),
     )
     lines = [
         f'{{"symbols": "{s}", "trial_id": {t}, "truth": {{"init_sector": {i}, '

@@ -45,7 +45,7 @@ from .darkmatter import (
     lineshape_to_csv,
 )
 from .errors import ConfigError, MissingArtifact, MissingCalibration
-from .errors import QuadratureFailure
+from .errors import NonFinite, QuadratureFailure
 from .fits import (
     CalibrationCurve,
     ExclusionPoint,
@@ -372,9 +372,16 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("calibration.betas needs at least 3 distinct values")
     for i, p in enumerate(probes):
         a2 = _probe_parts(p)[3]
+        n_inj = set()  # as run_calibrate computes them
         for beta in betas:
             applied = beta / math.sqrt(a2)
             _check_mimic("calibration.betas", beta, p, f"probes[{i}]", applied)
+            n_inj.add(applied * applied)
+        if len(n_inj) < 3:
+            raise ConfigError(
+                f"calibration.betas must be drives that give at least 3 distinct "
+                f"n_inj = (beta / alpha)^2 for probes[{i}], got {sorted(n_inj)!r}"
+            )
     beta = cfg["records"]["injected_beta"]
     probe = cfg["records"]["probe"]
     _check_mimic("records.injected_beta", beta, probe, "records.probe", beta)
@@ -545,9 +552,13 @@ class RunWriter:
     def write(self, name: str, text: str) -> None:
         if "/" in name or name.startswith("."):
             raise ConfigError(f"bad artifact name {name!r}")
-        data = text.encode("utf-8")
-        (self.stage_dir / name).write_bytes(data)
-        self.hashes[name] = hashlib.sha256(data).hexdigest()
+        # in 256 KiB slices, so no whole-file bytes copy lifts the peak memory
+        digest = hashlib.sha256()
+        with open(self.stage_dir / name, "wb") as f:
+            for start in range(0, len(text), 1 << 18):
+                f.write(data := text[start : start + (1 << 18)].encode("utf-8"))
+                digest.update(data)
+        self.hashes[name] = digest.hexdigest()
 
     def promote(self) -> Path:
         """Rename the staged directory to results/<run-id>.  A previous
@@ -627,7 +638,7 @@ def _signal_probabilities(where: str, eps: float, halo, cases) -> list[float]:
     return ps
 
 
-def _calibrated_eta(etas_by_label: dict, label: str, hint: str = "") -> float:
+def _calibrated_eta(etas_by_label: dict, label: str, mode: str, hint: str = "") -> float:
     """The probe's calibrated efficiency; a missing or non-positive one
     cannot scale a signal rate."""
     if label not in etas_by_label:
@@ -635,8 +646,8 @@ def _calibrated_eta(etas_by_label: dict, label: str, hint: str = "") -> float:
     eta = etas_by_label[label]
     if not eta > 0.0:
         raise MissingCalibration(
-            f"calibrated efficiency for {label!r} is {eta!r}; "
-            "rerun calibration with more trials"
+            f"calibrated efficiency for {label!r} is {eta!r}; rerun calibration with "
+            f"more trials, or move thresholds.{mode} if it classifies every record alike"
         )
     return eta
 
@@ -673,7 +684,10 @@ def run_calibrate(cfg: dict):
             curve_lines.append(
                 f"{label},{mode},{a2!r},{applied!r},{n_inj!r},{k},{n_kept},{n_drop}"
             )
-        fit = calibrate_detector(CalibrationCurve(tuple(pts), alpha_sq=a2))
+        try:
+            fit = calibrate_detector(CalibrationCurve(tuple(pts), alpha_sq=a2))
+        except NonFinite as exc:  # a column scale is 1 / the largest alpha^2 n_inj
+            raise ConfigError(f"calibration.betas must be larger for a finite fit: {exc}")
         rows.append(
             {
                 "label": label,
@@ -767,7 +781,7 @@ def run_search(cfg: dict):
         p_signal = dict(zip(keys, ps))
     etas_by_label, files = _load_calibration(cfg)
     # every probe's efficiency is checked before any campaign runs
-    etas = [_calibrated_eta(etas_by_label, label) for _, _, label, _ in probes]
+    etas = [_calibrated_eta(etas_by_label, label, mode) for _, mode, label, _ in probes]
     series = []
     rate_lines = ["probe,alpha_sq,tau,k_pos,n_kept,n_dropped,eta"]
     record_chunks = []
@@ -786,7 +800,10 @@ def run_search(cfg: dict):
             )
             record_chunks.append(records_to_jsonl(camp.records))
         series.append(SearchSeries(a2, tuple(taus), tuple(ks), tuple(ns)))
-    fit = search_fit(series, g_at, tuple(etas))
+    try:
+        fit = search_fit(series, g_at, tuple(etas))
+    except NonFinite as exc:  # the a0 column's scale is 1 / g at the largest tau
+        raise ConfigError(f"search.tau_grid must be long enough for a finite fit: {exc}")
     a0 = fit.params["a0"]
     sig = fit.stderr("a0")
     lim = epsilon_limit(a0, sig, point, halo)
@@ -835,7 +852,7 @@ def run_tune_scan(cfg: dict):
         cases = [(pt, t1c, a2_sim, g_of_t(t1c, pt, halo)) for pt in points]
         p_signal = _signal_probabilities("scan.inject_epsilon", float(eps), halo, cases)
     etas_by_label, files = _load_calibration(cfg)
-    eta = _calibrated_eta(etas_by_label, label, "; add it to probes")
+    eta = _calibrated_eta(etas_by_label, label, "compass", "; add it to probes")
     # the calibration slope is an efficiency estimate and can overshoot 1
     # at small trial counts; project it back to the physical boundary
     eta = min(eta, 1.0)

@@ -643,6 +643,10 @@ def test_invert_information_rejects_non_finite_matrices():
         ):
             with pytest.raises(NonFinite, match="information matrix"):
                 fits._invert_information(info, scales)
+        # a finite scaled inverse whose covariance, back in the parameters'
+        # units, overflows: a g(tau) near 1e-154 scales the a0 column so
+        with pytest.raises(NonFinite, match="covariance is not finite"):
+            fits._invert_information(np.diag([1e-310, 1.0]), np.array([1e154, 1.0]))
 
 
 def test_xlogy_equals_scipy():

@@ -468,6 +468,46 @@ def test_campaign_matches_simulate_record(probe, injection, p_d, repeats):
         )
 
 
+class _Replay:
+    """Stands in for one trial's Generator: random() hands out that trial's
+    row of a fixed uniform matrix, in order."""
+
+    def __init__(self, row):
+        self.row, self.used = row, 0
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out = self.row[self.used : self.used + n]
+        self.used += n
+        return out[0] if size is None else out.reshape(size)
+
+
+def test_campaign_clamps_picks_past_a_row_sum_below_one(monkeypatch):
+    # at p_d = 0.3 every row of the alpha_sq = 4 compass kernel sums, in
+    # floating point, to 1 - 2**-52, below the largest uniform 1 - 2**-53:
+    # a sector draw there counts past the last column and must pick the
+    # last sector, as the oracle's searchsorted-and-clamp does; draws equal
+    # to a cumulative weight check the ties of <=
+    device = ms.DeviceParams(p_d=0.3, p_leak=0.05)
+    cfg = ms.TrialConfig(init=CatSpec(2.0), repeats=20, rng_seed=5)
+    cav = ms._cavity_matrix(device, 4.0, "compass")
+    cav_cum = np.cumsum((1.0 - device.p_d) * cav + device.p_d / 4, axis=1)
+    assert np.all(cav_cum[:, -1] < 1.0 - 2.0**-53)
+    n = 64
+    u = ms._trial_uniforms(cfg, n)
+    draws = u[:, 1:].reshape(n, cfg.repeats, 4)  # a view: edits reach u
+    draws[::2, :, 0] = 1.0 - 2.0**-53
+    ties = np.random.default_rng(3).choice(cav_cum.ravel(), draws[1::2, :, 0].shape)
+    draws[1::2, :, 0] = ties
+    monkeypatch.setattr(ms, "_trial_uniforms", lambda cfg, n_trials: u)
+    records = ms.run_campaign(n, cfg, device).records
+    assert np.all(records.sectors[::2, 1:] == 3)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(u[seed.entropy[1]]))
+    for k, got in enumerate(record_rows(records)):
+        ref = simulate_record(cfg, device, trial_id=k)
+        assert (got.symbols, got.truth) == (ref.symbols, ref.truth), k
+
+
 def _hop_p_value(records, transition):
     """Chi-square p-value of the joint (sector, qubit) hop counts against a
     transition matrix; cells expecting fewer than 5 hops are pooled per row."""
@@ -525,10 +565,12 @@ def test_records_indexing_matches_iteration():
         iter(recs)  # rows come from record_rows, never from iterating
 
 
+@pytest.mark.parametrize("repeats", [1, 9, 20])
 @pytest.mark.parametrize("probe", ["compass", "vacuum"])
-def test_jsonl_matches_json_dumps(probe):
+def test_jsonl_matches_json_dumps(probe, repeats):
+    # at one readout slot the sector list is "[d]"
     init = CatSpec(2.0) if probe == "compass" else None
-    cfg = ms.TrialConfig(init=init, injected_beta=0.4, repeats=9, rng_seed=8)
+    cfg = ms.TrialConfig(init=init, injected_beta=0.4, repeats=repeats, rng_seed=8)
     recs = ms.run_campaign(120, cfg, ms.DeviceParams(p_leak=0.05)).records
     bare = ms.Records(recs.symbols, recs.trial_ids)
     # with truth columns the truth key is written, without them it is not

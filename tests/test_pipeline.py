@@ -669,6 +669,25 @@ def test_interleaved_writers_of_one_run_id(tmp_path):
     assert not any((tmp_path / "quarantine").iterdir())
 
 
+def test_writer_slices_keep_the_bytes_and_hash(tmp_path):
+    # the writer encodes and hashes in slices; multi-byte characters on
+    # both sides of the slice edges, an empty file and a short one come out
+    # as one whole-text encode would give them
+    rid = "0123456789ab"
+    w = pipeline.RunWriter(tmp_path, rid)
+    texts = {
+        "big.txt": "ab\u00e9\u20ac\U0001d11e\n" * 70_000,
+        "empty.txt": "",
+        "short.txt": "x\n",
+    }
+    for name, text in texts.items():
+        w.write(name, text)
+        data = (w.stage_dir / name).read_bytes()
+        assert data == text.encode("utf-8"), name
+        assert w.hashes[name] == hashlib.sha256(data).hexdigest(), name
+    assert len(texts["big.txt"]) > 1 << 18
+
+
 _PROMOTE_LOOP = """
 import sys
 from catscope import pipeline
@@ -870,6 +889,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     # bad values from a config file are exit 2 too, and name the leaf; the
     # last four once ran (a boolean frequency) or ended in a traceback
+    tiny_betas = "[0.0, 1.0e-300, 2.0e-300]"
     cases = [
         ("figures", "halo.rho_dm", "halo:\n  rho_dm: -1\n"),
         ("figures", "point.m_dm", "point:\n  m_dm: -5\n"),
@@ -957,6 +977,21 @@ def test_cli_exit_codes(tmp_path, capsys):
             "scan.t1c",
             "scan:\n  t1c: 1.0e+300\n  inject_epsilon: 1.0e-16\n  inject_bin: 3\n",
         ),
+        # (beta / alpha)^2 underflows to 0 for every drive, which once exited
+        # 1 ("need at least 3 distinct n_inj values") after the vacuum
+        # probe's campaigns; search and tune-scan self-calibrate by default
+        *[
+            (command, "calibration.betas", f"calibration:\n  betas: {tiny_betas}\n")
+            for command in ("calibrate", "search", "tune-scan")
+        ],
+        # distinct but tiny n_inj overflow the calibration fit's covariance,
+        # or its information matrix, in the parameters' units; they once
+        # exited 2 ("covariance contains NaN/inf") and 1 ("information
+        # matrix is not finite"), naming no leaf
+        *[
+            ("calibrate", "calibration.betas", f"calibration:\n  betas: {b}\n  trials: 40\n")
+            for b in ("[0.0, 5.0e-77, 1.0e-76]", "[0.0, 1.0e-78, 2.0e-78]")
+        ],
         # a cavity this far from the mass would need 1e9 panels for g(t)
         ("figures", "point.omega_c", "point:\n  omega_c: 1.0e+11\n"),
         # bins at or below 0 Hz once ran every campaign and then exited 2
@@ -989,13 +1024,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not caught, (text, [str(w.message) for w in caught])
 
     # a g above that floor whose fit covariance still overflows is refused
-    # without the RuntimeWarning it once printed from fits._invert_information
+    # without the RuntimeWarning it once printed from fits._invert_information,
+    # naming the leaf ("covariance contains NaN/inf" once named none)
     p = tmp_path / "tiny-tau.yaml"
     p.write_text("search:\n  tau_grid: [1.0e-77, 2.0e-77]\n")
     rc = cli.main(["search", "--config", str(p), "--trials", "40", "--out", str(tmp_path)])
-    assert rc in (1, 2)
+    assert rc == 2
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert "error: search.tau_grid must be" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     # a tiny smallest time is fine while the largest keeps g above the floor
     p.write_text("search:\n  tau_grid: [1.0e-100, 1.0e-4]\n")
@@ -1088,6 +1124,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--workers", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, mode, value",
+    [
+        ("search", "compass", "1.0e+300"),
+        ("tune-scan", "compass", "1.0e-300"),
+        ("search", "vacuum", "1.0e-300"),
+    ],
+)
+def test_zero_efficiency_names_the_threshold(tmp_path, capsys, command, mode, value):
+    # a threshold that classifies every record alike calibrates eta = 0,
+    # which more trials cannot mend; the message once advised only those
+    p = tmp_path / "threshold.yaml"
+    p.write_text(f"thresholds:\n  {mode}: {value}\n")
+    rc = cli.main([command, "--config", str(p), "--trials", "40", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: calibrated efficiency for" in err and "is 0.0" in err
+    assert f"thresholds.{mode}" in err
 
 
 @pytest.mark.parametrize(
