@@ -11,6 +11,7 @@ run directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -37,6 +38,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # once per process, on the first call: none at import
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="catscope",
@@ -111,9 +113,10 @@ def main(argv=None) -> int:
         elapsed = time.monotonic() - started
         log_dir = out_root / "logs"
         log_dir.mkdir(parents=True, exist_ok=True)
-        (log_dir / f"{final.name}-timing.txt").write_text(
-            f"{args.command} {final.name} wall_clock_s={elapsed:.3f}\n"
-        )
+        timing = [f"{args.command} {final.name} wall_clock_s={elapsed:.3f}"]
+        if args.command in pipeline.CAMPAIGN_COMMANDS:
+            timing.append(summary[-1])  # the records line
+        (log_dir / f"{final.name}-timing.txt").write_text("\n".join(timing) + "\n")
         print(f"wrote {final}")
         for line in summary:
             print(f"  {line}")

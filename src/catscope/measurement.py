@@ -20,8 +20,13 @@ leaves, closed-form sums over coherent dyads (_mimic_sector_populations).
 run_campaign draws hidden paths for every trial of a campaign together
 from the transition matrix augmented with a per-step demolition channel
 (the sector is scrambled uniformly with probability p_d), and returns them
-as one columnar Records set.  Records is the one record format: inference,
-post-selection and records_to_jsonl take nothing else.  The scalar
+as one columnar Records set.  Its uniforms come draw-major, one row per
+draw and a column per trial, from numpy's SeedSequence and PCG64 recipes
+run on arrays (_trial_uniforms): PCG64 group heads are jumped to and the
+draws between them stepped from a head by one product with a constant, so
+every step of the chain reads its draws as contiguous rows.  Records is
+the one record format: inference, post-selection and records_to_jsonl
+take nothing else.  The scalar
 per-record simulator run_campaign is checked against, and the compass-state
 preparation, are test oracles (tests/oracles.py).
 
@@ -117,13 +122,6 @@ class TrialConfig:
     @property
     def mode(self) -> str:
         return "compass" if self.init is not None else "vacuum"
-
-
-def _code_strings(codes: np.ndarray, alphabet: str) -> list[str]:
-    """One string per row of a small-integer code matrix."""
-    chars = np.frombuffer(alphabet.encode("ascii"), np.uint8)[codes]
-    width = chars.shape[1]
-    return [b.decode("ascii") for b in chars.view(f"S{width}").ravel().tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,7 +345,8 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_BLOCK = 128  # trials, and draws, computed at once: bounds the scratch memory
+_BLOCK = 128  # group heads jumped to at once, and the fewest trials per tile
+_TILE = 1 << 14  # uint64 words per scratch array: bounds the scratch memory
 
 
 def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
@@ -386,38 +385,84 @@ def _mulhi(k: np.ndarray, x: np.ndarray) -> np.ndarray:
     return k_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
 
 
+def _words(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 columns, shape (len, 1), of 128-bit constants."""
+    hi, lo = ([v >> shift & _M64 for v in values] for shift in (64, 0))
+    return np.array(hi, np.uint64)[:, None], np.array(lo, np.uint64)[:, None]
+
+
+def _mul128(c_hi, c_lo, hi, lo) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) words of c (hi, lo) mod 2^128, c given by its words."""
+    return _mulhi(c_lo, lo) + c_lo * hi + c_hi * lo, c_lo * lo
+
+
+def _add128(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) words of a + b mod 2^128, for (hi, lo) word pairs."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _draw_stride(n_trials: int, n_draws: int) -> int:
+    """K, the draws per group of _trial_uniforms: one more for every 50
+    trials, up to ceil(sqrt(n_draws)), which balances the group heads
+    against the draws stepped from them.  K = 1 (below 100 trials) jumps to
+    every draw; at few trials each further group step costs more in array
+    calls than its products save."""
+    return max(1, min(n_trials // 50, math.isqrt(n_draws - 1) + 1))
+
+
 def _trial_uniforms(cfg: TrialConfig, n_trials: int) -> np.ndarray:
-    """(n, 1 + 4 repeats) uniforms: row k is what
+    """(1 + 4 repeats, n) uniforms, draw-major: column k is what
     Generator(PCG64(SeedSequence([rng_seed, k]))).random(1 + 4 repeats)
     gives, the initial-sector draw and then the (repeats, 4) step draws.
 
     With s, q the 128-bit halves of the seed state, inc = 2 q + 1 and the
     setseq init x0 = M s + (M + 1) inc, draw j is the XSL-RR output of x0
     stepped j + 1 times, M^(j+2) s + (1 + M + ... + M^(j+2)) inc, held as
-    (hi, lo) uint64 pairs and jumped to for tiles of _BLOCK by _BLOCK."""
+    (hi, lo) uint64 pairs.  The draws fall in groups of K = _draw_stride:
+    each group head j = gK is jumped to by that formula, two outer products,
+    and draw gK + r is the head stepped r times, M^r y + (1 + ... + M^(r-1))
+    inc, one product of a per-trial state by a scalar (Brown, Trans. Am.
+    Nucl. Soc. 71, 202, 1994), whose inc term is shared by every group.
+    At most _BLOCK heads and _TILE words of scratch are held at once."""
     n_draws = 1 + 4 * cfg.repeats
+    stride = _draw_stride(n_trials, n_draws)
+    n_groups = -(-n_draws // stride)
     s_hi, s_lo, q_hi, q_lo = _seed_states(cfg.rng_seed, n_trials)
     i_hi, i_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-    u = np.empty((n_trials, n_draws))
-    power, total = _PCG_MULT, 1 + _PCG_MULT
-    for first in range(0, n_draws, _BLOCK):
-        jumps = []  # (M^(j+2), 1 + M + ... + M^(j+2)) for the tile's draws
-        for _ in range(min(_BLOCK, n_draws - first)):
-            power = power * _PCG_MULT & _M128
-            total = total + power & _M128
-            jumps.append((power, total))
-        halves = ([v[i] >> s & _M64 for v in jumps] for i in (0, 1) for s in (64, 0))
-        a_hi, a_lo, b_hi, b_lo = (np.array(w, np.uint64) for w in halves)
-        for start in range(0, n_trials, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            sh, sl, ih, il = (w[rows, None] for w in (s_hi, s_lo, i_hi, i_lo))
-            lo_s = a_lo * sl
-            lo = lo_s + b_lo * il
-            hi = _mulhi(a_lo, sl) + _mulhi(b_lo, il) + (lo < lo_s)
-            hi += a_lo * sh + a_hi * sl + b_lo * ih + b_hi * il
-            out, rot = hi ^ lo, hi >> 58
-            out = out >> rot | out << (64 - rot & 63)
-            u[rows, first : first + _BLOCK] = (out >> 11) * 2.0**-53
+    u = np.empty((n_draws, n_trials))
+    steps = [(1, 0)]  # (M^r, 1 + M + ... + M^(r-1)) for r <= K
+    for _ in range(stride):
+        power, total = steps[-1]
+        steps.append((power * _PCG_MULT & _M128, total + power & _M128))
+    leap = steps.pop()
+    step_powers = [(np.uint64(p >> 64), np.uint64(p & _M64)) for p, _ in steps]
+    step_sums = _words([t for _, t in steps])
+    head = (_PCG_MULT**2 & _M128, 1 + _PCG_MULT + _PCG_MULT**2 & _M128)
+    for g0 in range(0, n_groups, _BLOCK):
+        jumps = []  # (M^(j+2), 1 + M + ... + M^(j+2)) at the chunk's heads j
+        for _ in range(min(_BLOCK, n_groups - g0)):
+            jumps.append(head)
+            head = (leap[0] * head[0] & _M128, leap[0] * head[1] + leap[1] & _M128)
+        powers, sums = (_words([v[i] for v in jumps]) for i in (0, 1))
+        width = max(_BLOCK, _TILE // len(jumps))
+        for start in range(0, n_trials, width):
+            cols = slice(start, start + width)
+            inc = i_hi[cols], i_lo[cols]
+            y_hi, y_lo = _add128(
+                _mul128(*powers, s_hi[cols], s_lo[cols]), _mul128(*sums, *inc)
+            )
+            shared = _mul128(*step_sums, *inc)  # row r: (1 + ... + M^(r-1)) inc
+            for r, power in enumerate(step_powers):
+                rows = u[g0 * stride + r : (g0 + len(jumps)) * stride : stride, cols]
+                hi, lo = y_hi[: len(rows)], y_lo[: len(rows)]
+                if r:
+                    hi, lo = _add128(_mul128(*power, hi, lo), [w[r] for w in shared])
+                # XSL-RR; a shift by 64 gives 0 in numpy, so rot = 0 is a no-op
+                out, rot = hi ^ lo, hi >> 58
+                out = out >> rot | out << (64 - rot)
+                # out >> 11 < 2^53 converts from int64 faster than from uint64
+                np.multiply((out >> 11).view(np.int64), 2.0**-53, out=rows)
     return u
 
 
@@ -448,12 +493,12 @@ def run_campaign(
     p_read_g = np.array([1.0 - device.readout_Fge_inv, device.readout_Fge])
 
     u = _trial_uniforms(cfg, n_trials)
-    steps = u[:, 1:].reshape(n_trials, cfg.repeats, 4)  # sector, qubit, leak, symbol
-    u_sec, u_qubit = steps[:, :, 0].T.copy(), steps[:, :, 1].T.copy()  # slot-major
+    # slot-major (repeats, n) views of the sector, qubit, leak and symbol draws
+    u_sec, u_qubit, u_leak, u_symbol = u[1:].reshape(cfg.repeats, 4, -1).swapaxes(0, 1)
     sectors = np.zeros((cfg.repeats, n_trials), dtype=np.uint8)
     qubits = np.zeros((cfg.repeats, n_trials), dtype=np.uint8)
     # a pick is the count of cumulative weights <= u, clamped to the last sector
-    first = np.searchsorted(np.cumsum(probs), u[:, 0], side="right")
+    first = np.searchsorted(np.cumsum(probs), u[0], side="right")
     sectors[0] = np.minimum(first, n_sec - 1)
     # rows never fall, so a hop's count over the first n_sec - 1 columns is clamped
     columns, to_g = cav_cum[:, :-1].T, to_g.ravel()  # to_g[2 sector + qubit]
@@ -462,9 +507,9 @@ def run_campaign(
         for col in columns:
             hop += col.take(prev) <= u_k
         qubits[k] = u_qubit[k] >= to_g.take(2 * hop + qubits[k - 1])
-    sectors, qubits = sectors.T.copy(), qubits.T.copy()
-    symbols = np.where(steps[:, :, 3] < p_read_g[qubits], 0, 1).astype(np.uint8)
-    symbols[steps[:, :, 2] < device.p_leak] = CODE_LEAK
+    symbols = np.where(u_symbol < p_read_g[qubits], 0, 1).astype(np.uint8)
+    symbols[u_leak < device.p_leak] = CODE_LEAK
+    sectors, qubits, symbols = sectors.T.copy(), qubits.T.copy(), symbols.T.copy()
 
     base = cfg.init.j if mode == "compass" else 0
     init_sector = sectors[:, 0].copy()
@@ -485,30 +530,62 @@ def run_campaign(
 # serialization
 
 
+def _digit_columns(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as right-aligned ASCII digit columns, one row
+    each, padded on the left with NUL bytes."""
+    values = values.astype(np.uint64)
+    top = int(values.max(initial=0))
+    places = 10 ** np.arange(len(str(top)) - 1, -1, -1, dtype=np.uint64)
+    digits = (values[:, None] // places % np.uint64(10)).astype(np.uint8) + 48
+    digits[:, :-1][values[:, None] < places[:-1]] = 0  # the ones digit always shows
+    return digits
+
+
+_BOOLEANS = np.frombuffer(b"false" + b"true\0", np.uint8).reshape(2, 5)
+
+
 def records_to_jsonl(records: Records) -> str:
     """One JSON object per line, {symbols, trial_id, truth?}: per record the
-    text json.dumps(obj, sort_keys=True) gives, formatted from the columns,
-    with symbols as a G/E/L string and truth as {init_sector, injected,
-    mode, qubits, sectors}; the truth key appears when the truth columns do."""
-    symbols = _code_strings(records.symbols, SYMBOL_ALPHABET)
-    ids = records.trial_ids.tolist()
-    if records.mode is None:
-        lines = [f'{{"symbols": "{s}", "trial_id": {t}}}' for s, t in zip(symbols, ids)]
-        return "\n".join(lines) + "\n"
-    # one-digit sectors as str(list) prints them, "[d, d, ...]"
-    lists = np.full((len(records), 3 * records.sectors.shape[1]), 10, np.uint8)
-    lists[:, 3::3], lists[:, 1::3], lists[:, [0, -1]] = 11, records.sectors, (12, 13)
-    columns = zip(
-        symbols,
-        ids,
-        records.init_sector.tolist(),
-        np.where(records.injected, "true", "false").tolist(),
-        _code_strings(records.qubits, "ge"),
-        _code_strings(lists, "0123456789, []"),
-    )
-    lines = [
-        f'{{"symbols": "{s}", "trial_id": {t}, "truth": {{"init_sector": {i}, '
-        f'"injected": {j}, "mode": "{records.mode}", "qubits": "{q}", "sectors": {c}}}}}'
-        for s, t, i, j, q, c in columns
-    ]
-    return "\n".join(lines) + "\n"
+    text json.dumps(obj, sort_keys=True) gives, with symbols as a G/E/L
+    string and truth as {init_sector, injected, mode, qubits, sectors}; the
+    truth key appears when the truth columns do.  Trial ids must be >= 0.
+
+    The whole file is laid out as one uint8 matrix, a row per record: the
+    literal text as broadcast columns, the letters and the one-digit
+    sector lists gathered from the code matrices, and the trial ids and
+    true/false padded with NUL bytes, which one pass then drops."""
+    n = len(records)
+    if not n:
+        return "\n"
+    if records.trial_ids.min() < 0:
+        raise ValueError("records_to_jsonl writes non-negative trial ids only")
+    letters = np.frombuffer(SYMBOL_ALPHABET.encode("ascii"), np.uint8)
+    parts = [b'{"symbols": "', letters[records.symbols], b'", "trial_id": ']
+    parts.append(_digit_columns(records.trial_ids))
+    if records.mode is not None:
+        # one-digit sectors as str(list) prints them, "[d, d, ...]"
+        lists = np.full((n, 3 * records.sectors.shape[1]), ord(","), np.uint8)
+        lists[:, 3::3], lists[:, 1::3] = ord(" "), records.sectors + 48
+        lists[:, 0], lists[:, -1] = ord("["), ord("]")
+        parts += [
+            b', "truth": {"init_sector": ',
+            _digit_columns(records.init_sector),
+            b', "injected": ',
+            _BOOLEANS[records.injected.astype(np.intp)],
+            f', "mode": "{records.mode}", "qubits": "'.encode("ascii"),
+            np.frombuffer(b"ge", np.uint8)[records.qubits],
+            b'", "sectors": ',
+            lists,
+            b"}",
+        ]
+    parts.append(b"}\n")
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    lines = np.empty((n, sum(widths)), np.uint8)
+    at = 0
+    for part, width in zip(parts, widths):
+        if isinstance(part, bytes):
+            part = np.frombuffer(part, np.uint8)
+        lines[:, at : at + width] = part
+        at += width
+    flat = lines.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")

@@ -2,13 +2,14 @@
 work behind each CLI command.
 
 A run is fully specified by one hierarchical config: built-in defaults
-overlaid with an optional YAML file and then with CLI flags.  Every random
-draw derives from master_seed through a labeled SeedSequence path, so two
-runs of the same command from the same config produce byte-identical
-artifacts.  Outputs are staged under quarantine/ and promoted to
-results/<run-id> only once every file is written; the run id hashes the
-canonical config text together with the command name, so different commands
-from one config land in sibling directories.
+overlaid with an optional YAML file (PyYAML is imported only to read one)
+and then with CLI flags.  Every random draw derives from master_seed
+through a labeled SeedSequence path, so two runs of the same command from
+the same config produce byte-identical artifacts.  Outputs are staged
+under quarantine/ and promoted to results/<run-id> only once every file is
+written; the run id hashes the canonical config text, sorted-key JSON,
+together with the command name, so different commands from one config land
+in sibling directories.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .darkmatter import (
@@ -68,6 +68,8 @@ from .lindblad import transition_curves_to_csv
 from .measurement import DeviceParams, TrialConfig, records_to_jsonl, run_campaign
 
 COMMANDS = ("calibrate", "search", "tune-scan", "figures", "simulate-record")
+# the commands whose summary ends with the records line (_record_counts)
+CAMPAIGN_COMMANDS = ("calibrate", "search", "tune-scan")
 
 DEFAULT_CONFIG = {
     "master_seed": 20260818,
@@ -140,6 +142,8 @@ def load_config(path=None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
+    import yaml  # here only: a run without a config file never loads PyYAML
+
     try:
         loaded = yaml.safe_load(p.read_text())
     except yaml.YAMLError as exc:
@@ -301,15 +305,18 @@ def _check_mimic(
         )
 
 
-# A campaign of n trials draws its n x (1 + 4 repeats) uniforms up front
-# (measurement._trial_uniforms), 8 bytes each; this many, 1 GiB, is the most
-# one campaign should allocate, about 1,000 times the default calibration
-# campaign's 1500 x 81.
+# A campaign of n trials draws its (1 + 4 repeats) x n uniforms up front
+# (measurement._trial_uniforms), 8 bytes each, with scratch bounded per trial
+# tile beside them; this many, 1 GiB, is the most one campaign should
+# allocate, about 1,000 times the default calibration campaign's 81 x 1500.
 MAX_CAMPAIGN_DRAWS = 2**27
 ROC_TRIALS = 800  # trials of the readout-roc figure's campaign
 GROWTH_SPAN = 20.0  # the sensitivity-growth figure's last time, in tau_DM
 # the search fit scales its a0 column by 1 / g(largest tau) and squares that
 G_FLOOR = 1.0 / math.sqrt(sys.float_info.max)
+# the calibration fit scales its eta column by 1 / (alpha^2 max n_inj) and
+# squares that
+N_INJ_FLOOR = G_FLOOR
 
 
 def _growth_times(tau_dm: float) -> np.ndarray:
@@ -381,6 +388,12 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(
                 f"calibration.betas must be drives that give at least 3 distinct "
                 f"n_inj = (beta / alpha)^2 for probes[{i}], got {sorted(n_inj)!r}"
+            )
+        if not a2 * max(n_inj) >= N_INJ_FLOOR:
+            raise ConfigError(
+                f"calibration.betas must be drives large enough that alpha^2 max "
+                f"n_inj >= {N_INJ_FLOOR:.3g} for probes[{i}], got "
+                f"{a2 * max(n_inj)!r}"
             )
     beta = cfg["records"]["injected_beta"]
     probe = cfg["records"]["probe"]
@@ -459,8 +472,8 @@ def validate_config(cfg: dict) -> None:
 
 
 def canonical_config_text(cfg: dict) -> str:
-    """Stable textual form of a config: sorted keys, plain scalars."""
-    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
+    """Stable textual form of a validated config: sorted-key JSON."""
+    return json.dumps(cfg, sort_keys=True)
 
 
 def config_sha256(config_text: str) -> str:
@@ -650,6 +663,27 @@ def _calibrated_eta(etas_by_label: dict, label: str, mode: str, hint: str = "") 
             f"more trials, or move thresholds.{mode} if it classifies every record alike"
         )
     return eta
+
+
+def _record_counts(files: dict) -> str:
+    """Records simulated, dropped for leakage and classified positive: the
+    sums of the per-campaign n_kept + n_dropped, n_dropped and k_pos columns
+    of the campaign tables among a command's artifacts."""
+    simulated = dropped = positive = 0
+    for name in ("calibration.csv", "rates.csv", "bins.csv"):
+        if name in files:
+            header, *rows = files[name].splitlines()
+            cols = header.split(",")
+            k, kept, drop = (cols.index(c) for c in ("k_pos", "n_kept", "n_dropped"))
+            for row in rows:
+                cells = row.split(",")
+                positive += int(cells[k])
+                simulated += int(cells[kept]) + int(cells[drop])
+                dropped += int(cells[drop])
+    return (
+        f"records: {simulated} simulated, {dropped} dropped for leakage, "
+        f"{positive} classified positive"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1073,6 +1107,8 @@ def run_command(command: str, cfg: dict, out_root=".", which=None):
         files, summary = run_simulate_record(cfg)
     else:
         raise ConfigError(f"unknown command {command!r}")
+    if command in CAMPAIGN_COMMANDS:
+        summary = [*summary, _record_counts(files)]
     rid = run_id(config_text, command)
     writer = RunWriter(out_root, rid)
     for name in sorted(files):

@@ -61,7 +61,6 @@ from catscope.measurement import (
     Records,
     TrialConfig,
     _cavity_matrix,
-    _code_strings,
     _initial_sector_probs,
     _qubit_factors,
     _qubit_kernel,
@@ -415,6 +414,13 @@ class ReadoutRecord:
     @property
     def leaked(self) -> bool:
         return SYMBOL_LEAK in self.symbols
+
+
+def _code_strings(codes: np.ndarray, alphabet: str) -> list[str]:
+    """One string per row of a small-integer code matrix."""
+    chars = np.frombuffer(alphabet.encode("ascii"), np.uint8)[codes]
+    width = chars.shape[1]
+    return [b.decode("ascii") for b in chars.view(f"S{width}").ravel().tolist()]
 
 
 def _truth(records: Records, i: int) -> dict | None:

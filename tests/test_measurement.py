@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -282,14 +283,14 @@ def test_campaign_determinism():
 
 
 def _numpy_streams(rng_seed, n_trials, n_draws):
-    """Row k: Generator(PCG64([rng_seed, k])).random(n_draws), one
+    """Column k: Generator(PCG64([rng_seed, k])).random(n_draws), one
     generator per trial as numpy builds it."""
     return np.array(
         [
             np.random.Generator(np.random.PCG64([rng_seed, k])).random(n_draws)
             for k in range(n_trials)
         ]
-    )
+    ).T
 
 
 def _vector_streams(rng_seed, n_trials, repeats):
@@ -301,27 +302,59 @@ def _vector_streams(rng_seed, n_trials, repeats):
         return ms._trial_uniforms(cfg, n_trials)
 
 
-@pytest.mark.parametrize("repeats", [1, 20, 32])
-@pytest.mark.parametrize("n_trials", [1, 127, 128, 129, 257])
+@pytest.mark.parametrize("repeats", [1, 2, 20, 32, 37])
+@pytest.mark.parametrize("n_trials", [1, 99, 100, 127, 128, 129, 149, 150, 257])
 @pytest.mark.parametrize("rng_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_trial_uniforms_match_numpy_streams(rng_seed, n_trials, repeats):
-    # seeds of one and two uint32 words, k = 0 and both sides of the tile
-    # edges (128 trials, 128 draws: repeats 32 gives 129 draws); a change
-    # to numpy's SeedSequence or PCG64 also trips this
+    # seeds of one and two uint32 words, k = 0, both sides of the first two
+    # group-stride switches (100 and 150 trials) and of the 128 group heads
+    # held at once (repeats 32 and 37 jump to 129 and 149 heads below 100
+    # trials); draw counts 5, 9, 81, 129 and 149 are and are not multiples
+    # of the stride.  A change to numpy's SeedSequence or PCG64 also trips it
     got = _vector_streams(rng_seed, n_trials, repeats)
-    assert got.shape == (n_trials, 1 + 4 * repeats)
+    assert got.shape == (1 + 4 * repeats, n_trials)
     assert np.array_equal(got, _numpy_streams(rng_seed, n_trials, 1 + 4 * repeats))
+
+
+@pytest.mark.parametrize("repeats", [1, 2, 20, 32, 37])
+def test_trial_uniforms_match_numpy_at_every_switch(repeats):
+    # both sides of every trial count where the group stride K changes, and
+    # of the first trial-tile edge at the largest K
+    n_draws = 1 + 4 * repeats
+    strides = [ms._draw_stride(n, n_draws) for n in range(1, 2000)]
+    switches = [n for n in range(2, 2000) if strides[n - 1] != strides[n - 2]]
+    groups = -(-n_draws // strides[-1])
+    width = max(ms._BLOCK, ms._TILE // groups)
+    assert strides[-1] == math.ceil(math.sqrt(n_draws)) and len(switches) >= 2
+    for n_trials in sorted({n + d for n in switches + [width + 1] for d in (-1, 0)}):
+        expected = _numpy_streams(2**64 - 1, n_trials, n_draws)
+        assert np.array_equal(_vector_streams(2**64 - 1, n_trials, repeats), expected)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     rng_seed=st.integers(0, 2**64 - 1),
-    n_trials=st.integers(1, 300),
+    n_trials=st.integers(1, 1500),
     repeats=st.integers(1, 40),
 )
 def test_trial_uniforms_match_numpy_for_any_seed(rng_seed, n_trials, repeats):
     expected = _numpy_streams(rng_seed, n_trials, 1 + 4 * repeats)
     assert np.array_equal(_vector_streams(rng_seed, n_trials, repeats), expected)
+
+
+def test_trial_uniforms_scratch_stays_bounded():
+    # the draws are built per trial tile, so beyond its output the call
+    # holds only the per-trial seed words (about 90 bytes a trial) and a
+    # tile's scratch, whatever the trial count
+    cfg = ms.TrialConfig(repeats=20, rng_seed=3)
+    tracemalloc.start()
+    try:
+        u = ms._trial_uniforms(cfg, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (81, 50_000)
+    assert peak <= u.nbytes + 6e6, (peak - u.nbytes) / 1e6
 
 
 def test_campaign_rejects_trial_ids_beyond_uint32(monkeypatch):
@@ -495,14 +528,16 @@ def test_campaign_clamps_picks_past_a_row_sum_below_one(monkeypatch):
     assert np.all(cav_cum[:, -1] < 1.0 - 2.0**-53)
     n = 64
     u = ms._trial_uniforms(cfg, n)
-    draws = u[:, 1:].reshape(n, cfg.repeats, 4)  # a view: edits reach u
-    draws[::2, :, 0] = 1.0 - 2.0**-53
-    ties = np.random.default_rng(3).choice(cav_cum.ravel(), draws[1::2, :, 0].shape)
-    draws[1::2, :, 0] = ties
+    draws = u[1:].reshape(cfg.repeats, 4, n)  # a view: edits reach u
+    draws[:, 0, ::2] = 1.0 - 2.0**-53
+    ties = np.random.default_rng(3).choice(cav_cum.ravel(), draws[:, 0, 1::2].shape)
+    draws[:, 0, 1::2] = ties
     monkeypatch.setattr(ms, "_trial_uniforms", lambda cfg, n_trials: u)
     records = ms.run_campaign(n, cfg, device).records
     assert np.all(records.sectors[::2, 1:] == 3)
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(u[seed.entropy[1]]))
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: _Replay(u[:, seed.entropy[1]])
+    )
     for k, got in enumerate(record_rows(records)):
         ref = simulate_record(cfg, device, trial_id=k)
         assert (got.symbols, got.truth) == (ref.symbols, ref.truth), k
@@ -565,6 +600,17 @@ def test_records_indexing_matches_iteration():
         iter(recs)  # rows come from record_rows, never from iterating
 
 
+def _dumps_lines(records):
+    """records.jsonl as json.dumps(sort_keys=True) writes it, row by row."""
+    objs = []
+    for r in record_rows(records):
+        obj = {"trial_id": r.trial_id, "symbols": r.symbols}
+        if records.mode is not None:
+            obj["truth"] = r.truth
+        objs.append(json.dumps(obj, sort_keys=True))
+    return "\n".join(objs) + "\n"
+
+
 @pytest.mark.parametrize("repeats", [1, 9, 20])
 @pytest.mark.parametrize("probe", ["compass", "vacuum"])
 def test_jsonl_matches_json_dumps(probe, repeats):
@@ -572,13 +618,19 @@ def test_jsonl_matches_json_dumps(probe, repeats):
     init = CatSpec(2.0) if probe == "compass" else None
     cfg = ms.TrialConfig(init=init, injected_beta=0.4, repeats=repeats, rng_seed=8)
     recs = ms.run_campaign(120, cfg, ms.DeviceParams(p_leak=0.05)).records
+    assert 0 < recs.leaked.sum() < 120 and 0 < recs.injected.sum() < 120
+    # trial ids of every width up to 2**32 - 1, padded on the left with NULs
+    widths = np.resize([0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 2**32 - 1], 120)
+    truth = (recs.init_sector, recs.injected, recs.sectors, recs.qubits)
+    wide = ms.Records(recs.symbols, widths, recs.mode, *truth)
+    every = ms.Records(recs.symbols, recs.trial_ids, recs.mode, recs.init_sector,
+                       np.ones(120, bool), recs.sectors, recs.qubits)
+    none = ms.Records(recs.symbols, recs.trial_ids, recs.mode, recs.init_sector,
+                      np.zeros(120, bool), recs.sectors, recs.qubits)
     bare = ms.Records(recs.symbols, recs.trial_ids)
-    # with truth columns the truth key is written, without them it is not
-    for records, has_truth in ((recs, True), (bare, False)):
-        objs = []
-        for r in record_rows(records):
-            obj = {"trial_id": r.trial_id, "symbols": r.symbols}
-            if has_truth:
-                obj["truth"] = r.truth
-            objs.append(json.dumps(obj, sort_keys=True))
-        assert ms.records_to_jsonl(records) == "\n".join(objs) + "\n"
+    # with truth columns the truth key is written, without them it is not;
+    # a post-selected set keeps its trial ids, and an empty one is a newline
+    for records in (recs, bare, wide, ms.Records(recs.symbols, widths), every, none,
+                    recs[~recs.leaked], recs[:0], bare[:0]):
+        assert ms.records_to_jsonl(records) == _dumps_lines(records)
+    assert ms.records_to_jsonl(recs[:0]) == "\n"

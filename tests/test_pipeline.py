@@ -74,11 +74,11 @@ def test_default_run_ids_are_pinned():
     # drifted default value (DeviceParams, HaloParams, ...) shows here
     txt = pipeline.canonical_config_text(pipeline.default_config())
     assert {c: pipeline.run_id(txt, c) for c in pipeline.COMMANDS} == {
-        "calibrate": "ed677258250a",
-        "search": "6ef5df9b7415",
-        "tune-scan": "6f401054bda2",
-        "figures": "2561d1c8957f",
-        "simulate-record": "c2e436d4713d",
+        "calibrate": "1cd5a6f0b44a",
+        "search": "8a1327746e6a",
+        "tune-scan": "0da5180aae3d",
+        "figures": "4cfa04db5158",
+        "simulate-record": "8fcc607746d7",
     }
 
 
@@ -747,6 +747,28 @@ def test_commands_never_import_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+_SEARCH_WITHOUT_CONFIG = """
+import sys
+import catscope.cli
+loaded = "yaml" in sys.modules
+assert catscope.cli.main(["search", "--trials", "40", "--out", sys.argv[1]]) == 0
+print(loaded, "yaml" in sys.modules)
+"""
+
+
+def test_runs_without_a_config_file_never_import_yaml(tmp_path):
+    # PyYAML reads config files only: importing the CLI and running a search
+    # with no --config, in a fresh interpreter, leave it unloaded
+    src = str(Path(pipeline.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _SEARCH_WITHOUT_CONFIG, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False False"
+
+
 _IMPORT_MEASUREMENT = """
 import sys
 import catscope.measurement
@@ -802,13 +824,13 @@ def test_cat_wigner_figure_at_large_amplitude(tmp_path):
 def test_config_text_is_dumped_once_per_command(monkeypatch, tmp_path):
     # run_id, config_sha256 and the artifact lookups share one canonical text
     calls = []
-    dump = yaml.safe_dump
+    dump = pipeline.canonical_config_text
 
     def counted(*args, **kwargs):
         calls.append(1)
         return dump(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline.yaml, "safe_dump", counted)
+    monkeypatch.setattr(pipeline, "canonical_config_text", counted)
     cfg = _small_cfg(seed=1, trials=40)  # calibrates positive efficiencies
     final, _ = pipeline.run_command("search", cfg, out_root=tmp_path)
     assert len(calls) == 1
@@ -871,6 +893,34 @@ def test_cli_search_and_timing(tmp_path, capsys):
     assert (tmp_path / "results" / rid / "fit.json").exists()
     timing = (tmp_path / "logs" / f"{rid}-timing.txt").read_text()
     assert timing.startswith(f"search {rid} wall_clock_s=")
+
+
+def test_records_line_sums_the_campaign_tables(tmp_path, capsys):
+    # the summary and the timing sidecar end with the records simulated,
+    # dropped for leakage and classified positive, over every campaign
+    # table the command wrote (search and tune-scan self-calibrate)
+    tables = {
+        "calibrate": ["calibration.csv"],
+        "search": ["calibration.csv", "rates.csv"],
+        "tune-scan": ["calibration.csv", "bins.csv"],
+    }
+    for command, names in tables.items():
+        argv = [command, "--trials", "60", "--seed", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        final = Path(out[0].removeprefix("wrote "))
+        rows = [r for name in names for r in _read_csv(final / name)]
+        dropped = sum(int(r["n_dropped"]) for r in rows)
+        simulated = sum(int(r["n_kept"]) for r in rows) + dropped
+        positive = sum(int(r["k_pos"]) for r in rows)
+        line = (
+            f"records: {simulated} simulated, {dropped} dropped for leakage, "
+            f"{positive} classified positive"
+        )
+        assert simulated == 60 * len(rows) and dropped > 0 and positive > 0
+        assert out[-1] == f"  {line}", command
+        timing = (tmp_path / "logs" / f"{final.name}-timing.txt").read_text()
+        assert timing.splitlines()[-1] == line, command
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -979,10 +1029,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         ),
         # (beta / alpha)^2 underflows to 0 for every drive, which once exited
         # 1 ("need at least 3 distinct n_inj values") after the vacuum
-        # probe's campaigns; search and tune-scan self-calibrate by default
+        # probe's campaigns; at 1e-160 the n_inj are distinct but subnormal,
+        # and once overflowed the fit's column scale into a LinAlgError
+        # traceback; search and tune-scan self-calibrate by default
         *[
-            (command, "calibration.betas", f"calibration:\n  betas: {tiny_betas}\n")
+            (command, "calibration.betas", f"calibration:\n  betas: {betas}\n")
             for command in ("calibrate", "search", "tune-scan")
+            for betas in (tiny_betas, "[0.0, 1.0e-160, 2.0e-160]")
         ],
         # distinct but tiny n_inj overflow the calibration fit's covariance,
         # or its information matrix, in the parameters' units; they once
