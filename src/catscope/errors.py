@@ -11,7 +11,7 @@ class CatscopeError(Exception):
 
 
 class NonFinite(CatscopeError):
-    """NaN or infinity encountered in an input amplitude or parameter."""
+    """NaN, infinity, or a value rounded out of its range, met in a computation."""
 
 
 class InvalidIndex(CatscopeError):

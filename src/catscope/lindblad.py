@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidIndex
+from .errors import InvalidIndex, NonFinite
 from .fock import _sector_norm
 
 
@@ -29,7 +29,8 @@ def transition_curves_to_csv(
     is kept exact rather than using the large-alpha shorthands, so the
     value agrees with a numerical Lindblad propagation to integrator
     precision.  Each time's m^2 sums over the m^4 terms (p, q, r, s) are one
-    array block, summed along its contiguous last axis.
+    array block, summed along its contiguous last axis.  A probability that
+    rounding takes more than 1e-9 outside [0, 1] raises NonFinite.
     """
     if m < 2:
         raise InvalidIndex(f"m must be >= 2, got {m}")
@@ -70,6 +71,6 @@ def transition_curves_to_csv(
             for l in range(m):
                 prob = norms[j] * norms[l] * totals[j][l]
                 if not -1e-9 <= prob <= 1.0 + 1e-9:
-                    raise ValueError(f"transition probability {prob!r} outside [0, 1]")
+                    raise NonFinite(f"transition probability {prob!r} outside [0, 1]")
                 lines.append(f"{t!r},{j},{l},{min(max(prob, 0.0), 1.0)!r}")
     return "\n".join(lines) + "\n"

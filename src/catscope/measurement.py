@@ -177,7 +177,10 @@ def _qubit_factors(device: DeviceParams) -> tuple[float, float, float, float]:
     p_ge = p_up + p_phi
     p_eg = p_down + p_phi
     if p_ge > 1.0 or p_eg > 1.0:
-        raise ConfigError("qubit error factors exceed 1; check T1q/T2q vs t_m")
+        raise ConfigError(
+            f"device.T1q, device.T2q, device.t_m, device.chi and device.n_q must "
+            f"keep the qubit error factors <= 1, got {p_ge!r} and {p_eg!r}"
+        )
     return 1.0 - p_ge, p_ge, p_eg, 1.0 - p_eg
 
 
@@ -186,6 +189,11 @@ def _cavity_matrix(device: DeviceParams, alpha_sq: float, mode: str) -> np.ndarr
     if mode == "compass":
         p_down = 1.0 - math.exp(-alpha_sq * device.t_m / device.T1c)
         p_up = device.n_c * p_down
+        if p_down + p_up > 1.0:
+            raise ConfigError(
+                f"device.T1c, device.t_m and device.n_c must keep a parity interval's "
+                f"sector jump probability <= 1, got {p_down + p_up!r}"
+            )
         cav = np.zeros((4, 4))
         for j in range(4):
             cav[j, (j - 1) % 4] += p_down

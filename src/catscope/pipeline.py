@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .darkmatter import (
-    MAX_G_PANELS,
     OMEGA_M_OFFSET,
     HaloParams,
     SearchPoint,
@@ -41,11 +40,10 @@ from .darkmatter import (
     excitation_probability,
     g_curve_to_csv,
     g_of_t,
-    g_panels,
     lineshape_to_csv,
 )
 from .errors import ConfigError, MissingArtifact, MissingCalibration
-from .errors import NonFinite, QuadratureFailure
+from .errors import NonFinite, QuadratureFailure, ZeroSignalDenominator
 from .fits import (
     CalibrationCurve,
     ExclusionPoint,
@@ -282,9 +280,9 @@ MAX_MIMIC_AMPLITUDE = 22.0
 def _check_mimic(
     where: str, beta: float, probe: dict, at: str, applied: float
 ) -> None:
-    """Reject a displacement beyond MAX_MIMIC_AMPLITUDE, or one on a compass
-    probe (config path at) with a sector normalization below _MIN_CAT_NORM;
-    applied is the displacement the simulator uses for config value beta."""
+    """Reject a drive beta (config path where), simulated as the displacement
+    applied, past MAX_MIMIC_AMPLITUDE or on a compass probe (config path at)
+    with a sector normalization below _MIN_CAT_NORM."""
     if beta == 0.0:
         return  # no displacement is simulated
     init, _, label, a2 = _probe_parts(probe)
@@ -300,8 +298,8 @@ def _check_mimic(
     ) > _MIN_CAT_NORM:
         raise ConfigError(
             f"{at}.alpha_sq must be large enough that every cat sector's "
-            f"normalization exceeds {_MIN_CAT_NORM:g} when {where} displaces it, "
-            f"got {a2!r}"
+            f"normalization exceeds {_MIN_CAT_NORM:g} when it is displaced by "
+            f"{applied!r}, got {a2!r}"
         )
 
 
@@ -311,8 +309,9 @@ def _check_mimic(
 # allocate, about 1,000 times the default calibration campaign's 81 x 1500.
 MAX_CAMPAIGN_DRAWS = 2**27
 ROC_TRIALS = 800  # trials of the readout-roc figure's campaign
+ROC_BETA = 0.15  # mimic displacement of the readout-roc figure's campaign
 GROWTH_SPAN = 20.0  # the sensitivity-growth figure's last time, in tau_DM
-# the search fit scales its a0 column by 1 / g(largest tau) and squares that
+# the search fit scales its a0 column by 1 / (its largest g) and squares that
 G_FLOOR = 1.0 / math.sqrt(sys.float_info.max)
 # the calibration fit scales its eta column by 1 / (alpha^2 max n_inj) and
 # squares that
@@ -344,22 +343,25 @@ def build_point(cfg: dict) -> SearchPoint:
     return SearchPoint(**cfg["point"])
 
 
-def _check_g_panels(where: str, rule: str, times, point, halo, context: str) -> None:
-    """Reject a batch of g_of_t times beyond its MAX_G_PANELS panels; the
-    config leaf at where must be as rule says."""
-    panels = float(g_panels(times, point, halo).sum())
-    if not panels <= MAX_G_PANELS:
+def _coherence_time(point: SearchPoint, halo: HaloParams) -> float:
+    """tau_DM at the search point, refused unless finite and > 0."""
+    tau_dm = coherence_time(point, halo)
+    if not (math.isfinite(tau_dm) and tau_dm > 0.0):
         raise ConfigError(
-            f"{where} must be {rule} that g(t) takes at most {MAX_G_PANELS} "
-            f"quadrature panels {context}, got {panels:.3g}"
+            f"DM coherence time must be finite and > 0, got {tau_dm!r}; "
+            f"halo.v_vir, halo.v_g and point.m_dm set it"
         )
+    return tau_dm
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise ConfigError on a bad config.
+    """Raise ConfigError on a bad config value.
 
     Each leaf is checked against CONFIG_SCHEMA; only the rules that span
-    several fields are spelled out here."""
+    several leaves are spelled out here.  Nothing is derived: a value a
+    command computes from the config (a calibration drive, g(t), a bin
+    frequency) is checked by that command where it computes it, before
+    its first campaign."""
     for where, (kind, bound) in CONFIG_SCHEMA.items():
         value = cfg
         for key in where.split("."):
@@ -374,30 +376,8 @@ def validate_config(cfg: dict) -> None:
     if len(set(labels)) != len(labels):
         raise ConfigError("probes must be distinct")
     _check_probe(cfg["records"]["probe"], "records.probe")
-    betas = cfg["calibration"]["betas"]
-    if len(set(betas)) < 3:
+    if len(set(cfg["calibration"]["betas"])) < 3:
         raise ConfigError("calibration.betas needs at least 3 distinct values")
-    for i, p in enumerate(probes):
-        a2 = _probe_parts(p)[3]
-        n_inj = set()  # as run_calibrate computes them
-        for beta in betas:
-            applied = beta / math.sqrt(a2)
-            _check_mimic("calibration.betas", beta, p, f"probes[{i}]", applied)
-            n_inj.add(applied * applied)
-        if len(n_inj) < 3:
-            raise ConfigError(
-                f"calibration.betas must be drives that give at least 3 distinct "
-                f"n_inj = (beta / alpha)^2 for probes[{i}], got {sorted(n_inj)!r}"
-            )
-        if not a2 * max(n_inj) >= N_INJ_FLOOR:
-            raise ConfigError(
-                f"calibration.betas must be drives large enough that alpha^2 max "
-                f"n_inj >= {N_INJ_FLOOR:.3g} for probes[{i}], got "
-                f"{a2 * max(n_inj)!r}"
-            )
-    beta = cfg["records"]["injected_beta"]
-    probe = cfg["records"]["probe"]
-    _check_mimic("records.injected_beta", beta, probe, "records.probe", beta)
     if len(set(cfg["search"]["tau_grid"])) < 2:
         raise ConfigError("search.tau_grid needs at least 2 distinct values")
     draws = 1 + 4 * cfg["repeats"]
@@ -413,62 +393,6 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(
             f"scan.inject_bin must be a bin index below scan.bins, got {jbin!r}"
         )
-    point = build_point(cfg)
-    halo = build_halo(cfg)
-    tau_dm = coherence_time(point, halo)
-    if not (math.isfinite(tau_dm) and tau_dm > 0.0):
-        raise ConfigError(f"DM coherence time must be finite and > 0, got {tau_dm!r}")
-    # g(t) <= t^2 (|K| <= 1 in darkmatter.g_of_t), and each command hands
-    # g_of_t one batch of times, whose panels must not pass MAX_G_PANELS
-    t_max = GROWTH_SPAN * tau_dm
-    if not math.isfinite(t_max * t_max):
-        raise ConfigError(
-            f"point.m_dm must be large enough that g(t) <= t^2 stays finite up to "
-            f"the sensitivity-growth figure's last time, {GROWTH_SPAN:g} tau_DM = "
-            f"{t_max:.3g} s, got {cfg['point']['m_dm']!r}"
-        )
-    _check_g_panels(
-        "point.omega_c", "close enough to point.m_dm", _growth_times(tau_dm), point,
-        halo, f"up to the sensitivity-growth figure's last time, {GROWTH_SPAN:g} tau_DM",
-    )
-    taus = cfg["search"]["tau_grid"]
-    _check_g_panels(
-        "search.tau_grid", "short enough", taus, point, halo,
-        f"up to {max(taus) / tau_dm:.3g} tau_DM (tau_DM = {tau_dm:.3g} s at "
-        f"point.m_dm = {point.m_dm!r})",
-    )
-    ends = [float(min(taus)), float(max(taus))]
-    try:
-        g_ends = g_of_t(ends, point, halo)
-    except QuadratureFailure as exc:
-        raise ConfigError(f"search.tau_grid must be times with a finite g(tau): {exc}")
-    for tau, g in zip(ends, g_ends):
-        if not (math.isfinite(g) and g > 0.0):
-            raise ConfigError(
-                f"search.tau_grid must be times with a finite g(tau) > 0, got "
-                f"g({tau!r}) = {g!r}"
-            )
-    if not g_ends[1] >= G_FLOOR:
-        raise ConfigError(
-            f"search.tau_grid must be long enough that g at its largest time is "
-            f">= {G_FLOOR:.3g} s^2, got g({ends[1]!r}) = {g_ends[1]!r}"
-        )
-    # the lowest bin of run_tune_scan, computed as it computes it
-    sc = cfg["scan"]
-    lowest = _bin_omega(point, sc, 0)
-    if not (math.isfinite(lowest) and lowest > 0.0):
-        raise ConfigError(
-            f"scan.spacing_hz must be small enough that every bin lies above 0 Hz, "
-            f"got {sc['spacing_hz']!r} (lowest bin {lowest / (2.0 * math.pi):.4g} Hz)"
-        )
-    if sc["inject_epsilon"] and jbin is not None:
-        # one g(t1c) per bin, at the injected mass; the end bins are the
-        # farthest detuned and take the most panels
-        m_inj = _bin_omega(point, sc, jbin) / (1.0 + OMEGA_M_OFFSET)
-        for i in (0, sc["bins"] - 1):
-            pt = SearchPoint(m_dm=m_inj, omega_c=_bin_omega(point, sc, i))
-            context = f"for the injected signal in bin {i}"
-            _check_g_panels("scan.t1c", "short enough", [sc["t1c"]], pt, halo, context)
 
 
 def canonical_config_text(cfg: dict) -> str:
@@ -697,19 +621,38 @@ def run_calibrate(cfg: dict):
     calibration.betas are vacuum-scale drives; the applied displacement is
     beta / alpha per probe, which holds the injected flip probability
     alpha_sq * |beta_applied|^2 fixed across probes.  Every probe then sees
-    the same response range, inside the linear regime of the fit model."""
+    the same response range, inside the linear regime of the fit model.
+    Every probe's applied drives are checked before the first campaign."""
     device = build_device(cfg)
     trials = cfg["calibration"]["trials"]
     betas = [float(b) for b in cfg["calibration"]["betas"]]
+    drives = []  # per probe, the displacement applied for each beta
+    for pi, probe in enumerate(cfg["probes"]):
+        a2 = _probe_parts(probe)[3]
+        applied = [beta / math.sqrt(a2) for beta in betas]
+        for beta, b in zip(betas, applied):
+            _check_mimic("calibration.betas", beta, probe, f"probes[{pi}]", b)
+        n_inj = {b * b for b in applied}
+        if len(n_inj) < 3:
+            raise ConfigError(
+                f"calibration.betas must be drives that give at least 3 distinct "
+                f"n_inj = (beta / alpha)^2 for probes[{pi}], got {sorted(n_inj)!r}"
+            )
+        if not a2 * max(n_inj) >= N_INJ_FLOOR:
+            raise ConfigError(
+                f"calibration.betas must be drives large enough that alpha^2 max "
+                f"n_inj >= {N_INJ_FLOOR:.3g} for probes[{pi}], got "
+                f"{a2 * max(n_inj)!r}"
+            )
+        drives.append(applied)
     rows = []
     curve_lines = ["probe,mode,alpha_sq,beta,n_inj,k_pos,n_kept,n_dropped"]
-    for pi, probe in enumerate(cfg["probes"]):
+    for pi, (probe, applied_drives) in enumerate(zip(cfg["probes"], drives)):
         init, mode, label, a2 = _probe_parts(probe)
         model = build_model(device, alpha_sq=a2, mode=mode)
         thr = float(cfg["thresholds"][mode])
         pts = []
-        for bi, beta in enumerate(betas):
-            applied = beta / math.sqrt(a2)
+        for bi, (beta, applied) in enumerate(zip(betas, applied_drives)):
             drive = applied if beta > 0 else None
             camp = _campaign(cfg, device, trials, init, "calibrate", pi, bi, beta=drive)
             k, n_kept, n_drop = _count_positives(model, thr, camp)
@@ -787,13 +730,24 @@ def run_search(cfg: dict):
     search times reach the DM coherence time (allowed, but the signal shape
     saturates there).  An injected epsilon reaches the simulator as each
     campaign's p_signal, computed here from one g(tau) batch that the fit
-    reads as well."""
+    reads as well; that batch is checked before any campaign runs."""
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
     sr = cfg["search"]
     taus = [float(t) for t in sr["tau_grid"]]
-    tau_dm = coherence_time(point, halo)
+    tau_dm = _coherence_time(point, halo)
+    # g(tau) depends on neither the probe nor the injection: one batch
+    # integrates every tau for the injected campaigns and the fit
+    try:
+        gs = g_of_t(taus, point, halo)
+    except QuadratureFailure as exc:
+        raise ConfigError(f"search.tau_grid must be times with a finite g(tau): {exc}")
+    if not (min(gs) > 0.0 and max(gs) >= G_FLOOR):
+        raise ConfigError(
+            f"search.tau_grid must be times with g(tau) > 0, the largest >= "
+            f"{G_FLOOR:.3g} s^2, got g from {min(gs)!r} to {max(gs)!r} s^2"
+        )
     if max(taus) >= tau_dm:
         warnings.warn(
             f"search times reach {max(taus):.3g} s, at or beyond the DM "
@@ -801,9 +755,7 @@ def run_search(cfg: dict):
         )
     eps = sr["inject_epsilon"]
     probes = [_probe_parts(probe) for probe in cfg["probes"]]
-    # g(tau) depends on neither the probe nor the injection: one batch
-    # integrates every tau for the injected campaigns and the fit
-    g_at = dict(zip(taus, g_of_t(taus, point, halo)))
+    g_at = dict(zip(taus, gs))
     p_signal = {}  # (probe index, tau) -> p, checked before any campaign runs
     if eps:
         # the simulated probe's |alpha|^2, which can differ from a2 in the
@@ -875,6 +827,11 @@ def run_tune_scan(cfg: dict):
         )
     init = CatSpec(alpha=math.sqrt(a2))
     omegas = [_bin_omega(point, sc, i) for i in range(n_bins)]
+    if not (math.isfinite(omegas[0]) and omegas[0] > 0.0):
+        raise ConfigError(
+            f"scan.spacing_hz must be small enough that every bin lies above 0 Hz, "
+            f"got {sc['spacing_hz']!r} (lowest bin {omegas[0] / (2.0 * math.pi):.4g} Hz)"
+        )
     eps = sc["inject_epsilon"]
     jbin = sc["inject_bin"]
     m_inj = None
@@ -883,7 +840,13 @@ def run_tune_scan(cfg: dict):
         m_inj = omegas[jbin] / (1.0 + OMEGA_M_OFFSET)
         a2_sim = abs(init.alpha) ** 2
         points = [SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff) for om in omegas]
-        cases = [(pt, t1c, a2_sim, g_of_t(t1c, pt, halo)) for pt in points]
+        try:
+            cases = [(pt, t1c, a2_sim, g_of_t(t1c, pt, halo)) for pt in points]
+        except QuadratureFailure as exc:
+            raise ConfigError(
+                f"scan.t1c must be short enough for the injected signal's g(t1c) "
+                f"in every bin: {exc}"
+            )
         p_signal = _signal_probabilities("scan.inject_epsilon", float(eps), halo, cases)
     etas_by_label, files = _load_calibration(cfg)
     eta = _calibrated_eta(etas_by_label, label, "compass", "; add it to probes")
@@ -899,7 +862,14 @@ def run_tune_scan(cfg: dict):
         k, n_kept, n_drop = _count_positives(model, thr, camp)
         bins.append(FrequencyBin(om, k, n_kept, eta, t1c, a2))
         counts.append((i, om, k, n_kept, n_drop))
-    res = background_subtract(bins, point, halo, per_bin_mass=True)
+    try:
+        res = background_subtract(bins, point, halo, per_bin_mass=True)
+    except (NonFinite, ZeroSignalDenominator) as exc:
+        raise ConfigError(
+            f"halo.rho_dm, halo.v_vir, halo.v_g, point.m_dm, point.omega_c, "
+            f"point.v_eff, scan.t1c and scan.alpha_sq must give every bin a finite "
+            f"epsilon = 1 signal response > 0: {exc}"
+        )
     lines = [
         "bin,omega_hz,m_dm_hz,k_pos,n_kept,n_dropped,eta,delta_raw,"
         "n_norm,p_i,sigma_p,eps90"
@@ -945,6 +915,7 @@ def run_simulate_record(cfg: dict):
     rc = cfg["records"]
     init, mode, label, a2 = _probe_parts(rc["probe"])
     beta = float(rc["injected_beta"])
+    _check_mimic("records.injected_beta", beta, rc["probe"], "records.probe", beta)
     camp = _campaign(
         cfg, device, rc["trials"], init, "records", 0, beta=beta if beta > 0 else None
     )
@@ -975,9 +946,20 @@ _ARTIFACT_FIGURES = {
 FIGURE_IDS = _CONFIG_FIGURES + tuple(sorted(_ARTIFACT_FIGURES))
 
 
-def _compass_alpha_sq(cfg: dict) -> float:
-    vals = [float(p["alpha_sq"]) for p in cfg["probes"] if p["kind"] == "compass"]
-    return max(vals) if vals else 4.0
+def _figure_alpha_sq(cfg: dict) -> tuple[float, str]:
+    """alpha_sq of the cat the cat-wigner, transition-curves and readout-roc
+    figures draw, the largest compass probe's (4.0 without one), and that
+    probe's config path; checked as the readout-roc campaign displaces it by
+    ROC_BETA."""
+    compass = [
+        (float(p["alpha_sq"]), f"probes[{i}]")
+        for i, p in enumerate(cfg["probes"])
+        if p["kind"] == "compass"
+    ]
+    a2, at = max(compass, default=(4.0, "probes"))
+    probe = {"kind": "compass", "alpha_sq": a2}
+    _check_mimic(f"{at}.alpha_sq", ROC_BETA, probe, at, ROC_BETA)
+    return a2, at
 
 
 def _read_artifact(fid: str, config_text: str, out_root) -> str:
@@ -1014,7 +996,12 @@ def _read_artifact(fid: str, config_text: str, out_root) -> str:
     return data.decode("utf-8")
 
 
-def _render_figure(fid: str, cfg: dict, config_text: str, out_root) -> str:
+def _render_figure(
+    fid: str, cfg: dict, config_text: str, out_root, cat, tau_dm
+) -> str:
+    """One figure table; cat is _figure_alpha_sq(cfg) for the figures that
+    draw the cat, and tau_dm the checked DM coherence time for the two that
+    draw the DM line."""
     device = build_device(cfg)
     halo = build_halo(cfg)
     point = build_point(cfg)
@@ -1037,25 +1024,45 @@ def _render_figure(fid: str, cfg: dict, config_text: str, out_root) -> str:
             return "\n".join(lines) + "\n"
         return text
     if fid == "cat-wigner":
-        spec = CatSpec(alpha=math.sqrt(_compass_alpha_sq(cfg)))
+        spec = CatSpec(alpha=math.sqrt(cat[0]))
         ext = abs(spec.alpha) + 2.0
         grid = PhaseGrid(-ext, ext, 61, -ext, ext, 61)
         return wigner_to_csv(grid, wigner(spec, grid))
     if fid == "transition-curves":
-        alpha = math.sqrt(_compass_alpha_sq(cfg))
+        a2, at = cat
         times = np.linspace(0.0, 0.25 * device.T1c, 51)
-        return transition_curves_to_csv(4, alpha, 1.0 / device.T1c, times)
+        try:
+            return transition_curves_to_csv(4, math.sqrt(a2), 1.0 / device.T1c, times)
+        except NonFinite as exc:  # the sums lost a small sector to rounding
+            raise ConfigError(
+                f"{at}.alpha_sq must be large enough that the transition-curves "
+                f"figure resolves every cat sector: {exc}"
+            )
     if fid == "sensitivity-growth":
-        times = _growth_times(coherence_time(point, halo))
-        return g_curve_to_csv(times, point, halo)
+        # g(t) <= t^2 (|K| <= 1 in darkmatter.g_of_t), so (20 tau_DM)^2 bounds it
+        t_max = GROWTH_SPAN * tau_dm
+        if not math.isfinite(t_max * t_max):
+            raise ConfigError(
+                f"point.m_dm must be large enough that g(t) <= t^2 stays finite up "
+                f"to the sensitivity-growth figure's last time, {GROWTH_SPAN:g} "
+                f"tau_DM = {t_max:.3g} s, got {point.m_dm!r}"
+            )
+        try:
+            return g_curve_to_csv(_growth_times(tau_dm), point, halo)
+        except QuadratureFailure as exc:
+            raise ConfigError(
+                f"point.omega_c must be close enough to point.m_dm that g(t) "
+                f"integrates up to the sensitivity-growth figure's last time, "
+                f"{GROWTH_SPAN:g} tau_DM: {exc}"
+            )
     if fid == "lineshape":
         omegas = point.m_dm * (1.0 + np.linspace(0.0, 5e-6, 241))
         return lineshape_to_csv(omegas, point, halo)
     if fid == "readout-roc":
-        a2 = _compass_alpha_sq(cfg)
+        a2 = cat[0]
         init = CatSpec(alpha=math.sqrt(a2))
         model = build_model(device, alpha_sq=a2, mode="compass")
-        camp = _campaign(cfg, device, ROC_TRIALS, init, "figures", 0, beta=0.15)
+        camp = _campaign(cfg, device, ROC_TRIALS, init, "figures", 0, beta=ROC_BETA)
         rows = threshold_sweep(camp, model, np.geomspace(1e-2, 1e6, 33))
         return sweep_to_csv(rows)
     raise ConfigError(f"unknown figure {fid!r}")
@@ -1079,9 +1086,15 @@ def run_figures(cfg: dict, config_text: str, which=None, out_root="."):
                     f"unknown figure {fid!r}; valid ids: "
                     f"{', '.join(FIGURE_IDS)}, or 'all'"
                 )
+    cats = {"cat-wigner", "transition-curves", "readout-roc"}
+    cat = _figure_alpha_sq(cfg) if cats.intersection(ids) else None
+    tau_dm = None
+    if {"sensitivity-growth", "lineshape"}.intersection(ids):
+        # the growth times scale with tau_DM, and f(omega) peaks at tau_DM / 2 pi
+        tau_dm = _coherence_time(build_point(cfg), build_halo(cfg))
     files = {}
     for fid in ids:
-        files[f"{fid}.csv"] = _render_figure(fid, cfg, config_text, out_root)
+        files[f"{fid}.csv"] = _render_figure(fid, cfg, config_text, out_root, cat, tau_dm)
     return files, [f"{len(files)} figure tables: {', '.join(sorted(files))}"]
 
 
@@ -1090,7 +1103,9 @@ def run_figures(cfg: dict, config_text: str, which=None, out_root="."):
 
 
 def run_command(command: str, cfg: dict, out_root=".", which=None):
-    """Validate, run one command, stage and promote its artifacts.
+    """Validate the config's values, run one command, stage and promote its
+    artifacts.  The command checks what it derives from the config itself,
+    before its first campaign; a direct run_* call gets the same checks.
 
     Returns (final run directory, human-readable summary lines)."""
     validate_config(cfg)

@@ -142,3 +142,26 @@ def test_benchmark_hooks_exist():
         if not callable(getattr(importlib.import_module(f"catscope.{module}"), attr, None))
     ]
     assert not missing, missing
+
+
+def test_pipeline_leaves_the_panel_rule_to_g_of_t():
+    # the commands check g(t) by calling darkmatter.g_of_t, which alone
+    # knows how many quadrature panels a batch of times takes
+    tree = ast.parse((SRC / "pipeline.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"g_panels", "MAX_G_PANELS"}, imported
+    defined = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ] + [
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    ]
+    assert not [name for name in defined if name.startswith("_check_g")], defined

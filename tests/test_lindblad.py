@@ -13,7 +13,7 @@ from oracles import (
     to_density,
 )
 
-from catscope.errors import InvalidIndex
+from catscope.errors import InvalidIndex, NonFinite
 from catscope.fock import CatSpec
 from catscope.lindblad import transition_curves_to_csv
 
@@ -197,3 +197,13 @@ def test_transition_curves_argument_errors():
         transition_curves_to_csv(4, 2.0, -1.0, np.array([0.1]))
     with pytest.raises(ValueError, match="t must be"):
         transition_curves_to_csv(4, 2.0, 1.0, np.array([0.1, -0.1]))
+
+
+def test_transition_curves_refuse_rounded_out_probabilities():
+    # at |alpha|^2 = 0.02 the smallest sector's normalization is about 2e-5,
+    # and the sums round a probability to 1.0000017; the 1e-9 tolerance
+    # holds, and the failure is a catscope error, not a ValueError
+    kappa = 1.0 / 4.6e-3
+    times = np.linspace(0.0, 0.25 / kappa, 51)
+    with pytest.raises(NonFinite, match=r"outside \[0, 1\]"):
+        transition_curves_to_csv(4, np.sqrt(0.02), kappa, times)

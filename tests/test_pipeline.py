@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -203,6 +204,47 @@ def test_accepted_injection_keeps_its_warnings(monkeypatch):
     assert all("outside the perturbative regime" in t for t in texts), texts
 
 
+def test_commands_check_what_they_derive_before_any_campaign(monkeypatch):
+    # validate_config checks only the config's own values; each command
+    # checks what it derives itself, so a direct call refuses these before
+    # its first campaign, as run_command does.  The calibration checks the
+    # compass probe's drives before the vacuum probe's campaigns run
+    def refuse(*args, **kwargs):
+        raise AssertionError("a campaign ran before the check")
+
+    monkeypatch.setattr(pipeline, "run_campaign", refuse)
+    compass = [{"kind": "vacuum"}, {"kind": "compass", "alpha_sq": 0.001}]
+    cases = [
+        (pipeline.run_calibrate, "probes", compass, "probes[1].alpha_sq"),
+        (pipeline.run_search, "probes", compass, "probes[1].alpha_sq"),
+        (pipeline.run_simulate_record, "records.injected_beta", 1.0e300, None),
+        (pipeline.run_search, "search.tau_grid", [1.0e-300, 2.0e-300], None),
+        (pipeline.run_tune_scan, "scan.spacing_hz", 1.0e10, None),
+        (pipeline.run_tune_scan, "scan.t1c", 1.0e300, None),
+    ]
+    for run, leaf, value, named in cases:
+        cfg = _small_cfg(seed=1, trials=40)
+        cfg["scan"].update(inject_epsilon=1.0e-16, inject_bin=3)
+        *path, key = leaf.split(".")
+        section = cfg
+        for part in path:
+            section = section[part]
+        section[key] = value
+        pipeline.validate_config(cfg)  # every leaf is within its own bounds
+        with pytest.raises(ConfigError, match=f"^{re.escape(named or leaf)} must be"):
+            run(cfg)
+    cfg = _small_cfg(seed=1, trials=40)
+    cfg["probes"][1]["alpha_sq"] = 480.0
+    with pytest.raises(ConfigError, match=r"^probes\[1\]\.alpha_sq must be"):
+        pipeline.run_figures(cfg, pipeline.canonical_config_text(cfg), ["readout-roc"])
+    # the lineshape peaks at tau_DM / 2 pi, which a subnormal mass takes to
+    # inf: the figure alone checks tau_DM too
+    cfg = _small_cfg(seed=1, trials=40)
+    cfg["point"]["m_dm"] = 1.0e-310
+    with pytest.raises(ConfigError, match="^DM coherence time must be finite"):
+        pipeline.run_figures(cfg, pipeline.canonical_config_text(cfg), ["lineshape"])
+
+
 def test_derive_seed_is_stage_and_index_dependent():
     a = pipeline.derive_seed(1234, "search", 0, 1)
     assert a == pipeline.derive_seed(1234, "search", 0, 1)
@@ -330,8 +372,9 @@ def test_search_recovers_injected_signal(tmp_path):
 def test_injected_search_integrates_each_tau_once(monkeypatch, tmp_path):
     # both probes and the fit share one g(t) quadrature per search time,
     # all in one batched call; only the probe's alpha_sq differs between
-    # their excitation probabilities.  validate_config, which run_command
-    # calls first, checks g at the grid's two ends in one call of its own
+    # their excitation probabilities.  run_search checks that batch itself,
+    # so run_command integrates nothing more (validate_config once
+    # integrated the grid's two ends in a call of its own)
     cfg = _small_cfg(seed=11, trials=50)
     cfg["calibration"]["trials"] = 200
     cfg["search"]["inject_epsilon"] = 1e-15
@@ -350,11 +393,10 @@ def test_injected_search_integrates_each_tau_once(monkeypatch, tmp_path):
         assert calls == [cfg["search"]["tau_grid"]]
         # nothing is cached across commands: a repeated command in the same
         # process integrates afresh, as a run in a new process would
-        ends = [min(cfg["search"]["tau_grid"]), max(cfg["search"]["tau_grid"])]
         for _ in range(2):
             calls.clear()
             pipeline.run_command("search", cfg, out_root=tmp_path)
-            assert calls == [ends, cfg["search"]["tau_grid"]]
+            assert calls == [cfg["search"]["tau_grid"]]
 
 
 def test_injected_signal_uses_the_simulated_probe(monkeypatch):
@@ -445,24 +487,12 @@ def test_tune_scan_rejects_non_finite_signal_response(tmp_path, capsys):
     # each leaf passes its bound, but the epsilon = 1 signal expectation of
     # a bin overflows; with n_ref = inf every residual and its error were 0,
     # so the scan once printed a RuntimeWarning and exited 0 with
-    # "median eps90 = 0"
-    leaves = ["halo.rho_dm", "point.v_eff", "scan.t1c"]
+    # "median eps90 = 0", and then exited 1 naming the bin, not a leaf.
+    # The response is known only after the campaigns, so they run, but no
+    # run directory is written.  A mass or cavity frequency of 1e300 (a
+    # tau_DM of 6e-294 s, a detuning of 1e300 rad/s) fails the same way
+    leaves = ["halo.rho_dm", "point.v_eff", "scan.t1c", "point.m_dm", "point.omega_c"]
     for leaf in leaves:
-        out = tmp_path / leaf
-        cfg_file = _overlay(tmp_path, leaf, 1.0e300)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            args = ["tune-scan", "--trials", "40", "--config", str(cfg_file)]
-            rc = cli.main([*args, "--out", str(out)])
-        assert rc == 1, leaf
-        err = capsys.readouterr().err
-        assert "non-finite signal response" in err, leaf
-        assert not [w for w in caught if w.category is RuntimeWarning], leaf
-        assert not (out / "results").exists(), leaf
-    # a mass or cavity frequency of 1e300 once ran every campaign and then
-    # failed the same way; validate_config now refuses the g(t) they imply
-    # (a tau_DM of 6e-294 s, a detuning of 1e300 rad/s) before any campaign
-    for leaf, named in (("point.m_dm", "search.tau_grid"), ("point.omega_c",) * 2):
         out = tmp_path / leaf
         cfg_file = _overlay(tmp_path, leaf, 1.0e300)
         with warnings.catch_warnings(record=True) as caught:
@@ -471,7 +501,9 @@ def test_tune_scan_rejects_non_finite_signal_response(tmp_path, capsys):
             rc = cli.main([*args, "--out", str(out)])
         assert rc == 2, leaf
         err = capsys.readouterr().err
-        assert f"error: {named} must be" in err, leaf
+        assert "non-finite signal response" in err, leaf
+        assert err.startswith("error: halo.rho_dm, halo.v_vir, halo.v_g, point.m_dm")
+        assert leaf in err, leaf
         assert "RuntimeWarning" not in err and not caught, leaf
         assert not (out / "results").exists(), leaf
 
@@ -819,6 +851,28 @@ def test_cat_wigner_figure_at_large_amplitude(tmp_path):
     assert w.size == 61 * 61
     assert np.all(np.isfinite(w))
     assert np.max(np.abs(w)) <= 2.0 / np.pi * (1.0 + 1e-12)
+
+
+def test_figures_check_the_cat_amplitude(tmp_path, capsys):
+    # the transition-curves sums once rounded a probability to 1.0000017 at
+    # alpha_sq 0.02 and ended in a ValueError traceback; every small
+    # amplitude now either renders or exits 2 naming the probe
+    for a2 in (0.0075, 0.02, 0.04, 0.07):
+        cfg_file = _overlay(
+            tmp_path, "probes", [{"kind": "vacuum"}, {"kind": "compass", "alpha_sq": a2}]
+        )
+        rc = cli.main(["figures", "--config", str(cfg_file), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (a2, err)
+        assert rc == 0 or err.startswith("error: probes[1].alpha_sq must be"), err
+    # the readout-roc campaign displaces the cat by 0.15, which takes
+    # |alpha| = 21.9 past MAX_MIMIC_AMPLITUDE; it once ran regardless
+    cfg_file = _overlay(
+        tmp_path, "probes", [{"kind": "vacuum"}, {"kind": "compass", "alpha_sq": 480.0}]
+    )
+    argv = ["figures", "readout-roc", "--config", str(cfg_file), "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: probes[1].alpha_sq must be small")
 
 
 def test_config_text_is_dumped_once_per_command(monkeypatch, tmp_path):
