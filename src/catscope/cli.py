@@ -113,9 +113,7 @@ def main(argv=None) -> int:
         elapsed = time.monotonic() - started
         log_dir = out_root / "logs"
         log_dir.mkdir(parents=True, exist_ok=True)
-        timing = [f"{args.command} {final.name} wall_clock_s={elapsed:.3f}"]
-        if args.command in pipeline.CAMPAIGN_COMMANDS:
-            timing.append(summary[-1])  # the records line
+        timing = [f"{args.command} {final.name} wall_clock_s={elapsed:.3f}", *summary]
         (log_dir / f"{final.name}-timing.txt").write_text("\n".join(timing) + "\n")
         print(f"wrote {final}")
         for line in summary:

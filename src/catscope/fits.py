@@ -43,7 +43,7 @@ from .hmm import batch_posteriors, postselect
 
 # No optimizer is used here.  The benchmark's tracer (perfbench/spans.py)
 # still wraps these two attributes of this module and fails if they are
-# missing; they go once the run reports on itself (ROADMAP item 1).
+# missing; they go once the run reports on itself (ROADMAP item 2).
 minimize = minimize_scalar = None
 
 GAUSS_90 = 1.28  # one-sided 90% quantile, kept at two decimals deliberately
@@ -71,8 +71,6 @@ class CalibrationCurve:
                 raise ConfigError(f"n_inj must be >= 0, got {n_inj!r}")
             if not 0 <= k <= n:
                 raise ConfigError(f"need 0 <= k_pos <= n_trials, got {k}/{n}")
-            if n < 1:
-                raise ConfigError("n_trials must be >= 1")
         if not self.alpha_sq > 0.0:
             raise ConfigError(f"alpha_sq must be > 0, got {self.alpha_sq!r}")
         object.__setattr__(self, "points", pts)
@@ -363,12 +361,13 @@ def _covariance(design, k, n, theta) -> np.ndarray:
 def calibrate_detector(curve: CalibrationCurve) -> FitResult:
     """Binomial MLE of k_pos ~ Binomial(n_trials, eta*alpha_sq*n_inj + delta),
     rate clipped to [0, 1].  Returns params {'eta', 'delta'} with Fisher
-    covariance."""
+    covariance.  Only points with trials count toward the 3 distinct n_inj
+    the fit needs."""
     a2 = float(curve.alpha_sq)
     pts = np.array(curve.points, dtype=float)
     n_inj, k, n = pts[:, 0], pts[:, 1], pts[:, 2]
-    if np.unique(n_inj).size < 3:
-        raise DegenerateDesign("need at least 3 distinct n_inj values")
+    if np.unique(n_inj[n > 0]).size < 3:
+        raise DegenerateDesign("need at least 3 distinct n_inj values with trials")
     design = np.column_stack([a2 * n_inj, np.ones_like(n_inj)])
     theta, iterations = _maximize(design, k, n, [0.0, k.sum() / n.sum()])
     ll = _binom_ll(k, n, np.clip(design @ theta, 0.0, 1.0))
@@ -409,9 +408,10 @@ def search_fit(series, g, eta_alpha) -> FitResult:
     if len(set(seen)) != len(seen):
         raise ConfigError("alpha_sq values must be distinct across series")
     for s in series:
-        if len(set(s.taus)) < 2:
+        if len({t for t, n in zip(s.taus, s.n_trials) if n > 0}) < 2:
             raise DegenerateDesign(
-                f"series alpha_sq={s.alpha_sq} needs >= 2 distinct tau values"
+                f"series alpha_sq={s.alpha_sq} needs >= 2 distinct tau values "
+                f"with trials"
             )
 
     m = len(series)
@@ -494,7 +494,7 @@ def threshold_sweep(campaign, model, thresholds) -> list[SweepPoint]:
     only re-cuts the likelihood ratios."""
     records, _ = postselect(campaign.records)
     if not records:
-        raise ConfigError("campaign has no analyzable records")
+        raise DegenerateDesign("campaign has no analyzable records")
     if records.injected is None:
         raise ConfigError("threshold sweep needs truth-labeled records")
     _, lams = batch_posteriors(model, records)
@@ -522,22 +522,19 @@ def threshold_sweep(campaign, model, thresholds) -> list[SweepPoint]:
 
 @dataclass(frozen=True)
 class BinLimit:
-    omega: float
     n_norm: float
     p_i: float
     sigma_p: float
     eps90: float
 
     def __post_init__(self):
-        for name in ("omega", "n_norm", "p_i", "sigma_p", "eps90"):
+        for name in ("n_norm", "p_i", "sigma_p", "eps90"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class BackgroundResult:
     bins: tuple
-    n_bar: float
-    sigma_n: float
     eta_fit: float
 
 
@@ -602,7 +599,6 @@ def background_subtract(
     w = np.array([b.n_trials_i for b in bins], dtype=float)
     n_i = np.array([b.n_meas_i / (b.eta_i * b.n_trials_i) for b in bins])
     n_bar = float(np.sum(w * n_i) / np.sum(w))
-    sigma_n = float(math.sqrt(np.sum(w * (n_i - n_bar) ** 2) / np.sum(w)))
     eta_fit = 1.0 - 1.0 / len(bins)
     rv = rho_m_veff(point, halo)
     out = []
@@ -634,8 +630,8 @@ def background_subtract(
                 f"{b.n_meas_i} of {b.n_trials_i} kept trials positive"
             )
         eps90 = math.sqrt(_truncated_gauss_q90(p_i, sigma_p))
-        out.append(BinLimit(b.omega_i, float(ni), p_i, sigma_p, eps90))
-    return BackgroundResult(tuple(out), n_bar, sigma_n, eta_fit)
+        out.append(BinLimit(float(ni), p_i, sigma_p, eps90))
+    return BackgroundResult(tuple(out), eta_fit)
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +650,10 @@ def fit_result_to_json(fit: FitResult) -> str:
 
 
 def exclusion_to_csv(points) -> str:
+    """limits.csv from (m_dm, eps90) pairs, the mass in rad/s."""
     lines = ["m_dm_hz,eps90"]
-    for p in points:
-        lines.append(f"{float(p.m_dm / (2.0 * math.pi))!r},{float(p.eps90)!r}")
+    for m_dm, eps90 in points:
+        lines.append(f"{float(m_dm / (2.0 * math.pi))!r},{float(eps90)!r}")
     return "\n".join(lines) + "\n"
 
 

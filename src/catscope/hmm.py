@@ -32,9 +32,7 @@ class HmmModel:
     """Immutable (transition, emission, prior) bundle.
 
     States are ordered sector-major with the qubit inside each pair:
-    (sector 0, g), (sector 0, e), (sector 1, g), ...  Emission rows may
-    carry a common scale factor (the vacuum convention keeps an overall
-    1/2); posteriors are invariant under it.
+    (sector 0, g), (sector 0, e), (sector 1, g), ...
     """
 
     transition: np.ndarray
@@ -71,25 +69,19 @@ class HmmModel:
         return self.n_states // 2
 
 
-def ground_prior(n_states: int) -> np.ndarray:
-    """Uniform over sectors with the qubit pinned to ground: the chain
-    starts right after a post-selected preparation readout."""
-    if n_states % 2:
-        raise DimMismatch(f"state count must be even, got {n_states}")
-    p = np.zeros(n_states)
-    p[::2] = 2.0 / n_states
-    return p
-
-
 def build_model(
     device: DeviceParams, alpha_sq: float = 1.0, mode: str = "compass"
 ) -> HmmModel:
     """HmmModel from the calibrated device numbers.  The transition matrix
-    is the pure one (no demolition augmentation); the prior is ground_prior.
-    An unknown mode raises InvalidMode."""
+    is the pure one (no demolition augmentation); the prior is uniform over
+    sectors with the qubit pinned to ground, as the chain starts right after
+    a post-selected preparation readout.  An unknown mode raises
+    InvalidMode."""
     t = build_transition_matrix(device, alpha_sq=alpha_sq, mode=mode)
     e = build_emission_matrix(device, mode=mode)
-    return HmmModel(t, e, ground_prior(t.shape[0]))
+    prior = np.zeros(t.shape[0])
+    prior[::2] = 2.0 / t.shape[0]
+    return HmmModel(t, e, prior)
 
 
 def batch_posteriors(model: HmmModel, records: Records) -> tuple[np.ndarray, np.ndarray]:

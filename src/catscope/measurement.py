@@ -258,19 +258,12 @@ def build_transition_matrix(
 
 
 def build_emission_matrix(device: DeviceParams, mode: str = "compass") -> np.ndarray:
-    """Readout matrix, hidden states x (G, E).
-
-    Rows alternate ground/excited readout fidelities.  The vacuum-mode
-    matrix keeps the conventional overall factor 1/2 (its rows sum to 1/2,
-    not 1); posterior computations only ever use the rows up to a common
-    scale, so the factor is cosmetic but preserved for comparability.
-    """
+    """Readout matrix, hidden states x (G, E): rows alternate the ground
+    and excited readout fidelities, one pair per sector."""
     _check_mode(mode)
     g_row = (1.0 - device.readout_Fge_inv, device.readout_Fge_inv)
     e_row = (device.readout_Fge, 1.0 - device.readout_Fge)
-    if mode == "compass":
-        return np.array([g_row, e_row] * 4)
-    return 0.5 * np.array([g_row, e_row, g_row, e_row])
+    return np.array([g_row, e_row] * len(_sector_kinds(mode)))
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,10 @@ from .darkmatter import (
     g_of_t,
     lineshape_to_csv,
 )
-from .errors import ConfigError, MissingArtifact, MissingCalibration
+from .errors import ConfigError, DegenerateDesign, MissingArtifact, MissingCalibration
 from .errors import NonFinite, QuadratureFailure, ZeroSignalDenominator
 from .fits import (
     CalibrationCurve,
-    ExclusionPoint,
     FrequencyBin,
     SearchSeries,
     background_subtract,
@@ -117,19 +116,18 @@ def default_config() -> dict:
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+    """Overlay override onto base in place; both are the caller's own."""
     for key, val in override.items():
         where = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        cur = base[key]
-        if isinstance(cur, dict):
+        if isinstance(base[key], dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {where!r} must be a mapping")
-            out[key] = _merge(cur, val, where + ".")
+            _merge(base[key], val, where + ".")
         else:
-            out[key] = copy.deepcopy(val)
-    return out
+            base[key] = val
+    return base
 
 
 def load_config(path=None) -> dict:
@@ -329,18 +327,6 @@ def _bin_omega(point: SearchPoint, sc: dict, i: int) -> float:
     search point's cavity frequency, scan.spacing_hz apart."""
     spacing = 2.0 * math.pi * float(sc["spacing_hz"])
     return point.effective_omega_c() + (i - (sc["bins"] - 1) / 2.0) * spacing
-
-
-def build_device(cfg: dict) -> DeviceParams:
-    return DeviceParams(**cfg["device"])
-
-
-def build_halo(cfg: dict) -> HaloParams:
-    return HaloParams(**cfg["halo"])
-
-
-def build_point(cfg: dict) -> SearchPoint:
-    return SearchPoint(**cfg["point"])
 
 
 def _coherence_time(point: SearchPoint, halo: HaloParams) -> float:
@@ -589,6 +575,15 @@ def _calibrated_eta(etas_by_label: dict, label: str, mode: str, hint: str = "") 
     return eta
 
 
+def _leakage_error(exc: DegenerateDesign) -> DegenerateDesign:
+    """exc, for data that post-selection left too thin: name the leaves
+    that set the share of records dropped for leakage."""
+    return DegenerateDesign(
+        f"{exc}; too few records survive post-selection, and device.p_leak and "
+        f"repeats set the share dropped for leakage"
+    )
+
+
 def _record_counts(files: dict) -> str:
     """Records simulated, dropped for leakage and classified positive: the
     sums of the per-campaign n_kept + n_dropped, n_dropped and k_pos columns
@@ -623,7 +618,7 @@ def run_calibrate(cfg: dict):
     alpha_sq * |beta_applied|^2 fixed across probes.  Every probe then sees
     the same response range, inside the linear regime of the fit model.
     Every probe's applied drives are checked before the first campaign."""
-    device = build_device(cfg)
+    device = DeviceParams(**cfg["device"])
     trials = cfg["calibration"]["trials"]
     betas = [float(b) for b in cfg["calibration"]["betas"]]
     drives = []  # per probe, the displacement applied for each beta
@@ -665,6 +660,8 @@ def run_calibrate(cfg: dict):
             fit = calibrate_detector(CalibrationCurve(tuple(pts), alpha_sq=a2))
         except NonFinite as exc:  # a column scale is 1 / the largest alpha^2 n_inj
             raise ConfigError(f"calibration.betas must be larger for a finite fit: {exc}")
+        except DegenerateDesign as exc:  # the betas give 3 n_inj; leakage took some
+            raise _leakage_error(exc) from None
         rows.append(
             {
                 "label": label,
@@ -690,7 +687,7 @@ def run_calibrate(cfg: dict):
     }
     summary = [
         f"{r['label']}: eta = {r['eta']:.4f} +- {r['eta_err']:.4f}, "
-        f"delta = {r['delta']:.2e}"
+        f"delta = {r['delta']:.2e} ({r['iterations']} iterations)"
         for r in rows
     ]
     summary += [f"enhancement {k}: {v:.2f}" for k, v in sorted(enh.items())]
@@ -731,9 +728,9 @@ def run_search(cfg: dict):
     saturates there).  An injected epsilon reaches the simulator as each
     campaign's p_signal, computed here from one g(tau) batch that the fit
     reads as well; that batch is checked before any campaign runs."""
-    device = build_device(cfg)
-    halo = build_halo(cfg)
-    point = build_point(cfg)
+    device = DeviceParams(**cfg["device"])
+    halo = HaloParams(**cfg["halo"])
+    point = SearchPoint(**cfg["point"])
     sr = cfg["search"]
     taus = [float(t) for t in sr["tau_grid"]]
     tau_dm = _coherence_time(point, halo)
@@ -790,17 +787,19 @@ def run_search(cfg: dict):
         fit = search_fit(series, g_at, tuple(etas))
     except NonFinite as exc:  # the a0 column's scale is 1 / g at the largest tau
         raise ConfigError(f"search.tau_grid must be long enough for a finite fit: {exc}")
+    except DegenerateDesign as exc:  # the grid has 2 taus; leakage took some
+        raise _leakage_error(exc) from None
     a0 = fit.params["a0"]
     sig = fit.stderr("a0")
     lim = epsilon_limit(a0, sig, point, halo)
     files = dict(files)
     files["rates.csv"] = "\n".join(rate_lines) + "\n"
     files["fit.json"] = fit_result_to_json(fit)
-    files["limits.csv"] = exclusion_to_csv([lim])
+    files["limits.csv"] = exclusion_to_csv([(lim.m_dm, lim.eps90)])
     files["records.jsonl"] = "".join(record_chunks)
     flag = " (boundary)" if fit.boundary_hit else ""
     summary = [
-        f"a0 = {a0:.4g} +- {sig:.4g} 1/s^2{flag}",
+        f"a0 = {a0:.4g} +- {sig:.4g} 1/s^2{flag} ({fit.iterations} iterations)",
         f"eps90 = {lim.eps90:.4g} at m/2pi = {point.m_dm / (2 * math.pi):.6g} Hz",
     ]
     return files, summary
@@ -810,9 +809,9 @@ def run_tune_scan(cfg: dict):
     """Frequency-bin scan: one campaign per cavity tuning, background
     subtraction across bins, and a per-bin limit at each bin's own resonant
     mass.  An injected bin's p_signal is computed at the injected mass."""
-    device = build_device(cfg)
-    halo = build_halo(cfg)
-    point = build_point(cfg)
+    device = DeviceParams(**cfg["device"])
+    halo = HaloParams(**cfg["halo"])
+    point = SearchPoint(**cfg["point"])
     sc = cfg["scan"]
     n_bins = sc["bins"]
     t1c = float(sc["t1c"])
@@ -896,7 +895,7 @@ def run_tune_scan(cfg: dict):
                 ]
             )
         )
-        limits.append(ExclusionPoint(m_i, bl.eps90, 0.0, bl.eps90))
+        limits.append((m_i, bl.eps90))
     files = dict(files)
     files["bins.csv"] = "\n".join(lines) + "\n"
     files["limits.csv"] = exclusion_to_csv(limits)
@@ -911,7 +910,7 @@ def run_tune_scan(cfg: dict):
 
 def run_simulate_record(cfg: dict):
     """Raw readout records for one probe, truth annotations included."""
-    device = build_device(cfg)
+    device = DeviceParams(**cfg["device"])
     rc = cfg["records"]
     init, mode, label, a2 = _probe_parts(rc["probe"])
     beta = float(rc["injected_beta"])
@@ -1002,9 +1001,9 @@ def _render_figure(
     """One figure table; cat is _figure_alpha_sq(cfg) for the figures that
     draw the cat, and tau_dm the checked DM coherence time for the two that
     draw the DM line."""
-    device = build_device(cfg)
-    halo = build_halo(cfg)
-    point = build_point(cfg)
+    device = DeviceParams(**cfg["device"])
+    halo = HaloParams(**cfg["halo"])
+    point = SearchPoint(**cfg["point"])
     if fid in _ARTIFACT_FIGURES:
         text = _read_artifact(fid, config_text, out_root)
         if fid == "enhancement":
@@ -1063,7 +1062,10 @@ def _render_figure(
         init = CatSpec(alpha=math.sqrt(a2))
         model = build_model(device, alpha_sq=a2, mode="compass")
         camp = _campaign(cfg, device, ROC_TRIALS, init, "figures", 0, beta=ROC_BETA)
-        rows = threshold_sweep(camp, model, np.geomspace(1e-2, 1e6, 33))
+        try:
+            rows = threshold_sweep(camp, model, np.geomspace(1e-2, 1e6, 33))
+        except DegenerateDesign as exc:
+            raise _leakage_error(exc) from None
         return sweep_to_csv(rows)
     raise ConfigError(f"unknown figure {fid!r}")
 
@@ -1080,6 +1082,8 @@ def run_figures(cfg: dict, config_text: str, which=None, out_root="."):
         ids = list(FIGURE_IDS)
     else:
         ids = list(which)
+        if "all" in ids:
+            raise ConfigError(f"figure id 'all' must stand alone, got {ids!r}")
         for fid in ids:
             if fid not in FIGURE_IDS:
                 raise ConfigError(
@@ -1091,7 +1095,7 @@ def run_figures(cfg: dict, config_text: str, which=None, out_root="."):
     tau_dm = None
     if {"sensitivity-growth", "lineshape"}.intersection(ids):
         # the growth times scale with tau_DM, and f(omega) peaks at tau_DM / 2 pi
-        tau_dm = _coherence_time(build_point(cfg), build_halo(cfg))
+        tau_dm = _coherence_time(SearchPoint(**cfg["point"]), HaloParams(**cfg["halo"]))
     files = {}
     for fid in ids:
         files[f"{fid}.csv"] = _render_figure(fid, cfg, config_text, out_root, cat, tau_dm)
@@ -1110,6 +1114,7 @@ def run_command(command: str, cfg: dict, out_root=".", which=None):
     Returns (final run directory, human-readable summary lines)."""
     validate_config(cfg)
     config_text = canonical_config_text(cfg)
+    rid = run_id(config_text, command)  # refuses an unknown command
     if command == "calibrate":
         files, summary = run_calibrate(cfg)
     elif command == "search":
@@ -1120,11 +1125,8 @@ def run_command(command: str, cfg: dict, out_root=".", which=None):
         files, summary = run_figures(cfg, config_text, which=which, out_root=out_root)
     elif command == "simulate-record":
         files, summary = run_simulate_record(cfg)
-    else:
-        raise ConfigError(f"unknown command {command!r}")
     if command in CAMPAIGN_COMMANDS:
         summary = [*summary, _record_counts(files)]
-    rid = run_id(config_text, command)
     writer = RunWriter(out_root, rid)
     for name in sorted(files):
         writer.write(name, files[name])

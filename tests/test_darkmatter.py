@@ -175,7 +175,7 @@ def _scan_points(cfg):
     on either side."""
     from catscope import pipeline
 
-    point = pipeline.build_point(cfg)
+    point = SearchPoint(**cfg["point"])
     sc = cfg["scan"]
     omegas = [pipeline._bin_omega(point, sc, i) for i in range(sc["bins"])]
     masses = [om / (1.0 + darkmatter.OMEGA_M_OFFSET) for om in (omegas[0], omegas[-1])]
@@ -190,8 +190,8 @@ def test_g_of_t_matches_quad_reference():
     from catscope import pipeline
 
     cfg = pipeline.default_config()
-    point = pipeline.build_point(cfg)
-    halo = pipeline.build_halo(cfg)
+    point = SearchPoint(**cfg["point"])
+    halo = HaloParams(**cfg["halo"])
     tau = coherence_time(point, halo)
     times = [float(t) for t in pipeline._growth_times(tau)]
     times += [float(t) for t in cfg["search"]["tau_grid"]]
@@ -227,7 +227,7 @@ def test_g_integrand_reference_is_halo_speed_pdf_route(halo):
     from catscope import pipeline
 
     cfg = pipeline.default_config()
-    point = pipeline.build_point(cfg)
+    point = SearchPoint(**cfg["point"])
     m, wc = point.m_dm, point.effective_omega_c()
     vmax = (halo.v_g + 6.0 * halo.v_vir) / C_KM_S
     vs = np.linspace(0.0, vmax, 301)

@@ -166,6 +166,10 @@ def test_calibrate_requires_three_injection_levels():
     curve = CalibrationCurve(((0.0, 5, 1000), (0.01, 35, 1000), (0.01, 33, 1000)), 10.0)
     with pytest.raises(DegenerateDesign):
         calibrate_detector(curve)
+    # a level without trials (every record dropped) does not count
+    curve = CalibrationCurve(((0.0, 5, 1000), (0.01, 35, 1000), (0.02, 0, 0)), 10.0)
+    with pytest.raises(DegenerateDesign, match="with trials"):
+        calibrate_detector(curve)
 
 
 def test_enhancement_factor():
@@ -300,7 +304,7 @@ def test_search_fit_sparse_counts_converge():
     # a 100-trial toy search (planted eps = 2e-15, supplied calibration):
     # sparse counts, several k = 0 rows on the clip kink at the optimum
     cfg = pipeline.default_config()
-    point, halo = pipeline.build_point(cfg), pipeline.build_halo(cfg)
+    point, halo = SearchPoint(**cfg["point"]), HaloParams(**cfg["halo"])
     taus = tuple(float(t) for t in cfg["search"]["tau_grid"])
     series = [
         SearchSeries(1.0, taus, (0, 0, 1, 2, 2, 2), (93, 96, 97, 99, 94, 98)),
@@ -348,6 +352,11 @@ def test_search_fit_is_the_constrained_maximum(data):
         k, n = _draw_counts(data, len(taus), 0)
         series.append(SearchSeries(a2, taus, tuple(k), tuple(n)))
         etas.append(data.draw(st.floats(0.05, 1.0)))
+    if any(sum(m > 0 for m in s.n_trials) < 2 for s in series):
+        # a series needs 2 taus with trials; rows without any are ignored
+        with pytest.raises(DegenerateDesign):
+            search_fit(series, G_GRID, etas)
+        return
     fit = search_fit(series, G_GRID, etas)
     theta = np.array(list(fit.params.values()))
 
@@ -394,6 +403,15 @@ def test_search_fit_validation():
     bad = SearchSeries(4.0, (1e-5, 1e-5), (3, 4), (100, 100))
     with pytest.raises(DegenerateDesign):
         search_fit([bad], g, [0.5])
+
+
+def test_search_fit_counts_only_taus_with_trials():
+    # a tau whose records were all dropped for leakage carries no data; a
+    # series left with one such tau once fit a0 from the covariance floor
+    g = {1e-5: 1e-10, 2e-5: 4e-10}
+    thin = SearchSeries(4.0, (1e-5, 2e-5), (3, 0), (100, 0))
+    with pytest.raises(DegenerateDesign, match="with trials"):
+        search_fit([thin], g, [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +517,6 @@ def test_background_subtract_eta_fit_and_identical_bins():
     bins = [FrequencyBin(omega, 50, 50000, 0.5, 4.6e-3) for _ in range(16)]
     res = background_subtract(bins, POINT)
     assert_allclose(res.eta_fit, 0.9375, rtol=1e-12)
-    assert res.sigma_n == 0.0
     for b in res.bins:
         assert b.p_i == 0.0
         assert b.eps90 > 0.0
@@ -685,8 +702,8 @@ def test_fit_result_json_roundtrip():
 
 def test_exclusion_csv_format():
     pts = [
-        ExclusionPoint(2.0 * math.pi * 6.442e9, 5e-16, 1e-16, 5e-16 + 1.28e-16),
-        ExclusionPoint(2.0 * math.pi * 6.443e9, 0.0, 1e-16, 1.28e-16),
+        (2.0 * math.pi * 6.442e9, 5e-16 + 1.28e-16),
+        (2.0 * math.pi * 6.443e9, 1.28e-16),
     ]
     text = exclusion_to_csv(pts)
     lines = text.strip().split("\n")

@@ -19,11 +19,10 @@ from catscope.fock import CatSpec
 
 
 def test_ground_prior():
-    p = hmm.ground_prior(8)
+    p = hmm.build_model(ms.DeviceParams(), alpha_sq=12.0, mode="compass").prior
     assert_allclose(p, [0.25, 0, 0.25, 0, 0.25, 0, 0.25, 0])
-    assert_allclose(hmm.ground_prior(4), [0.5, 0, 0.5, 0])
-    with pytest.raises(DimMismatch):
-        hmm.ground_prior(7)
+    p = hmm.build_model(ms.DeviceParams(), mode="vacuum").prior
+    assert_allclose(p, [0.5, 0, 0.5, 0])
 
 
 def test_build_model_defaults():

@@ -142,6 +142,23 @@ def test_benchmark_hooks_exist():
         if not callable(getattr(importlib.import_module(f"catscope.{module}"), attr, None))
     ]
     assert not missing, missing
+    # it also replaces these by name: the artifact writer's methods, which it
+    # times as pipeline.write, and the optimizer names of fits it counts
+    source = (ROOT / "perfbench" / "spans.py").read_text()
+    pipeline = importlib.import_module("catscope.pipeline")
+    fits = importlib.import_module("catscope.fits")
+    patched = [
+        (pipeline.RunWriter, "__init__"),
+        (pipeline.RunWriter, "write"),
+        (pipeline.RunWriter, "promote"),
+        (pipeline.RunManifest, "to_json"),
+        (fits, "minimize"),
+        (fits, "minimize_scalar"),
+    ]
+    for owner, attr in patched:
+        assert f'"{attr}"' in source, attr  # this list follows spans.py
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in patched if attr not in vars(owner)]
+    assert not missing, missing
 
 
 def test_pipeline_leaves_the_panel_rule_to_g_of_t():

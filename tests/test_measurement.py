@@ -175,7 +175,7 @@ def test_emission_matrices():
     assert_allclose(e[1], [0.01, 0.99])
     ev = ms.build_emission_matrix(d, mode="vacuum")
     assert ev.shape == (4, 2)
-    assert_allclose(ev, 0.5 * e[:4], atol=1e-15)
+    assert_allclose(ev, e[:4], atol=1e-15)
     perfect = ms.build_emission_matrix(
         ms.DeviceParams(readout_Fge=0.0, readout_Fge_inv=0.0), mode="compass"
     )

@@ -21,6 +21,8 @@ import yaml
 
 from catscope import cli, darkmatter, pipeline
 from catscope.darkmatter import (
+    HaloParams,
+    SearchPoint,
     coherence_time,
     excitation_probability,
     g_of_t,
@@ -142,7 +144,7 @@ def test_only_search_warns_past_coherence_time(tmp_path):
     # the warning is about search times, so only the search command gives
     # it; validate_config once gave it for every command
     cfg = _small_cfg(seed=1, trials=40)
-    tau_dm = coherence_time(pipeline.build_point(cfg), pipeline.build_halo(cfg))
+    tau_dm = coherence_time(SearchPoint(**cfg["point"]), HaloParams(**cfg["halo"]))
     cfg["search"]["tau_grid"] = [tau_dm / 2.0, 2.0 * tau_dm]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -339,7 +341,7 @@ def test_search_zero_signal_sets_finite_limit(tmp_path):
         # a0 on its bound takes the pure-sigma limit, not a0 -> 0 in eps0
         assert fit["params"]["a0"] == 0.0
         sigma = math.sqrt(fit["covariance"][0][0])
-        rmv = rho_m_veff(pipeline.build_point(cfg), pipeline.build_halo(cfg))
+        rmv = rho_m_veff(SearchPoint(**cfg["point"]), HaloParams(**cfg["halo"]))
         assert abs(eps90 - math.sqrt(1.28 * sigma / rmv)) <= 1e-9 * eps90
 
     rates = _read_csv(final / "rates.csv")
@@ -362,7 +364,8 @@ def test_search_recovers_injected_signal(tmp_path):
     fit = json.loads((final / "fit.json").read_text())
     a0_hat = fit["params"]["a0"]
     sigma = math.sqrt(fit["covariance"][0][0])
-    a0_true = eps**2 * rho_m_veff(pipeline.build_point(cfg), pipeline.build_halo(cfg))
+    point, halo = SearchPoint(**cfg["point"]), HaloParams(**cfg["halo"])
+    a0_true = eps**2 * rho_m_veff(point, halo)
     assert abs(a0_hat - a0_true) < 3.0 * sigma
 
     eps90 = float(_read_csv(final / "limits.csv")[0]["eps90"])
@@ -418,7 +421,7 @@ def test_injected_signal_uses_the_simulated_probe(monkeypatch):
         pipeline, "_load_calibration", lambda cfg: ({"vacuum": 0.5, "a12": 0.5}, {})
     )
     pipeline.run_search(cfg)
-    point, halo = pipeline.build_point(cfg), pipeline.build_halo(cfg)
+    point, halo = SearchPoint(**cfg["point"]), HaloParams(**cfg["halo"])
     expected = [
         excitation_probability(1e-15, point, halo, g_of_t(tau, point, halo), a2)
         for a2 in (1.0, math.sqrt(12.0) ** 2)
@@ -977,6 +980,51 @@ def test_records_line_sums_the_campaign_tables(tmp_path, capsys):
         assert timing.splitlines()[-1] == line, command
 
 
+def test_timing_sidecar_holds_the_printed_summary(tmp_path, capsys):
+    # the sidecar is the wall-clock line followed by the printed summary,
+    # whose fit lines report the iterations the artifacts record
+    fits = {
+        "calibrate": lambda d: json.loads((d / "calibration.json").read_text())["probes"][0],
+        "search": lambda d: json.loads((d / "fit.json").read_text()),
+        "figures": None,
+    }
+    for command, fit in fits.items():
+        argv = [command, "--trials", "60", "--seed", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        wrote, *summary = capsys.readouterr().out.splitlines()
+        final = Path(wrote.removeprefix("wrote "))
+        timing = (tmp_path / "logs" / f"{final.name}-timing.txt").read_text()
+        first, *rest = timing.splitlines()
+        assert re.fullmatch(rf"{command} {final.name} wall_clock_s=\d+\.\d{{3}}", first)
+        assert rest == [line.removeprefix("  ") for line in summary], command
+        if fit is not None:
+            assert rest[0].endswith(f" ({fit(final)['iterations']} iterations)"), rest
+
+
+def test_leaked_data_is_a_runtime_error_naming_the_leak_leaves(tmp_path, capsys):
+    # with every record dropped for leakage, search on a supplied
+    # calibration once exited 0 with a0 = 0 +- 9.9e12 (the covariance's
+    # eigenvalue floor) and a limit; self-calibration exited 2 ("n_trials
+    # must be >= 1") and figures exited 2, naming no leaf
+    cal = Path(__file__).resolve().parents[1] / "perfbench" / "calibration.json"
+    runs = [
+        ("calibrate", ""),
+        ("search", ""),
+        ("search", f"calibration:\n  path: {cal}\n"),
+        ("figures", ""),
+    ]
+    for command, extra in runs:
+        path = tmp_path / "leak.yaml"
+        path.write_text("device:\n  p_leak: 1.0\n" + extra)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--trials", "40", "--out", str(out)]
+        assert cli.main(argv) == 1, (command, extra)
+        err = capsys.readouterr().err
+        assert "device.p_leak" in err and "repeats" in err, (command, err)
+        assert "Traceback" not in err
+        assert not (out / "results").exists() or not any((out / "results").iterdir())
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # config problems are exit 2
     rc = cli.main(["search", "--trials", "0", "--out", str(tmp_path)])
@@ -985,6 +1033,13 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     rc = cli.main(["figures", "nope", "--out", str(tmp_path)])
     assert rc == 2
+    # 'all' beside other ids once exited 2 with "unknown figure 'all';
+    # valid ids: ..., or 'all'"
+    capsys.readouterr()
+    rc = cli.main(["figures", "all", "cat-wigner", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'all' must stand alone" in err and "unknown figure" not in err
 
     # a missing upstream artifact is a runtime failure, exit 1
     rc = cli.main(["figures", "exclusion", "--out", str(tmp_path)])
@@ -1338,21 +1393,26 @@ def _watched(obj, prefix, reads):
 def test_every_config_leaf_is_read_by_a_command(monkeypatch):
     # a leaf that only validation and the canonical text read changes the
     # run id but nothing a command does.  The device, halo and point leaves
-    # count when a command reads the dataclass attribute, not when
-    # build_device and its siblings pass them all to the constructor; the
-    # point's omega_c is read, so a search by name cannot tell a device
-    # omega_c from it
+    # count when a command reads the dataclass attribute, not when the
+    # command passes them all to the constructor; the point's omega_c is
+    # read, so a search by name cannot tell a device omega_c from it
     reads, fields = set(), set()
-    for section in ("device", "halo", "point"):
-        build = getattr(pipeline, f"build_{section}")
-        monkeypatch.setattr(
-            pipeline,
-            f"build_{section}",
-            lambda cfg, build=build, section=section: _watched(
-                build(cfg), section, fields
-            ),
-        )
     base = _small_cfg(seed=1, trials=40)  # calibrates positive efficiencies
+    for section, name in (
+        ("device", "DeviceParams"),
+        ("halo", "HaloParams"),
+        ("point", "SearchPoint"),
+    ):
+
+        def build(*args, cls=getattr(pipeline, name), section=section, **kwargs):
+            # watch only the object built from the config's own section:
+            # tune-scan builds its injection points with SearchPoint too
+            obj = cls(*args, **kwargs)
+            if args or kwargs != base[section]:
+                return obj
+            return _watched(obj, section, fields)
+
+        monkeypatch.setattr(pipeline, name, build)
     base["scan"].update(inject_epsilon=2e-16, inject_bin=3)
     base["records"]["injected_beta"] = 0.1
     config_text = pipeline.canonical_config_text(base)
