@@ -77,6 +77,12 @@ def omega_m(m_dm: float) -> float:
     return (1.0 + OMEGA_M_OFFSET) * m_dm
 
 
+def resonant_mass(omega: float) -> float:
+    """The mass whose lineshape peaks at omega, omega / (1 + 3e-7): the
+    inverse of omega_m."""
+    return omega / (1.0 + OMEGA_M_OFFSET)
+
+
 def halo_speed_pdf(v, halo: HaloParams = HaloParams()):
     """Boosted Maxwellian speed distribution, v in km/s, density in s/km.
 

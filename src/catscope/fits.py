@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darkmatter import (
-    OMEGA_M_OFFSET,
-    HaloParams,
-    SearchPoint,
-    lineshape,
-    rho_m_veff,
-)
+from .darkmatter import HaloParams, SearchPoint, lineshape, resonant_mass, rho_m_veff
 from .errors import (
     ConfigError,
     DegenerateDesign,
@@ -605,9 +599,7 @@ def background_subtract(
     for b, ni in zip(bins, n_i):
         pt = point
         if per_bin_mass:
-            pt = SearchPoint(
-                m_dm=b.omega_i / (1.0 + OMEGA_M_OFFSET), v_eff=point.v_eff
-            )
+            pt = SearchPoint(m_dm=resonant_mass(b.omega_i), v_eff=point.v_eff)
             rv = rho_m_veff(pt, halo)
         shape = 2.0 * math.pi * float(lineshape(b.omega_i, pt, halo))
         n_ref = eta_fit * rv * b.t1c_i * shape * b.alpha_sq_i

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .darkmatter import (
-    OMEGA_M_OFFSET,
     HaloParams,
     SearchPoint,
     coherence_time,
@@ -41,6 +40,7 @@ from .darkmatter import (
     g_curve_to_csv,
     g_of_t,
     lineshape_to_csv,
+    resonant_mass,
 )
 from .errors import ConfigError, DegenerateDesign, MissingArtifact, MissingCalibration
 from .errors import NonFinite, QuadratureFailure, ZeroSignalDenominator
@@ -68,51 +68,72 @@ COMMANDS = ("calibrate", "search", "tune-scan", "figures", "simulate-record")
 # the commands whose summary ends with the records line (_record_counts)
 CAMPAIGN_COMMANDS = ("calibrate", "search", "tune-scan")
 
-DEFAULT_CONFIG = {
-    "master_seed": 20260818,
-    "device": asdict(DeviceParams()),
-    "halo": asdict(HaloParams()),
-    "point": {"m_dm": 2.0 * math.pi * 6.442e9, "omega_c": None, "v_eff": 4.45},
-    "probes": [
-        {"kind": "vacuum"},
-        {"kind": "compass", "alpha_sq": 12.0},
-    ],
-    "repeats": 20,
-    "thresholds": {"compass": 84.0, "vacuum": 1e5},
-    "calibration": {
-        "trials": 1500,
-        "betas": [0.0, 0.05, 0.1, 0.15, 0.2],
-        "self_calibrate": True,
-        "path": None,
-    },
-    "search": {
-        "trials": 1200,
-        "tau_grid": [float(t) for t in np.geomspace(2e-5, 1.4e-4, 6)],
-        "inject_epsilon": None,
-    },
-    "scan": {
-        "trials": 800,
-        "bins": 16,
-        "spacing_hz": 6.0e3,
-        "t1c": 4.6e-3,
-        "alpha_sq": 12.0,
-        "inject_epsilon": None,
-        "inject_bin": None,
-    },
-    "records": {
-        "trials": 64,
-        "probe": {"kind": "compass", "alpha_sq": 4.0},
-        "injected_beta": 0.0,
-    },
-}
-
 
 # ---------------------------------------------------------------------------
 # config handling
 
 
+# Every config leaf outside the probe lists: path -> (default, kind, bound).
+# A kind ending in "?" also admits null; a list kind applies the bound to
+# each item.  The device, halo and point defaults are their dataclasses' own.
+_DEVICE = asdict(DeviceParams())
+_POINT = asdict(SearchPoint(m_dm=2.0 * math.pi * 6.442e9))
+CONFIG_SCHEMA = {
+    "master_seed": (20260818, "int", ">= 0"),
+    **{
+        f"device.{k}": (_DEVICE[k], "num", "> 0")
+        for k in ("chi", "T1c", "T1q", "T2q", "t_m")
+    },
+    **{
+        f"device.{k}": (_DEVICE[k], "num", "in [0, 1]")
+        for k in ("n_c", "n_q", "readout_Fge", "readout_Fge_inv", "p_d", "p_leak")
+    },
+    **{f"halo.{k}": (v, "num", "> 0") for k, v in asdict(HaloParams()).items()},
+    "point.m_dm": (_POINT["m_dm"], "num", "> 0"),
+    "point.omega_c": (_POINT["omega_c"], "num?", "> 0"),
+    "point.v_eff": (_POINT["v_eff"], "num", "> 0"),
+    "repeats": (20, "int", ">= 1"),
+    "thresholds.compass": (84.0, "num", "> 0"),
+    "thresholds.vacuum": (1e5, "num", "> 0"),
+    "calibration.trials": (1500, "int", ">= 1"),
+    "calibration.betas": ([0.0, 0.05, 0.1, 0.15, 0.2], "nums", ">= 0"),
+    "calibration.self_calibrate": (True, "bool", None),
+    "calibration.path": (None, "str?", None),
+    "search.trials": (1200, "int", ">= 1"),
+    "search.tau_grid": (np.geomspace(2e-5, 1.4e-4, 6).tolist(), "nums", "> 0"),
+    "search.inject_epsilon": (None, "num?", ">= 0"),
+    "scan.trials": (800, "int", ">= 1"),
+    "scan.bins": (16, "int", ">= 2"),
+    "scan.spacing_hz": (6.0e3, "num", "> 0"),
+    "scan.t1c": (4.6e-3, "num", "> 0"),
+    "scan.alpha_sq": (12.0, "num", "> 0"),
+    "scan.inject_epsilon": (None, "num?", ">= 0"),
+    "scan.inject_bin": (None, "int?", ">= 0"),
+    "records.trials": (64, "int", ">= 1"),
+    "records.injected_beta": (0.0, "num", ">= 0"),
+}
+# the probe lists' defaults; _check_probe checks them, not the table
+_PROBES = [{"kind": "vacuum"}, {"kind": "compass", "alpha_sq": 12.0}]
+_RECORDS_PROBE = {"kind": "compass", "alpha_sq": 4.0}
+
+
+def _default_tree() -> dict:
+    tree = {"probes": _PROBES, "records": {"probe": _RECORDS_PROBE}}
+    for path, (default, _, _) in CONFIG_SCHEMA.items():
+        *sections, key = path.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = default
+    return tree
+
+
+# built once; default_config hands out deep copies, which _merge may overlay
+_DEFAULT_TREE = _default_tree()
+
+
 def default_config() -> dict:
-    return copy.deepcopy(DEFAULT_CONFIG)
+    return copy.deepcopy(_DEFAULT_TREE)
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -179,41 +200,6 @@ def apply_overrides(
             raise ConfigError(f"tau-max {tau_max!r} leaves no search times")
         out["search"]["tau_grid"] = kept
     return out
-
-
-# Every config leaf outside the probe lists: path -> (kind, bound).  A kind
-# ending in "?" also admits null; a list kind applies the bound to each item.
-CONFIG_SCHEMA = {
-    "master_seed": ("int", ">= 0"),
-    **{f"device.{k}": ("num", "> 0") for k in ("chi", "T1c", "T1q", "T2q", "t_m")},
-    **{
-        f"device.{k}": ("num", "in [0, 1]")
-        for k in ("n_c", "n_q", "readout_Fge", "readout_Fge_inv", "p_d", "p_leak")
-    },
-    **{f"halo.{k}": ("num", "> 0") for k in ("rho_dm", "v_vir", "v_g")},
-    "point.m_dm": ("num", "> 0"),
-    "point.omega_c": ("num?", "> 0"),
-    "point.v_eff": ("num", "> 0"),
-    "repeats": ("int", ">= 1"),
-    "thresholds.compass": ("num", "> 0"),
-    "thresholds.vacuum": ("num", "> 0"),
-    "calibration.trials": ("int", ">= 1"),
-    "calibration.betas": ("nums", ">= 0"),
-    "calibration.self_calibrate": ("bool", None),
-    "calibration.path": ("str?", None),
-    "search.trials": ("int", ">= 1"),
-    "search.tau_grid": ("nums", "> 0"),
-    "search.inject_epsilon": ("num?", ">= 0"),
-    "scan.trials": ("int", ">= 1"),
-    "scan.bins": ("int", ">= 2"),
-    "scan.spacing_hz": ("num", "> 0"),
-    "scan.t1c": ("num", "> 0"),
-    "scan.alpha_sq": ("num", "> 0"),
-    "scan.inject_epsilon": ("num?", ">= 0"),
-    "scan.inject_bin": ("int?", ">= 0"),
-    "records.trials": ("int", ">= 1"),
-    "records.injected_beta": ("num", ">= 0"),
-}
 
 
 def _is_finite(x) -> bool:
@@ -348,7 +334,7 @@ def validate_config(cfg: dict) -> None:
     command computes from the config (a calibration drive, g(t), a bin
     frequency) is checked by that command where it computes it, before
     its first campaign."""
-    for where, (kind, bound) in CONFIG_SCHEMA.items():
+    for where, (_, kind, bound) in CONFIG_SCHEMA.items():
         value = cfg
         for key in where.split("."):
             value = value[key]
@@ -439,15 +425,7 @@ class RunManifest:
     files: dict
 
     def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "run_id": self.run_id,
-            "config_sha256": self.config_sha256,
-            "master_seed": self.master_seed,
-            "versions": dict(self.versions),
-            "files": dict(self.files),
-        }
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 class RunWriter:
@@ -699,26 +677,23 @@ def _load_calibration(cfg: dict):
     (reusing the calibrate seeds, so the artifacts match a standalone run);
     otherwise there is nothing to analyze against."""
     cal = cfg["calibration"]
-    if cal["path"] is not None:
-        p = Path(cal["path"])
+    p, files = cal["path"], {}
+    if p is not None:
+        p = Path(p)
         if not p.exists():
             raise MissingCalibration(f"calibration file not found: {p}")
-        try:
-            report = json.loads(p.read_text())
-            etas = {r["label"]: float(r["eta"]) for r in report["probes"]}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MissingCalibration(
-                f"calibration file {p} is malformed: {exc}"
-            ) from None
-        return etas, {}
-    if cal["self_calibrate"]:
+    elif cal["self_calibrate"]:
         files, _ = run_calibrate(cfg)
-        report = json.loads(files["calibration.json"])
+    else:
+        raise MissingCalibration(
+            "no calibration available: set calibration.path or calibration.self_calibrate"
+        )
+    try:
+        report = json.loads(files["calibration.json"] if p is None else p.read_text())
         etas = {r["label"]: float(r["eta"]) for r in report["probes"]}
-        return etas, files
-    raise MissingCalibration(
-        "no calibration available: set calibration.path or calibration.self_calibrate"
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MissingCalibration(f"calibration file {p} is malformed: {exc}") from None
+    return etas, files
 
 
 def run_search(cfg: dict):
@@ -815,8 +790,7 @@ def run_tune_scan(cfg: dict):
     sc = cfg["scan"]
     n_bins = sc["bins"]
     t1c = float(sc["t1c"])
-    a2 = float(sc["alpha_sq"])
-    label = f"a{a2:g}"
+    init, _, label, a2 = _probe_parts({"kind": "compass", "alpha_sq": sc["alpha_sq"]})
     cal = cfg["calibration"]
     labels = [_probe_parts(p)[2] for p in cfg["probes"]]
     if cal["path"] is None and cal["self_calibrate"] and label not in labels:
@@ -824,7 +798,6 @@ def run_tune_scan(cfg: dict):
             f"scan.alpha_sq must be the alpha_sq of a compass probe when tune-scan "
             f"self-calibrates, got {sc['alpha_sq']!r}; add it to probes"
         )
-    init = CatSpec(alpha=math.sqrt(a2))
     omegas = [_bin_omega(point, sc, i) for i in range(n_bins)]
     if not (math.isfinite(omegas[0]) and omegas[0] > 0.0):
         raise ConfigError(
@@ -836,7 +809,7 @@ def run_tune_scan(cfg: dict):
     m_inj = None
     p_signal = [None] * n_bins  # per bin, checked before any campaign runs
     if eps and jbin is not None:
-        m_inj = omegas[jbin] / (1.0 + OMEGA_M_OFFSET)
+        m_inj = resonant_mass(omegas[jbin])
         a2_sim = abs(init.alpha) ** 2
         points = [SearchPoint(m_dm=m_inj, omega_c=om, v_eff=point.v_eff) for om in omegas]
         try:
@@ -869,13 +842,17 @@ def run_tune_scan(cfg: dict):
             f"point.v_eff, scan.t1c and scan.alpha_sq must give every bin a finite "
             f"epsilon = 1 signal response > 0: {exc}"
         )
+    except DegenerateDesign as exc:  # a bin with no kept trials or no spread
+        if any(b.n_trials_i == 0 for b in bins):
+            raise _leakage_error(exc) from None
+        raise
     lines = [
         "bin,omega_hz,m_dm_hz,k_pos,n_kept,n_dropped,eta,delta_raw,"
         "n_norm,p_i,sigma_p,eps90"
     ]
     limits = []
     for (i, om, k, n_kept, n_drop), bl in zip(counts, res.bins):
-        m_i = om / (1.0 + OMEGA_M_OFFSET)
+        m_i = resonant_mass(om)
         raw = k / n_kept if n_kept else 0.0
         lines.append(
             ",".join(
@@ -945,11 +922,11 @@ _ARTIFACT_FIGURES = {
 FIGURE_IDS = _CONFIG_FIGURES + tuple(sorted(_ARTIFACT_FIGURES))
 
 
-def _figure_alpha_sq(cfg: dict) -> tuple[float, str]:
-    """alpha_sq of the cat the cat-wigner, transition-curves and readout-roc
-    figures draw, the largest compass probe's (4.0 without one), and that
-    probe's config path; checked as the readout-roc campaign displaces it by
-    ROC_BETA."""
+def _figure_cat(cfg: dict) -> tuple[CatSpec, float, str]:
+    """The cat the cat-wigner, transition-curves and readout-roc figures
+    draw, the largest compass probe's (alpha_sq 4.0 without one), its
+    alpha_sq and that probe's config path; checked as the readout-roc
+    campaign displaces it by ROC_BETA."""
     compass = [
         (float(p["alpha_sq"]), f"probes[{i}]")
         for i, p in enumerate(cfg["probes"])
@@ -958,7 +935,7 @@ def _figure_alpha_sq(cfg: dict) -> tuple[float, str]:
     a2, at = max(compass, default=(4.0, "probes"))
     probe = {"kind": "compass", "alpha_sq": a2}
     _check_mimic(f"{at}.alpha_sq", ROC_BETA, probe, at, ROC_BETA)
-    return a2, at
+    return _probe_parts(probe)[0], a2, at
 
 
 def _read_artifact(fid: str, config_text: str, out_root) -> str:
@@ -998,7 +975,7 @@ def _read_artifact(fid: str, config_text: str, out_root) -> str:
 def _render_figure(
     fid: str, cfg: dict, config_text: str, out_root, cat, tau_dm
 ) -> str:
-    """One figure table; cat is _figure_alpha_sq(cfg) for the figures that
+    """One figure table; cat is _figure_cat(cfg) for the figures that
     draw the cat, and tau_dm the checked DM coherence time for the two that
     draw the DM line."""
     device = DeviceParams(**cfg["device"])
@@ -1023,12 +1000,12 @@ def _render_figure(
             return "\n".join(lines) + "\n"
         return text
     if fid == "cat-wigner":
-        spec = CatSpec(alpha=math.sqrt(cat[0]))
+        spec = cat[0]
         ext = abs(spec.alpha) + 2.0
         grid = PhaseGrid(-ext, ext, 61, -ext, ext, 61)
         return wigner_to_csv(grid, wigner(spec, grid))
     if fid == "transition-curves":
-        a2, at = cat
+        _, a2, at = cat
         times = np.linspace(0.0, 0.25 * device.T1c, 51)
         try:
             return transition_curves_to_csv(4, math.sqrt(a2), 1.0 / device.T1c, times)
@@ -1058,8 +1035,7 @@ def _render_figure(
         omegas = point.m_dm * (1.0 + np.linspace(0.0, 5e-6, 241))
         return lineshape_to_csv(omegas, point, halo)
     if fid == "readout-roc":
-        a2 = cat[0]
-        init = CatSpec(alpha=math.sqrt(a2))
+        init, a2, _ = cat
         model = build_model(device, alpha_sq=a2, mode="compass")
         camp = _campaign(cfg, device, ROC_TRIALS, init, "figures", 0, beta=ROC_BETA)
         try:
@@ -1091,7 +1067,7 @@ def run_figures(cfg: dict, config_text: str, which=None, out_root="."):
                     f"{', '.join(FIGURE_IDS)}, or 'all'"
                 )
     cats = {"cat-wigner", "transition-curves", "readout-roc"}
-    cat = _figure_alpha_sq(cfg) if cats.intersection(ids) else None
+    cat = _figure_cat(cfg) if cats.intersection(ids) else None
     tau_dm = None
     if {"sensitivity-growth", "lineshape"}.intersection(ids):
         # the growth times scale with tau_DM, and f(omega) peaks at tau_DM / 2 pi

@@ -25,6 +25,7 @@ from catscope.darkmatter import (
     lineshape,
     lineshape_to_csv,
     omega_m,
+    resonant_mass,
     rho_m_veff,
 )
 from catscope.errors import QuadratureFailure
@@ -178,7 +179,7 @@ def _scan_points(cfg):
     point = SearchPoint(**cfg["point"])
     sc = cfg["scan"]
     omegas = [pipeline._bin_omega(point, sc, i) for i in range(sc["bins"])]
-    masses = [om / (1.0 + darkmatter.OMEGA_M_OFFSET) for om in (omegas[0], omegas[-1])]
+    masses = [resonant_mass(om) for om in (omegas[0], omegas[-1])]
     return [SearchPoint(m_dm=m, omega_c=om) for m in masses for om in omegas]
 
 
@@ -324,6 +325,8 @@ def test_excitation_probability_scalings():
 def test_search_point_omega_default():
     pt = SearchPoint(m_dm=M_REF)
     assert pt.effective_omega_c() == omega_m(M_REF)
+    # the scan's per-bin mass inverts it
+    assert resonant_mass(omega_m(M_REF)) == pytest.approx(M_REF, rel=1e-15)
     pinned = SearchPoint(m_dm=M_REF, omega_c=M_REF * 1.0000001)
     assert pinned.effective_omega_c() == M_REF * 1.0000001
 

@@ -182,3 +182,15 @@ def test_pipeline_leaves_the_panel_rule_to_g_of_t():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     ]
     assert not [name for name in defined if name.startswith("_check_g")], defined
+
+
+def test_only_darkmatter_names_the_lineshape_offset():
+    # the cavity-frequency <-> mass rule lives in darkmatter.omega_m and its
+    # inverse resonant_mass; any other module calls them
+    named = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a bare name, an attribute, or an imported alias
+            if "OMEGA_M_OFFSET" in (getattr(node, a, None) for a in ("id", "attr", "name")):
+                named.add(path.stem)
+    assert named <= {"darkmatter"}, named

@@ -1203,11 +1203,13 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     # bins that carry no limit are a runtime failure: one with no kept
     # trials once ended in a ZeroDivisionError traceback, one with every
-    # kept trial positive printed a RuntimeWarning and exited 0
+    # kept trial positive printed a RuntimeWarning and exited 0.  Only the
+    # first names the leaves that set the leakage
     cal = Path(__file__).resolve().parents[1] / "perfbench" / "calibration.json"
     cal = json.dumps(str(cal))  # a YAML string, whatever the path holds
     no_limit = [
-        ("device:\n  p_leak: 1.0\n", [], "has no kept trials"),
+        ("device:\n  p_leak: 1.0\n", [], "has no kept trials; too few records "
+         "survive post-selection, and device.p_leak and repeats set the share"),
         ("", ["--threshold", "1.0e-300"], "has no spread to set a limit"),
     ]
     for i, (text, extra, why) in enumerate(no_limit):
@@ -1222,6 +1224,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert rc == 1, text
         err = capsys.readouterr().err
         assert "error: bin at omega=" in err and why in err
+        assert ("device.p_leak" in err) == (i == 0), err
         assert "Traceback" not in err
         assert not caught, (text, [str(w.message) for w in caught])
 
@@ -1334,14 +1337,6 @@ def test_cli_rejects_bool_counts(tmp_path, capsys, section, key):
 # config schema
 
 
-def _leaf_paths(tree, prefix=""):
-    for key, val in tree.items():
-        if isinstance(val, dict):
-            yield from _leaf_paths(val, f"{prefix}{key}.")
-        else:
-            yield prefix + key
-
-
 def _overlay(tmp_path, path, value):
     """A config file that sets one leaf, given as a dotted path."""
     for key in reversed(path.split(".")):
@@ -1351,13 +1346,17 @@ def _overlay(tmp_path, path, value):
     return p
 
 
-def test_config_schema_covers_every_default_leaf():
-    leaves = {
-        p
-        for p in _leaf_paths(pipeline.DEFAULT_CONFIG)
-        if p != "probes" and not p.startswith("records.probe.")
-    }
-    assert set(pipeline.CONFIG_SCHEMA) == leaves
+def test_default_config_is_fresh_on_every_call():
+    # _merge overlays a loaded file onto the tree in place, so no call may
+    # hand out a list or mapping that another call also holds
+    expected = pipeline.canonical_config_text(pipeline.default_config())
+    cfg = pipeline.default_config()
+    cfg["calibration"]["betas"].append(0.3)
+    cfg["search"]["tau_grid"][0] = 1.0
+    cfg["probes"][1]["alpha_sq"] = 5.0
+    cfg["probes"].append({"kind": "vacuum"})
+    cfg["records"]["probe"]["alpha_sq"] = 9.0
+    assert pipeline.canonical_config_text(pipeline.default_config()) == expected
 
 
 class _ReadLog(dict):

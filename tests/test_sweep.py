@@ -50,13 +50,12 @@ def _tree(path, value):
 
 def _sweep_inputs():
     """(leaf, value, config overlay) of every hostile input."""
-    for leaf, (kind, _) in pipeline.CONFIG_SCHEMA.items():
+    for leaf, (default, kind, _) in pipeline.CONFIG_SCHEMA.items():
         if kind.rstrip("?") not in ("num", "nums"):
             continue
-        section, key = leaf.split(".")
         for value in EXTREMES:
             if kind == "nums":
-                scaled = [value * x for x in pipeline.DEFAULT_CONFIG[section][key]]
+                scaled = [value * x for x in default]
                 yield leaf, value, _tree(leaf, scaled)
             else:
                 yield leaf, value, _tree(leaf, value)
