@@ -21,21 +21,26 @@ from . import pipeline
 from .errors import CatscopeError, ConfigError
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="YAML config overlaying the defaults")
-    p.add_argument("--seed", type=int, metavar="N", help="master seed override")
-    p.add_argument(
-        "--threshold",
-        type=float,
-        metavar="X",
-        help="likelihood-ratio threshold for the compass probe",
-    )
-    p.add_argument(
-        "--trials", type=int, metavar="N", help="trials per campaign point"
-    )
-    p.add_argument(
-        "--out", metavar="DIR", help="output root (default: $CATSCOPE_OUT or .)"
-    )
+# (flag, type, metavar, help) of the options every command takes, and of
+# those only one command adds; figures also takes figure ids (FIGURE)
+_COMMON = [
+    ("--config", str, "FILE", "YAML config overlaying the defaults"),
+    ("--seed", int, "N", "master seed override"),
+    ("--threshold", float, "X", "likelihood-ratio threshold for the compass probe"),
+    ("--trials", int, "N", "trials per campaign point"),
+    ("--out", str, "DIR", "output root (default: $CATSCOPE_OUT or .)"),
+]
+_OWN = {
+    "search": [("--tau-max", float, "T", "drop search times above this many seconds")],
+    "tune-scan": [("--bins", int, "N", "number of frequency bins")],
+}
+_HELP = {
+    "calibrate": "mimic-displacement response per probe: eta, delta, enhancement",
+    "search": "integration-time scan, pooled signal fit, exclusion point",
+    "tune-scan": "frequency-bin scan with per-bin mass limits",
+    "figures": "write the figure tables (CSV)",
+    "simulate-record": "dump raw readout records for one probe",
+}
 
 
 @functools.cache  # once per process, on the first call: none at import
@@ -45,48 +50,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cat-state dark photon detection: simulation and inference.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "calibrate",
-        help="mimic-displacement response per probe: eta, delta, enhancement",
-    )
-    _add_common(p)
-
-    p = sub.add_parser(
-        "search",
-        help="integration-time scan, pooled signal fit, exclusion point",
-    )
-    _add_common(p)
-    p.add_argument(
-        "--tau-max",
-        type=float,
-        metavar="T",
-        help="drop search times above this many seconds",
-    )
-
-    p = sub.add_parser(
-        "tune-scan", help="frequency-bin scan with per-bin mass limits"
-    )
-    _add_common(p)
-    p.add_argument("--bins", type=int, metavar="N", help="number of frequency bins")
-
-    p = sub.add_parser("figures", help="write the figure tables (CSV)")
-    _add_common(p)
-    p.add_argument(
-        "which",
-        nargs="*",
-        metavar="FIGURE",
-        help=(
-            "figure ids: " + ", ".join(pipeline.FIGURE_IDS) + ", or 'all' "
-            "(default: the set that needs no prior run)"
-        ),
-    )
-
-    p = sub.add_parser(
-        "simulate-record", help="dump raw readout records for one probe"
-    )
-    _add_common(p)
-
+    for command in pipeline.COMMANDS:
+        p = sub.add_parser(command, help=_HELP[command])
+        for flag, kind, metavar, text in [*_COMMON, *_OWN.get(command, [])]:
+            p.add_argument(flag, type=kind, metavar=metavar, help=text)
+        if command == "figures":
+            p.add_argument(
+                "which",
+                nargs="*",
+                metavar="FIGURE",
+                help=(
+                    "figure ids: " + ", ".join(pipeline.FIGURE_IDS) + ", or 'all' "
+                    "(default: the set that needs no prior run)"
+                ),
+            )
     return ap
 
 

@@ -157,12 +157,16 @@ def load_config(path=None) -> dict:
     if path is None:
         return cfg
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+    try:
+        text = p.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except (OSError, ValueError) as exc:  # a directory, or bytes that are not UTF-8
+        raise ConfigError(f"config file {p} cannot be read: {exc}") from None
     import yaml  # here only: a run without a config file never loads PyYAML
 
     try:
-        loaded = yaml.safe_load(p.read_text())
+        loaded = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {p} is not valid YAML: {exc}") from None
     if loaded is None:
@@ -540,12 +544,12 @@ def _signal_probabilities(where: str, eps: float, halo, cases) -> list[float]:
 
 
 def _calibrated_eta(etas_by_label: dict, label: str, mode: str, hint: str = "") -> float:
-    """The probe's calibrated efficiency; a missing or non-positive one
-    cannot scale a signal rate."""
+    """The probe's calibrated efficiency; a missing, non-positive or
+    non-finite one cannot scale a signal rate."""
     if label not in etas_by_label:
         raise MissingCalibration(f"calibration has no entry for probe {label!r}{hint}")
     eta = etas_by_label[label]
-    if not eta > 0.0:
+    if not 0.0 < eta < math.inf:
         raise MissingCalibration(
             f"calibrated efficiency for {label!r} is {eta!r}; rerun calibration with "
             f"more trials, or move thresholds.{mode} if it classifies every record alike"
@@ -595,13 +599,14 @@ def run_calibrate(cfg: dict):
     beta / alpha per probe, which holds the injected flip probability
     alpha_sq * |beta_applied|^2 fixed across probes.  Every probe then sees
     the same response range, inside the linear regime of the fit model.
-    Every probe's applied drives are checked before the first campaign."""
+    Every probe's applied drives and model are derived and checked before
+    the first campaign."""
     device = DeviceParams(**cfg["device"])
     trials = cfg["calibration"]["trials"]
     betas = [float(b) for b in cfg["calibration"]["betas"]]
-    drives = []  # per probe, the displacement applied for each beta
+    plans = []  # per probe: parts, displacement applied per beta, model, threshold
     for pi, probe in enumerate(cfg["probes"]):
-        a2 = _probe_parts(probe)[3]
+        parts = _, mode, _, a2 = _probe_parts(probe)
         applied = [beta / math.sqrt(a2) for beta in betas]
         for beta, b in zip(betas, applied):
             _check_mimic("calibration.betas", beta, probe, f"probes[{pi}]", b)
@@ -617,13 +622,11 @@ def run_calibrate(cfg: dict):
                 f"n_inj >= {N_INJ_FLOOR:.3g} for probes[{pi}], got "
                 f"{a2 * max(n_inj)!r}"
             )
-        drives.append(applied)
+        model = build_model(device, alpha_sq=a2, mode=mode)
+        plans.append((parts, applied, model, float(cfg["thresholds"][mode])))
     rows = []
     curve_lines = ["probe,mode,alpha_sq,beta,n_inj,k_pos,n_kept,n_dropped"]
-    for pi, (probe, applied_drives) in enumerate(zip(cfg["probes"], drives)):
-        init, mode, label, a2 = _probe_parts(probe)
-        model = build_model(device, alpha_sq=a2, mode=mode)
-        thr = float(cfg["thresholds"][mode])
+    for pi, ((init, mode, label, a2), applied_drives, model, thr) in enumerate(plans):
         pts = []
         for bi, (beta, applied) in enumerate(zip(betas, applied_drives)):
             drive = applied if beta > 0 else None
@@ -691,8 +694,10 @@ def _load_calibration(cfg: dict):
     try:
         report = json.loads(files["calibration.json"] if p is None else p.read_text())
         etas = {r["label"]: float(r["eta"]) for r in report["probes"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MissingCalibration(f"calibration file {p} is malformed: {exc}") from None
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise MissingCalibration(
+            f"calibration file {p} is unreadable or malformed: {exc}"
+        ) from None
     return etas, files
 
 
@@ -702,7 +707,8 @@ def run_search(cfg: dict):
     search times reach the DM coherence time (allowed, but the signal shape
     saturates there).  An injected epsilon reaches the simulator as each
     campaign's p_signal, computed here from one g(tau) batch that the fit
-    reads as well; that batch is checked before any campaign runs."""
+    reads as well; that batch and every probe's model are checked before any
+    campaign runs, the self-calibration's included."""
     device = DeviceParams(**cfg["device"])
     halo = HaloParams(**cfg["halo"])
     point = SearchPoint(**cfg["point"])
@@ -737,14 +743,14 @@ def run_search(cfg: dict):
         cases = [(point, tau, a2_sim[pi], g_at[tau]) for pi, tau in keys]
         ps = _signal_probabilities("search.inject_epsilon", float(eps), halo, cases)
         p_signal = dict(zip(keys, ps))
+    models = [build_model(device, alpha_sq=a2, mode=mode) for _, mode, _, a2 in probes]
     etas_by_label, files = _load_calibration(cfg)
     # every probe's efficiency is checked before any campaign runs
     etas = [_calibrated_eta(etas_by_label, label, mode) for _, mode, label, _ in probes]
     series = []
     rate_lines = ["probe,alpha_sq,tau,k_pos,n_kept,n_dropped,eta"]
     record_chunks = []
-    for pi, ((init, mode, label, a2), eta) in enumerate(zip(probes, etas)):
-        model = build_model(device, alpha_sq=a2, mode=mode)
+    for pi, ((init, mode, label, a2), model, eta) in enumerate(zip(probes, models, etas)):
         thr = float(cfg["thresholds"][mode])
         ks, ns = [], []
         for ti, tau in enumerate(taus):
@@ -820,20 +826,19 @@ def run_tune_scan(cfg: dict):
                 f"in every bin: {exc}"
             )
         p_signal = _signal_probabilities("scan.inject_epsilon", float(eps), halo, cases)
+    model = build_model(device, alpha_sq=a2, mode="compass")
     etas_by_label, files = _load_calibration(cfg)
     eta = _calibrated_eta(etas_by_label, label, "compass", "; add it to probes")
     # the calibration slope is an efficiency estimate and can overshoot 1
     # at small trial counts; project it back to the physical boundary
     eta = min(eta, 1.0)
-    model = build_model(device, alpha_sq=a2, mode="compass")
     thr = float(cfg["thresholds"]["compass"])
-    bins = []
-    counts = []
+    bins, dropped = [], []
     for i, om in enumerate(omegas):
         camp = _campaign(cfg, device, sc["trials"], init, "tune", i, p=p_signal[i])
         k, n_kept, n_drop = _count_positives(model, thr, camp)
         bins.append(FrequencyBin(om, k, n_kept, eta, t1c, a2))
-        counts.append((i, om, k, n_kept, n_drop))
+        dropped.append(n_drop)
     try:
         res = background_subtract(bins, point, halo, per_bin_mass=True)
     except (NonFinite, ZeroSignalDenominator) as exc:
@@ -851,26 +856,12 @@ def run_tune_scan(cfg: dict):
         "n_norm,p_i,sigma_p,eps90"
     ]
     limits = []
-    for (i, om, k, n_kept, n_drop), bl in zip(counts, res.bins):
-        m_i = resonant_mass(om)
-        raw = k / n_kept if n_kept else 0.0
+    for i, (b, n_drop, bl) in enumerate(zip(bins, dropped, res.bins)):
+        f_i, m_i = b.omega_i / (2.0 * math.pi), resonant_mass(b.omega_i)
         lines.append(
-            ",".join(
-                [
-                    str(i),
-                    repr(om / (2.0 * math.pi)),
-                    repr(m_i / (2.0 * math.pi)),
-                    str(k),
-                    str(n_kept),
-                    str(n_drop),
-                    repr(eta),
-                    repr(raw),
-                    repr(bl.n_norm),
-                    repr(bl.p_i),
-                    repr(bl.sigma_p),
-                    repr(bl.eps90),
-                ]
-            )
+            f"{i},{f_i!r},{m_i / (2.0 * math.pi)!r},{b.n_meas_i},{b.n_trials_i},"
+            f"{n_drop},{eta!r},{b.n_meas_i / b.n_trials_i!r},{bl.n_norm!r},"
+            f"{bl.p_i!r},{bl.sigma_p!r},{bl.eps90!r}"
         )
         limits.append((m_i, bl.eps90))
     files = dict(files)
@@ -1089,6 +1080,10 @@ def run_command(command: str, cfg: dict, out_root=".", which=None):
 
     Returns (final run directory, human-readable summary lines)."""
     validate_config(cfg)
+    root = Path(out_root)
+    existing = next(p for p in (root, *root.parents) if p.exists())
+    if not existing.is_dir():  # checked here, not after the command's work
+        raise ConfigError(f"output root {root} must be a directory; {existing} is not")
     config_text = canonical_config_text(cfg)
     rid = run_id(config_text, command)  # refuses an unknown command
     if command == "calibrate":

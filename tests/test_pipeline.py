@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -234,6 +235,18 @@ def test_commands_check_what_they_derive_before_any_campaign(monkeypatch):
         section[key] = value
         pipeline.validate_config(cfg)  # every leaf is within its own bounds
         with pytest.raises(ConfigError, match=f"^{re.escape(named or leaf)} must be"):
+            run(cfg)
+    # a lifetime that the compass probe's model refuses: calibrate, and a
+    # search on a supplied calibration, once refused it only after the
+    # vacuum probe's campaigns
+    cal = str(Path(__file__).resolve().parents[1] / "perfbench" / "calibration.json")
+    runs = [pipeline.run_calibrate, pipeline.run_search, pipeline.run_tune_scan]
+    for run, path in itertools.product(runs, (None, cal)):
+        cfg = _small_cfg(seed=1, trials=40)
+        cfg["device"]["T1c"] = 1.0e-300
+        cfg["calibration"]["path"] = path
+        pipeline.validate_config(cfg)
+        with pytest.raises(ConfigError, match=r"^device\.T1c, device\.t_m and device\.n_c"):
             run(cfg)
     cfg = _small_cfg(seed=1, trials=40)
     cfg["probes"][1]["alpha_sq"] = 480.0
@@ -1172,16 +1185,27 @@ def test_cli_exit_codes(tmp_path, capsys):
             "scan.alpha_sq",
             "calibration:\n  path: null\nscan:\n  alpha_sq: 8.0\n",
         ),
+        # the shape of the config itself; a leaf with a space in it is the
+        # whole start of the error, {p} the config file (None: not written)
+        ("figures", "config key 'device' must be a mapping", "device: 3\n"),
+        ("figures", "config file not found: {p}", None),
+        ("figures", "config file {p} must hold a mapping", "- 1\n"),
+        ("figures", "probes[0]", "probes: [3]\n"),
+        ("figures", "probes[0].kind", "probes: [{kind: squeezed}]\n"),
+        ("figures", "probes[0] has unknown keys ['beta']", "probes: [{kind: vacuum, beta: 1}]\n"),
+        ("figures", "probes", "probes: [{kind: vacuum}, {kind: vacuum}]\n"),
     ]
     for i, (command, leaf, text) in enumerate(cases):
         p = tmp_path / f"bad{i}.yaml"
-        p.write_text(text)
+        if text is not None:
+            p.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = cli.main([command, "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2, leaf
         err = capsys.readouterr().err
-        assert f"error: {leaf} must be" in err
+        want = leaf.format(p=p) if " " in leaf else f"{leaf} must be"
+        assert f"error: {want}" in err, (leaf, err)
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not caught, (text, [str(w.message) for w in caught])
 
@@ -1289,6 +1313,74 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--workers", "2"])
     assert exc.value.code == 2
+
+
+def test_parser_takes_each_option_on_its_own_commands(capsys):
+    # every command takes the common options; --tau-max, --bins and figure
+    # ids belong to search, tune-scan and figures alone
+    ap = cli.build_parser()
+    common = "--config c.yaml --seed 3 --threshold 2.5 --trials 7 --out o".split()
+    own = {
+        "search": (["--tau-max", "1e-4"], "tau_max", 1e-4),
+        "tune-scan": (["--bins", "3"], "bins", 3),
+        "figures": (["cat-wigner"], "which", ["cat-wigner"]),
+    }
+    for command in pipeline.COMMANDS:
+        args = ap.parse_args([command, *common])
+        got = (args.command, args.config, args.seed, args.threshold, args.trials, args.out)
+        assert got == (command, "c.yaml", 3, 2.5, 7, "o")
+        for owner, (argv, dest, value) in own.items():
+            if owner == command:
+                assert getattr(ap.parse_args([command, *argv]), dest) == value
+                continue
+            with pytest.raises(SystemExit) as exc:
+                ap.parse_args([command, *argv])
+            assert exc.value.code == 2, (command, argv)
+    capsys.readouterr()
+
+
+def test_unreadable_inputs_and_outputs_fail_cleanly(tmp_path, capsys, monkeypatch):
+    # each once ended in a traceback (IsADirectoryError, UnicodeDecodeError,
+    # NotADirectoryError after the command's work, LinAlgError) or, for
+    # tune-scan on an infinite efficiency, exited 0 with eta clipped to 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("a campaign ran before the check")
+
+    monkeypatch.setattr(pipeline, "run_campaign", refuse)
+    monkeypatch.chdir(tmp_path)
+    a_dir = tmp_path / "a-dir"
+    a_dir.mkdir()
+    not_utf8 = tmp_path / "not-utf8.yaml"
+    not_utf8.write_bytes(b"\xff\xfe: 1")
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    cal = tmp_path / "inf-eta.json"
+    # JSON reads 1e400 as inf
+    probes = '[{"label": "vacuum", "eta": 0.5}, {"label": "a12", "eta": 1e400}]'
+    cal.write_text(f'{{"probes": {probes}}}')
+
+    def config(path):
+        p = tmp_path / f"{Path(path).name}.yaml"
+        p.write_text(f"calibration:\n  path: {path}\n")
+        return ["--config", str(p)]
+
+    runs = [
+        (["figures", "--config", str(a_dir)], 2, f"error: config file {a_dir} cannot"),
+        (["figures", "--config", str(not_utf8)], 2, f"error: config file {not_utf8}"),
+        (["search", *config(a_dir)], 1, f"error: calibration file {a_dir}"),
+        (["calibrate", "--out", str(a_file)], 2, f"error: output root {a_file} must"),
+        (["calibrate", "--out", str(a_file / "sub")], 2, f"error: output root {a_file}"),
+        (["search", *config(cal)], 1, "error: calibrated efficiency for 'a12' is inf"),
+        (["tune-scan", *config(cal)], 1, "error: calibrated efficiency for 'a12' is inf"),
+    ]
+    for argv, code, want in runs:
+        assert cli.main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err, (argv, err)
+    monkeypatch.setenv("CATSCOPE_OUT", str(a_file))
+    assert cli.main(["calibrate"]) == 2
+    assert f"error: output root {a_file} must" in capsys.readouterr().err
+    assert not any(tmp_path.rglob("results"))
 
 
 @pytest.mark.parametrize(
