@@ -20,15 +20,18 @@ leaves, closed-form sums over coherent dyads (_mimic_sector_populations).
 run_campaign draws hidden paths for every trial of a campaign together
 from the transition matrix augmented with a per-step demolition channel
 (the sector is scrambled uniformly with probability p_d), and returns them
-as one columnar Records set.  Its uniforms come draw-major, one row per
-draw and a column per trial, from numpy's SeedSequence and PCG64 recipes
-run on arrays (_trial_uniforms): PCG64 group heads are jumped to and the
-draws between them stepped from a head by one product with a constant, so
-every step of the chain reads its draws as contiguous rows.  Records is
-the one record format: inference, post-selection and records_to_jsonl
-take nothing else.  The scalar
-per-record simulator run_campaign is checked against, and the compass-state
-preparation, are test oracles (tests/oracles.py).
+as one columnar Records set.  One call may also run several campaigns of
+one probe, each with its own seed and signal, one after another in the
+records: at few trials a call is mostly fixed cost.  Its uniforms come
+draw-major, one row per draw and a column per trial, from numpy's
+SeedSequence and PCG64 recipes run on arrays (_trial_uniforms): PCG64 group
+heads are jumped to and the draws between them stepped from a head by one
+product with a constant, so every step of the chain reads its draws as
+contiguous rows.  A record depends on its campaign's seed and its trial id
+alone, not on the columns beside it.  Records is the one record format:
+inference, post-selection and records_to_jsonl take nothing else.  The
+scalar per-record simulator run_campaign is checked against, and the
+compass-state preparation, are test oracles (tests/oracles.py).
 
 build_transition_matrix returns the pure, un-augmented matrix, which is
 what the inference side assumes; the mismatch is deliberate and mirrors
@@ -39,6 +42,7 @@ sector-transition rates.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,7 +350,7 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_BLOCK = 128  # group heads jumped to at once, and the fewest trials per tile
+_BLOCK = 128  # group heads jumped to at once, and the fewest columns per tile
 _TILE = 1 << 14  # uint64 words per scratch array: bounds the scratch memory
 
 
@@ -358,12 +362,17 @@ def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
     return value ^ value >> 16, h
 
 
-def _seed_states(rng_seed: int, n: int) -> list[np.ndarray]:
-    """SeedSequence([rng_seed, k]).generate_state(4, np.uint64) for k < n,
-    as four uint64 columns; rng_seed's (at most two) words and k fit the pool."""
-    shifts = range(0, max(rng_seed.bit_length(), 1), 32)
-    pool = [np.full(n, rng_seed >> s & _M32, np.uint32) for s in shifts]
-    pool += [np.arange(n, dtype=np.uint32)] + [np.zeros(n, np.uint32)] * (3 - len(pool))
+def _seed_states(seeds: Sequence[int], n: int) -> list[np.ndarray]:
+    """SeedSequence([seed, k]).generate_state(4, np.uint64) for k < n under
+    each seed in turn, as four uint64 columns of len(seeds) n entries.  A
+    seed fills one pool word, or two from 2**32 on, k the next one, and the
+    words left over hash as 0."""
+    pool = [np.zeros(len(seeds) * n, np.uint32) for _ in range(4)]
+    k = np.arange(n, dtype=np.uint32)
+    for c, seed in enumerate(seeds):
+        words = [seed & _M32, seed >> 32][: 1 + (seed > _M32)] + [k]
+        for column, word in zip(pool, words):
+            column[c * n : (c + 1) * n] = word
     h = _INIT_A
     for i in range(4):
         pool[i], h = _hashmix(pool[i], h, _MULT_A)
@@ -403,19 +412,20 @@ def _add128(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a[0] + b[0] + (lo < b[1]), lo
 
 
-def _draw_stride(n_trials: int, n_draws: int) -> int:
+def _draw_stride(n_cols: int, n_draws: int) -> int:
     """K, the draws per group of _trial_uniforms: one more for every 50
-    trials, up to ceil(sqrt(n_draws)), which balances the group heads
-    against the draws stepped from them.  K = 1 (below 100 trials) jumps to
-    every draw; at few trials each further group step costs more in array
-    calls than its products save."""
-    return max(1, min(n_trials // 50, math.isqrt(n_draws - 1) + 1))
+    columns of the call, up to ceil(sqrt(n_draws)), which balances the group
+    heads against the draws stepped from them.  K = 1 (below 100 columns)
+    jumps to every draw; at few columns each further group step costs more
+    in array calls than its products save."""
+    return max(1, min(n_cols // 50, math.isqrt(n_draws - 1) + 1))
 
 
-def _trial_uniforms(cfg: TrialConfig, n_trials: int) -> np.ndarray:
-    """(1 + 4 repeats, n) uniforms, draw-major: column k is what
-    Generator(PCG64(SeedSequence([rng_seed, k]))).random(1 + 4 repeats)
-    gives, the initial-sector draw and then the (repeats, 4) step draws.
+def _trial_uniforms(seeds: Sequence[int], n_trials: int, repeats: int) -> np.ndarray:
+    """(1 + 4 repeats, len(seeds) n_trials) uniforms, draw-major: column
+    c n_trials + k is what Generator(PCG64(SeedSequence([seeds[c], k])))
+    .random(1 + 4 repeats) gives, the initial-sector draw and then the
+    (repeats, 4) step draws.
 
     With s, q the 128-bit halves of the seed state, inc = 2 q + 1 and the
     setseq init x0 = M s + (M + 1) inc, draw j is the XSL-RR output of x0
@@ -423,15 +433,15 @@ def _trial_uniforms(cfg: TrialConfig, n_trials: int) -> np.ndarray:
     (hi, lo) uint64 pairs.  The draws fall in groups of K = _draw_stride:
     each group head j = gK is jumped to by that formula, two outer products,
     and draw gK + r is the head stepped r times, M^r y + (1 + ... + M^(r-1))
-    inc, one product of a per-trial state by a scalar (Brown, Trans. Am.
+    inc, one product of a per-column state by a scalar (Brown, Trans. Am.
     Nucl. Soc. 71, 202, 1994), whose inc term is shared by every group.
     At most _BLOCK heads and _TILE words of scratch are held at once."""
-    n_draws = 1 + 4 * cfg.repeats
-    stride = _draw_stride(n_trials, n_draws)
+    n_draws, n_cols = 1 + 4 * repeats, len(seeds) * n_trials
+    stride = _draw_stride(n_cols, n_draws)
     n_groups = -(-n_draws // stride)
-    s_hi, s_lo, q_hi, q_lo = _seed_states(cfg.rng_seed, n_trials)
+    s_hi, s_lo, q_hi, q_lo = _seed_states(seeds, n_trials)
     i_hi, i_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-    u = np.empty((n_draws, n_trials))
+    u = np.empty((n_draws, n_cols))
     steps = [(1, 0)]  # (M^r, 1 + M + ... + M^(r-1)) for r <= K
     for _ in range(stride):
         power, total = steps[-1]
@@ -447,7 +457,7 @@ def _trial_uniforms(cfg: TrialConfig, n_trials: int) -> np.ndarray:
             head = (leap[0] * head[0] & _M128, leap[0] * head[1] + leap[1] & _M128)
         powers, sums = (_words([v[i] for v in jumps]) for i in (0, 1))
         width = max(_BLOCK, _TILE // len(jumps))
-        for start in range(0, n_trials, width):
+        for start in range(0, n_cols, width):
             cols = slice(start, start + width)
             inc = i_hi[cols], i_lo[cols]
             y_hi, y_lo = _add128(
@@ -468,22 +478,31 @@ def _trial_uniforms(cfg: TrialConfig, n_trials: int) -> np.ndarray:
 
 
 def run_campaign(
-    n_trials: int, cfg: TrialConfig, device: DeviceParams
+    n_trials: int, cfg: TrialConfig | Sequence[TrialConfig], device: DeviceParams
 ) -> CampaignResult:
-    """Simulate n_trials <= 2**32 independent records from one template.
+    """Simulate n_trials <= 2**32 independent records from one template, or
+    from each template of a batch in turn: the campaigns of one probe (one
+    init and repeats) with their own seeds and signals.  The records hold
+    the campaigns one after another, trial ids restarting at 0 in each.
 
-    Trial k draws from PCG64(SeedSequence([cfg.rng_seed, k])) exactly what
-    the scalar per-record simulator in tests/oracles.py draws for trial k
-    (see _trial_uniforms), and the hidden chain of every trial advances
-    together, one vectorized step per readout slot, with the same
-    comparisons in the same order; so row k equals that record.
+    Trial k of a template draws from PCG64(SeedSequence([rng_seed, k]))
+    exactly what the scalar per-record simulator in tests/oracles.py draws
+    for trial k (see _trial_uniforms), and the hidden chain of every trial
+    advances together, one vectorized step per readout slot, with the same
+    comparisons in the same order; so each row equals that record, whichever
+    campaigns share the call.
     """
     if not 1 <= n_trials <= 2**32:
         raise ConfigError(f"n_trials must lie in [1, 2**32], got {n_trials!r}")
+    cfgs = (cfg,) if isinstance(cfg, TrialConfig) else tuple(cfg)
+    if not cfgs:
+        raise ConfigError("run_campaign needs at least one TrialConfig")
+    cfg, repeats = cfgs[0], cfgs[0].repeats
+    if any(c.init != cfg.init or c.repeats != repeats for c in cfgs):
+        raise ConfigError("the campaigns of one call must share init and repeats")
     mode = cfg.mode
     alpha_sq = abs(cfg.init.alpha) ** 2 if cfg.init is not None else 1.0
-    probs = _initial_sector_probs(cfg)
-    n_sec = probs.size
+    n_sec = len(_sector_kinds(mode))
     cav = _cavity_matrix(device, alpha_sq, mode)
     if device.p_d > 0.0:
         cav = (1.0 - device.p_d) * cav + device.p_d / n_sec
@@ -493,17 +512,21 @@ def run_campaign(
     to_g = np.array([_qubit_kernel(k, factors)[:, 0] for k in _sector_kinds(mode)])
     p_read_g = np.array([1.0 - device.readout_Fge_inv, device.readout_Fge])
 
-    u = _trial_uniforms(cfg, n_trials)
+    u = _trial_uniforms([c.rng_seed for c in cfgs], n_trials, repeats)
     # slot-major (repeats, n) views of the sector, qubit, leak and symbol draws
-    u_sec, u_qubit, u_leak, u_symbol = u[1:].reshape(cfg.repeats, 4, -1).swapaxes(0, 1)
-    sectors = np.zeros((cfg.repeats, n_trials), dtype=np.uint8)
-    qubits = np.zeros((cfg.repeats, n_trials), dtype=np.uint8)
-    # a pick is the count of cumulative weights <= u, clamped to the last sector
-    first = np.searchsorted(np.cumsum(probs), u[0], side="right")
-    sectors[0] = np.minimum(first, n_sec - 1)
+    u_sec, u_qubit, u_leak, u_symbol = u[1:].reshape(repeats, 4, -1).swapaxes(0, 1)
+    sectors = np.zeros((repeats, u.shape[1]), dtype=np.uint8)
+    qubits = np.zeros((repeats, u.shape[1]), dtype=np.uint8)
+    # a pick is the count of a campaign's cumulative weights <= u, clamped
+    # to the last sector
+    for c, one in enumerate(cfgs):
+        cols = slice(c * n_trials, (c + 1) * n_trials)
+        cum = np.cumsum(_initial_sector_probs(one))
+        first = np.searchsorted(cum, u[0, cols], side="right")
+        sectors[0, cols] = np.minimum(first, n_sec - 1)
     # rows never fall, so a hop's count over the first n_sec - 1 columns is clamped
     columns, to_g = cav_cum[:, :-1].T, to_g.ravel()  # to_g[2 sector + qubit]
-    for k in range(1, cfg.repeats):
+    for k in range(1, repeats):
         prev, hop, u_k = sectors[k - 1], sectors[k], u_sec[k]
         for col in columns:
             hop += col.take(prev) <= u_k
@@ -517,7 +540,7 @@ def run_campaign(
     return CampaignResult(
         Records(
             symbols,
-            np.arange(n_trials, dtype=np.int64),
+            np.tile(np.arange(n_trials, dtype=np.int64), len(cfgs)),
             mode,
             init_sector,
             init_sector != base,

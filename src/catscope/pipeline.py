@@ -296,6 +296,11 @@ def _check_mimic(
 # tile beside them; this many, 1 GiB, is the most one campaign should
 # allocate, about 1,000 times the default calibration campaign's 81 x 1500.
 MAX_CAMPAIGN_DRAWS = 2**27
+# A probe's consecutive campaigns share one run_campaign call while its
+# uniforms stay within this many, or one campaign's if that is more: at few
+# trials a call is mostly fixed cost.  The default calibration (81 x 1500)
+# and search (81 x 1200) campaigns still run one to a call.
+CALL_DRAWS = 2**17
 ROC_TRIALS = 800  # trials of the readout-roc figure's campaign
 ROC_BETA = 0.15  # mimic displacement of the readout-roc figure's campaign
 GROWTH_SPAN = 20.0  # the sensitivity-growth figure's last time, in tau_DM
@@ -304,6 +309,11 @@ G_FLOOR = 1.0 / math.sqrt(sys.float_info.max)
 # the calibration fit scales its eta column by 1 / (alpha^2 max n_inj) and
 # squares that
 N_INJ_FLOOR = G_FLOOR
+# the largest calibrated efficiency search and tune-scan accept.  The
+# physical bound is 1, which a slope fit to few trials overshoots (tune-scan
+# clips it there): 40-trial self-calibrations read 2.0 for the a12 probe and
+# 10.2 for an alpha_sq = 0.05 one, and both runs are kept
+ETA_CEILING = 100.0
 
 
 def _growth_times(tau_dm: float) -> np.ndarray:
@@ -497,29 +507,37 @@ def _probe_parts(p: dict):
     return CatSpec(alpha=math.sqrt(a2)), "compass", f"a{a2:g}", a2
 
 
-def _campaign(
-    cfg: dict, device, trials: int, init, stage: str, *indices, beta=None, p=None
-):
-    """One campaign of the probe init (None = vacuum) with a mimic
+def _trial_config(cfg: dict, init, stage: str, *indices, beta=None, p=None):
+    """The campaign template of the probe init (None = vacuum) with a mimic
     displacement beta or a signal probability p, at the config's repeats and
     the seed of the labeled path (stage, *indices)."""
-    tc = TrialConfig(
+    return TrialConfig(
         init=init,
         injected_beta=beta,
         p_signal=p,
         repeats=cfg["repeats"],
         rng_seed=derive_seed(cfg["master_seed"], stage, *indices),
     )
-    return run_campaign(trials, tc, device)
 
 
-def _count_positives(model, threshold: float, campaign):
-    """(k_pos, n_kept, n_dropped) after post-selection and classification."""
-    kept, dropped = postselect(campaign.records)
-    if not kept:
-        return 0, 0, dropped
-    _, lam = batch_posteriors(model, kept)
-    return int(np.sum(lam > threshold)), len(kept), dropped
+def _campaigns(cfg: dict, device, trials: int, model, threshold: float, templates):
+    """Run a probe's campaigns, one per template (_trial_config), consecutive
+    ones sharing a run_campaign call while its uniforms stay within
+    max(one campaign, CALL_DRAWS); each call's records are post-selected
+    and classified at once.  Yields, call by call in template order, the
+    call's records and its campaigns' (k_pos, n_kept, n_dropped), so that a
+    caller holds one call's records at a time."""
+    per_call = max(1, CALL_DRAWS // (trials * (1 + 4 * cfg["repeats"])))
+    for start in range(0, len(templates), per_call):
+        batch = templates[start : start + per_call]
+        records = run_campaign(trials, batch, device).records
+        kept, _ = postselect(records)
+        # the campaign of each kept row, and of each one classified positive
+        of_kept = np.flatnonzero(~records.leaked) // trials
+        of_positive = of_kept[batch_posteriors(model, kept)[1] > threshold]
+        n_kept = np.bincount(of_kept, minlength=len(batch))
+        k_pos = np.bincount(of_positive, minlength=len(batch))
+        yield records, [(int(k), int(n), trials - int(n)) for k, n in zip(k_pos, n_kept)]
 
 
 def _signal_probabilities(where: str, eps: float, halo, cases) -> list[float]:
@@ -544,15 +562,21 @@ def _signal_probabilities(where: str, eps: float, halo, cases) -> list[float]:
 
 
 def _calibrated_eta(etas_by_label: dict, label: str, mode: str, hint: str = "") -> float:
-    """The probe's calibrated efficiency; a missing, non-positive or
-    non-finite one cannot scale a signal rate."""
+    """The probe's calibrated efficiency; a missing or non-positive one, or
+    one above ETA_CEILING, cannot scale a signal rate.  A tiny one is left
+    alone: it gives a weak limit, by valid arithmetic."""
     if label not in etas_by_label:
         raise MissingCalibration(f"calibration has no entry for probe {label!r}{hint}")
     eta = etas_by_label[label]
-    if not 0.0 < eta < math.inf:
+    if not eta > 0.0:
         raise MissingCalibration(
             f"calibrated efficiency for {label!r} is {eta!r}; rerun calibration with "
             f"more trials, or move thresholds.{mode} if it classifies every record alike"
+        )
+    if not eta <= ETA_CEILING:
+        raise MissingCalibration(
+            f"calibrated efficiency for {label!r} is {eta!r}, above {ETA_CEILING:g}; "
+            f"rerun calibration with more trials"
         )
     return eta
 
@@ -627,11 +651,14 @@ def run_calibrate(cfg: dict):
     rows = []
     curve_lines = ["probe,mode,alpha_sq,beta,n_inj,k_pos,n_kept,n_dropped"]
     for pi, ((init, mode, label, a2), applied_drives, model, thr) in enumerate(plans):
+        templates = [
+            _trial_config(cfg, init, "calibrate", pi, bi, beta=b if beta > 0 else None)
+            for bi, (beta, b) in enumerate(zip(betas, applied_drives))
+        ]
+        calls = _campaigns(cfg, device, trials, model, thr, templates)
+        counts = [c for _, call in calls for c in call]
         pts = []
-        for bi, (beta, applied) in enumerate(zip(betas, applied_drives)):
-            drive = applied if beta > 0 else None
-            camp = _campaign(cfg, device, trials, init, "calibrate", pi, bi, beta=drive)
-            k, n_kept, n_drop = _count_positives(model, thr, camp)
+        for applied, (k, n_kept, n_drop) in zip(applied_drives, counts):
             n_inj = applied * applied
             pts.append((n_inj, k, n_kept))
             curve_lines.append(
@@ -752,18 +779,18 @@ def run_search(cfg: dict):
     record_chunks = []
     for pi, ((init, mode, label, a2), model, eta) in enumerate(zip(probes, models, etas)):
         thr = float(cfg["thresholds"][mode])
-        ks, ns = [], []
-        for ti, tau in enumerate(taus):
-            p = p_signal.get((pi, tau))
-            camp = _campaign(cfg, device, sr["trials"], init, "search", pi, ti, p=p)
-            k, n_kept, n_drop = _count_positives(model, thr, camp)
-            ks.append(k)
-            ns.append(n_kept)
-            rate_lines.append(
-                f"{label},{a2!r},{tau!r},{k},{n_kept},{n_drop},{eta!r}"
-            )
-            record_chunks.append(records_to_jsonl(camp.records))
-        series.append(SearchSeries(a2, tuple(taus), tuple(ks), tuple(ns)))
+        templates = [
+            _trial_config(cfg, init, "search", pi, ti, p=p_signal.get((pi, tau)))
+            for ti, tau in enumerate(taus)
+        ]
+        counts = []
+        for records, call in _campaigns(cfg, device, sr["trials"], model, thr, templates):
+            counts += call
+            record_chunks.append(records_to_jsonl(records))
+        for tau, (k, n_kept, n_drop) in zip(taus, counts):
+            rate_lines.append(f"{label},{a2!r},{tau!r},{k},{n_kept},{n_drop},{eta!r}")
+        ks, ns, _ = zip(*counts)
+        series.append(SearchSeries(a2, tuple(taus), ks, ns))
     try:
         fit = search_fit(series, g_at, tuple(etas))
     except NonFinite as exc:  # the a0 column's scale is 1 / g at the largest tau
@@ -833,12 +860,10 @@ def run_tune_scan(cfg: dict):
     # at small trial counts; project it back to the physical boundary
     eta = min(eta, 1.0)
     thr = float(cfg["thresholds"]["compass"])
-    bins, dropped = [], []
-    for i, om in enumerate(omegas):
-        camp = _campaign(cfg, device, sc["trials"], init, "tune", i, p=p_signal[i])
-        k, n_kept, n_drop = _count_positives(model, thr, camp)
-        bins.append(FrequencyBin(om, k, n_kept, eta, t1c, a2))
-        dropped.append(n_drop)
+    templates = [_trial_config(cfg, init, "tune", i, p=p) for i, p in enumerate(p_signal)]
+    calls = _campaigns(cfg, device, sc["trials"], model, thr, templates)
+    counts = [c for _, call in calls for c in call]
+    bins = [FrequencyBin(om, k, n, eta, t1c, a2) for om, (k, n, _) in zip(omegas, counts)]
     try:
         res = background_subtract(bins, point, halo, per_bin_mass=True)
     except (NonFinite, ZeroSignalDenominator) as exc:
@@ -856,7 +881,7 @@ def run_tune_scan(cfg: dict):
         "n_norm,p_i,sigma_p,eps90"
     ]
     limits = []
-    for i, (b, n_drop, bl) in enumerate(zip(bins, dropped, res.bins)):
+    for i, (b, (*_, n_drop), bl) in enumerate(zip(bins, counts, res.bins)):
         f_i, m_i = b.omega_i / (2.0 * math.pi), resonant_mass(b.omega_i)
         lines.append(
             f"{i},{f_i!r},{m_i / (2.0 * math.pi)!r},{b.n_meas_i},{b.n_trials_i},"
@@ -883,9 +908,8 @@ def run_simulate_record(cfg: dict):
     init, mode, label, a2 = _probe_parts(rc["probe"])
     beta = float(rc["injected_beta"])
     _check_mimic("records.injected_beta", beta, rc["probe"], "records.probe", beta)
-    camp = _campaign(
-        cfg, device, rc["trials"], init, "records", 0, beta=beta if beta > 0 else None
-    )
+    tc = _trial_config(cfg, init, "records", 0, beta=beta if beta > 0 else None)
+    camp = run_campaign(rc["trials"], tc, device)
     _, dropped = postselect(camp.records)
     files = {"records.jsonl": records_to_jsonl(camp.records)}
     summary = [f"{rc['trials']} records ({label}), {dropped} with leakage"]
@@ -1028,7 +1052,8 @@ def _render_figure(
     if fid == "readout-roc":
         init, a2, _ = cat
         model = build_model(device, alpha_sq=a2, mode="compass")
-        camp = _campaign(cfg, device, ROC_TRIALS, init, "figures", 0, beta=ROC_BETA)
+        tc = _trial_config(cfg, init, "figures", 0, beta=ROC_BETA)
+        camp = run_campaign(ROC_TRIALS, tc, device)
         try:
             rows = threshold_sweep(camp, model, np.geomspace(1e-2, 1e6, 33))
         except DegenerateDesign as exc:

@@ -236,6 +236,27 @@ def test_batch_posteriors_matches_scalar():
     assert p_e.shape == (0, 2) and lam_e.shape == (0,)
 
 
+@pytest.mark.parametrize("mode", ["compass", "vacuum"])
+def test_batch_posteriors_of_a_batch_equal_its_campaigns(mode):
+    # the pipeline classifies a call's campaigns together: each campaign's
+    # lam must keep every bit of its own call's
+    device = ms.DeviceParams(p_leak=0.05)
+    init = CatSpec(math.sqrt(12)) if mode == "compass" else None
+    model = hmm.build_model(device, alpha_sq=12.0 if init is not None else 1.0, mode=mode)
+    signals = ({"p_signal": 0.2}, {"injected_beta": 0.3}, {}, {})
+    cfgs = [
+        ms.TrialConfig(init=init, rng_seed=seed, **signal)
+        for seed, signal in zip((3, 2**40 + 1, 2**32 - 1, 9), signals)
+    ]
+    n = 100
+    kept, _ = hmm.postselect(ms.run_campaign(n, cfgs, device).records)
+    p_all, lam_all = hmm.batch_posteriors(model, kept)
+    own = [hmm.postselect(ms.run_campaign(n, c, device).records)[0] for c in cfgs]
+    own = [hmm.batch_posteriors(model, records) for records in own]
+    assert np.array_equal(lam_all, np.concatenate([lam for _, lam in own]))
+    assert np.array_equal(p_all, np.concatenate([p for p, _ in own]))
+
+
 def test_batch_posteriors_rejects_bad_records():
     model = hmm.build_model(ms.DeviceParams(), alpha_sq=4.0)
     with pytest.raises(LeakageSymbol):

@@ -296,10 +296,9 @@ def _numpy_streams(rng_seed, n_trials, n_draws):
 def _vector_streams(rng_seed, n_trials, repeats):
     """_trial_uniforms with every warning raised: its uint64 arithmetic
     must wrap silently, without numpy's overflow warnings."""
-    cfg = ms.TrialConfig(repeats=repeats, rng_seed=rng_seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return ms._trial_uniforms(cfg, n_trials)
+        return ms._trial_uniforms([rng_seed], n_trials, repeats)
 
 
 @pytest.mark.parametrize("repeats", [1, 2, 20, 32, 37])
@@ -346,10 +345,9 @@ def test_trial_uniforms_scratch_stays_bounded():
     # the draws are built per trial tile, so beyond its output the call
     # holds only the per-trial seed words (about 90 bytes a trial) and a
     # tile's scratch, whatever the trial count
-    cfg = ms.TrialConfig(repeats=20, rng_seed=3)
     tracemalloc.start()
     try:
-        u = ms._trial_uniforms(cfg, 50_000)
+        u = ms._trial_uniforms([3], 50_000, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -360,7 +358,7 @@ def test_trial_uniforms_scratch_stays_bounded():
 def test_campaign_rejects_trial_ids_beyond_uint32(monkeypatch):
     # trial ids are single uint32 entropy words; the guard must fire before
     # the draws (terabytes at this size) are built, which the stub refuses
-    def refuse(cfg, n_trials):
+    def refuse(seeds, n_trials, repeats):
         raise AssertionError(f"drawing {n_trials} trials")
 
     monkeypatch.setattr(ms, "_trial_uniforms", refuse)
@@ -501,6 +499,65 @@ def test_campaign_matches_simulate_record(probe, injection, p_d, repeats):
         )
 
 
+# campaigns of one probe sharing a run_campaign call: a p_signal, a mimic
+# displacement and no signal, under seeds of one SeedSequence word (below
+# 2**32) and of two
+_BATCH_SEEDS = (7, 2**32, 2**64 - 1, 2**32 - 1)
+_BATCH_SIGNALS = ({"p_signal": 0.3}, {"injected_beta": 0.4}, {}, {"p_signal": 0.05})
+_TRUTH = ("symbols", "trial_ids", "init_sector", "injected", "sectors", "qubits")
+
+
+@pytest.mark.parametrize("init", [CatSpec(2.0), None], ids=["compass", "vacuum"])
+def test_batched_campaigns_equal_their_own_calls(init):
+    # a record depends neither on the trials beside it nor on the campaigns
+    # sharing its call; 4 x 60 columns also draw at another group stride
+    # than 60 alone
+    device = ms.DeviceParams(p_leak=0.05)
+    cfgs = [
+        ms.TrialConfig(init=init, rng_seed=seed, **signal)
+        for seed, signal in zip(_BATCH_SEEDS, _BATCH_SIGNALS)
+    ]
+    n = 60
+    assert ms._draw_stride(n * len(cfgs), 81) != ms._draw_stride(n, 81)
+    batch = ms.run_campaign(n, cfgs, device).records
+    assert len(batch) == n * len(cfgs) and batch.mode == cfgs[0].mode
+    for c, cfg in enumerate(cfgs):
+        own, part = ms.run_campaign(n, cfg, device).records, batch[c * n : (c + 1) * n]
+        for col in _TRUTH:
+            assert np.array_equal(getattr(part, col), getattr(own, col)), (c, col)
+    rows = record_rows(batch)
+    for c, k in [(0, 0), (1, 59), (2, 17), (3, 33), (1, 0)]:
+        ref = simulate_record(cfgs[c], device, trial_id=k)
+        got = rows[c * n + k]
+        assert (got.symbols, got.trial_id, got.truth) == (
+            ref.symbols,
+            ref.trial_id,
+            ref.truth,
+        ), (c, k)
+
+
+def test_trial_uniforms_of_mixed_seed_widths_match_numpy():
+    # one and two seed words share a call, so k takes the second pool word
+    # in some columns and the third in others
+    n, repeats = 37, 3
+    got = ms._trial_uniforms(list(_BATCH_SEEDS), n, repeats)
+    expected = [_numpy_streams(seed, n, 1 + 4 * repeats) for seed in _BATCH_SEEDS]
+    assert np.array_equal(got, np.hstack(expected))
+
+
+def test_campaign_batch_must_share_a_probe():
+    cfg = ms.TrialConfig(init=CatSpec(2.0), repeats=20)
+    for other in (
+        ms.TrialConfig(init=CatSpec(2.5), repeats=20),
+        ms.TrialConfig(init=None, repeats=20),
+        ms.TrialConfig(init=CatSpec(2.0), repeats=19),
+    ):
+        with pytest.raises(ConfigError, match="share init and repeats"):
+            ms.run_campaign(10, [cfg, other], ms.DeviceParams())
+    with pytest.raises(ConfigError, match="at least one"):
+        ms.run_campaign(10, [], ms.DeviceParams())
+
+
 class _Replay:
     """Stands in for one trial's Generator: random() hands out that trial's
     row of a fixed uniform matrix, in order."""
@@ -527,12 +584,12 @@ def test_campaign_clamps_picks_past_a_row_sum_below_one(monkeypatch):
     cav_cum = np.cumsum((1.0 - device.p_d) * cav + device.p_d / 4, axis=1)
     assert np.all(cav_cum[:, -1] < 1.0 - 2.0**-53)
     n = 64
-    u = ms._trial_uniforms(cfg, n)
+    u = ms._trial_uniforms([cfg.rng_seed], n, cfg.repeats)
     draws = u[1:].reshape(cfg.repeats, 4, n)  # a view: edits reach u
     draws[:, 0, ::2] = 1.0 - 2.0**-53
     ties = np.random.default_rng(3).choice(cav_cum.ravel(), draws[:, 0, 1::2].shape)
     draws[:, 0, 1::2] = ties
-    monkeypatch.setattr(ms, "_trial_uniforms", lambda cfg, n_trials: u)
+    monkeypatch.setattr(ms, "_trial_uniforms", lambda seeds, n_trials, repeats: u)
     records = ms.run_campaign(n, cfg, device).records
     assert np.all(records.sectors[::2, 1:] == 3)
     monkeypatch.setattr(

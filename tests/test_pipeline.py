@@ -686,6 +686,107 @@ def test_artifact_hashes_match_recorded_table(tmp_path):
         assert man["files"] == _GOLDEN_INJECTED_FILES[command], f"injected {command}"
 
 
+# manifest "files" of search at 100 trials on a supplied calibration, per
+# (seed, search.inject_epsilon), recorded the same way when every campaign
+# still ran alone: a probe's six campaigns now share one run_campaign call,
+# so these pin that batching moves no byte.  Seed 2 fits at the a0 = 0
+# boundary, the other two inside it
+_SMALL_SEARCH_CALIBRATION = {
+    "probes": [{"label": "vacuum", "eta": 0.68}, {"label": "a12", "eta": 0.69}]
+}
+_GOLDEN_SMALL_SEARCH_FILES = {
+    (1, None): {
+        "fit.json": (
+            "0561c76f8e972eb34e0f7292c2d9fb238274e7ce45d8511761f373668e3a5d00"
+        ),
+        "limits.csv": (
+            "b366d2b186c73e45093ff1963d0985f52fd06565342950f1789ba74c9b5e4749"
+        ),
+        "rates.csv": (
+            "d65134a57d8e22f90594fd29c54f554be4397e73e2456e5c8a77b32d3d1db159"
+        ),
+        "records.jsonl": (
+            "1d5ccdb438c3eb5b952f60261ce5251bad875569f1e2829b31013d844bdbcd0c"
+        ),
+    },
+    (2, None): {
+        "fit.json": (
+            "d5e9cae87836c42bc9f8e93f0e60b84f69d65ae804cca015d798f99985ef55bc"
+        ),
+        "limits.csv": (
+            "99608ce95567759809b2f2d320ef5e09906ff535b482a30b146a5000020e5872"
+        ),
+        "rates.csv": (
+            "87511ef59d67eb459c7e0d84136b204c33522cdbf6b92b5d9b0942bbf5b64b0f"
+        ),
+        "records.jsonl": (
+            "1d825c7b2497935ff040e5fad9080853ae53dc2581a288496e1e13d6104fa6aa"
+        ),
+    },
+    (5, 2.0e-15): {
+        "fit.json": (
+            "10c4d39b4e361b8838d161dec92eda27dda453648674c589cc9a806164aa43ff"
+        ),
+        "limits.csv": (
+            "e948556d734d839f0a795ecb982c30f2f0db70cc058e2d6a17fe254d9ac0200f"
+        ),
+        "rates.csv": (
+            "d5b956ecbd29475cdd7aff943f178366a807e348fc086893b73f47aed59931c9"
+        ),
+        "records.jsonl": (
+            "35b52fd04494addba7f03dc1a76554f90e55430c4d02e1f307c3d1e677a185ee"
+        ),
+    },
+}
+
+
+def test_small_trial_search_hashes_match_recorded_table(tmp_path):
+    versions = pipeline.module_versions()
+    if any(versions[k] != v for k, v in _GOLDEN_VERSIONS.items()):
+        pytest.skip(f"hashes recorded with {_GOLDEN_VERSIONS}, running {versions}")
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(_SMALL_SEARCH_CALIBRATION))
+    for (seed, eps), files in _GOLDEN_SMALL_SEARCH_FILES.items():
+        cfg = _small_cfg(seed=seed, trials=100)
+        cfg["calibration"]["path"] = str(cal)
+        cfg["search"]["inject_epsilon"] = eps
+        final, _ = pipeline.run_command("search", cfg, out_root=tmp_path)
+        man = json.loads((final / "manifest.json").read_text())
+        assert man["files"] == files, (seed, eps)
+
+
+@pytest.mark.parametrize(
+    "command, trials, per_call",
+    [
+        ("search", 100, [6, 6]),
+        ("search", None, [1] * 12),
+        ("calibrate", None, [1] * 10),
+        ("tune-scan", None, [2] * 8),
+    ],
+)
+def test_small_campaigns_of_a_probe_share_a_call(
+    monkeypatch, tmp_path, command, trials, per_call
+):
+    # a call holds a probe's consecutive campaigns while its uniforms stay
+    # within max(one campaign, CALL_DRAWS): all six 100-trial search points
+    # of a probe, one default search or calibration campaign (81 x 1200,
+    # 81 x 1500), two default scan bins (81 x 800 each)
+    cfg = pipeline.apply_overrides(pipeline.default_config(), seed=1, trials=trials)
+    if command != "calibrate":
+        cal = tmp_path / "calibration.json"
+        cal.write_text(json.dumps(_SMALL_SEARCH_CALIBRATION))
+        cfg["calibration"]["path"] = str(cal)
+    widths, real = [], pipeline.run_campaign
+
+    def counting(n_trials, cfgs, device):
+        widths.append(len(cfgs))
+        return real(n_trials, cfgs, device)
+
+    monkeypatch.setattr(pipeline, "run_campaign", counting)
+    pipeline.run_command(command, cfg, out_root=tmp_path)
+    assert widths == per_call
+
+
 def test_promote_replaces_stale_run(tmp_path):
     cfg = _small_cfg(trials=16)
     final, _ = pipeline.run_command("simulate-record", cfg, out_root=tmp_path)
@@ -1342,7 +1443,9 @@ def test_parser_takes_each_option_on_its_own_commands(capsys):
 def test_unreadable_inputs_and_outputs_fail_cleanly(tmp_path, capsys, monkeypatch):
     # each once ended in a traceback (IsADirectoryError, UnicodeDecodeError,
     # NotADirectoryError after the command's work, LinAlgError) or, for
-    # tune-scan on an infinite efficiency, exited 0 with eta clipped to 1
+    # tune-scan on an infinite efficiency, exited 0 with eta clipped to 1; a
+    # huge finite one made search warn of an overflow and blame
+    # search.tau_grid, and tune-scan clip it
     def refuse(*args, **kwargs):
         raise AssertionError("a campaign ran before the check")
 
@@ -1358,6 +1461,8 @@ def test_unreadable_inputs_and_outputs_fail_cleanly(tmp_path, capsys, monkeypatc
     # JSON reads 1e400 as inf
     probes = '[{"label": "vacuum", "eta": 0.5}, {"label": "a12", "eta": 1e400}]'
     cal.write_text(f'{{"probes": {probes}}}')
+    huge = tmp_path / "huge-eta.json"
+    huge.write_text(f'{{"probes": {probes.replace("1e400", "1e300")}}}')
 
     def config(path):
         p = tmp_path / f"{Path(path).name}.yaml"
@@ -1372,9 +1477,14 @@ def test_unreadable_inputs_and_outputs_fail_cleanly(tmp_path, capsys, monkeypatc
         (["calibrate", "--out", str(a_file / "sub")], 2, f"error: output root {a_file}"),
         (["search", *config(cal)], 1, "error: calibrated efficiency for 'a12' is inf"),
         (["tune-scan", *config(cal)], 1, "error: calibrated efficiency for 'a12' is inf"),
+        (["search", *config(huge)], 1, "for 'a12' is 1e+300, above 100;"),
+        (["tune-scan", *config(huge)], 1, "for 'a12' is 1e+300, above 100;"),
     ]
     for argv, code, want in runs:
-        assert cli.main(argv) == code, argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == code, argv
+        assert not caught, (argv, [str(w.message) for w in caught])
         err = capsys.readouterr().err
         assert want in err and "Traceback" not in err, (argv, err)
     monkeypatch.setenv("CATSCOPE_OUT", str(a_file))
