@@ -33,7 +33,7 @@ GEV_TO_RAD_PER_S = 1e9 * _E_CHARGE / _HBAR  # 1 GeV as an angular frequency
 OMEGA_M_OFFSET = 3e-7  # peak of the energy distribution sits at (1+this)*m
 
 
-@dataclass(frozen=True)
+@dataclass
 class HaloParams:
     """Standard halo model: local density (GeV/cm^3), virial speed and solar
     boost (km/s)."""
@@ -48,7 +48,7 @@ class HaloParams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SearchPoint:
     """One candidate mass: m_dm and the cavity frequency probing it (both
     rad/s), plus the effective mode volume in cm^3.  omega_c defaults to the

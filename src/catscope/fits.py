@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,7 @@ _SQRT_PI = math.sqrt(math.pi)
 # domain types
 
 
-@dataclass(frozen=True)
+@dataclass
 class CalibrationCurve:
     """Injected-photon calibration data: (n_inj, k_pos, n_trials) triples."""
 
@@ -67,10 +68,10 @@ class CalibrationCurve:
                 raise ConfigError(f"need 0 <= k_pos <= n_trials, got {k}/{n}")
         if not self.alpha_sq > 0.0:
             raise ConfigError(f"alpha_sq must be > 0, got {self.alpha_sq!r}")
-        object.__setattr__(self, "points", pts)
+        self.points = pts
 
 
-@dataclass(frozen=True)
+@dataclass
 class FitResult:
     """Named estimates, covariance (ordered like params), the binomial
     log-likelihood without its combinatorial constant, and the number of
@@ -98,15 +99,15 @@ class FitResult:
             raise ConfigError("covariance is not positive semidefinite")
         cov = 0.5 * (cov + cov.T)
         cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "params", dict(self.params))
+        self.covariance = cov
+        self.params = dict(self.params)
 
     def stderr(self, name: str) -> float:
         idx = list(self.params).index(name)
         return float(math.sqrt(max(self.covariance[idx, idx], 0.0)))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExclusionPoint:
     """One exclusion-curve point: central value, its sigma, and the 90% C.L.
     value epsilon0 + 1.28 sigma."""
@@ -127,7 +128,7 @@ class ExclusionPoint:
             raise ConfigError(f"eps90={self.eps90!r} != epsilon0 + 1.28 sigma ({want!r})")
 
 
-@dataclass(frozen=True)
+@dataclass
 class FrequencyBin:
     """One tuning step of the frequency scan; alpha_sq_i is the probe's
     |alpha|^2 (1 for a vacuum probe), by which the signal response grows
@@ -157,7 +158,7 @@ class FrequencyBin:
             )
 
 
-@dataclass(frozen=True)
+@dataclass
 class SearchSeries:
     """Search-campaign counts for one probe amplitude: positives k_pos out of
     n_trials at each integration time tau."""
@@ -179,9 +180,7 @@ class SearchSeries:
             raise ConfigError("need 0 <= k_pos <= n_trials per point")
         if not self.alpha_sq > 0.0:
             raise ConfigError(f"alpha_sq must be > 0, got {self.alpha_sq!r}")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "k_pos", k)
-        object.__setattr__(self, "n_trials", n)
+        self.taus, self.k_pos, self.n_trials = taus, k, n
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +473,7 @@ def epsilon_limit(
 # threshold sweep
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     threshold: float
     eta: float
     delta: float
@@ -514,20 +512,14 @@ def threshold_sweep(campaign, model, thresholds) -> list[SweepPoint]:
 # frequency-scan background subtraction
 
 
-@dataclass(frozen=True)
-class BinLimit:
+class BinLimit(NamedTuple):
     n_norm: float
     p_i: float
     sigma_p: float
     eps90: float
 
-    def __post_init__(self):
-        for name in ("n_norm", "p_i", "sigma_p", "eps90"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
-
-@dataclass(frozen=True)
-class BackgroundResult:
+class BackgroundResult(NamedTuple):
     bins: tuple
     eta_fit: float
 
@@ -596,7 +588,7 @@ def background_subtract(
     eta_fit = 1.0 - 1.0 / len(bins)
     rv = rho_m_veff(point, halo)
     out = []
-    for b, ni in zip(bins, n_i):
+    for b, ni in zip(bins, n_i.tolist()):
         pt = point
         if per_bin_mass:
             pt = SearchPoint(m_dm=resonant_mass(b.omega_i), v_eff=point.v_eff)
@@ -622,7 +614,7 @@ def background_subtract(
                 f"{b.n_meas_i} of {b.n_trials_i} kept trials positive"
             )
         eps90 = math.sqrt(_truncated_gauss_q90(p_i, sigma_p))
-        out.append(BinLimit(float(ni), p_i, sigma_p, eps90))
+        out.append(BinLimit(ni, p_i, sigma_p, eps90))
     return BackgroundResult(tuple(out), eta_fit)
 
 

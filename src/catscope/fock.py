@@ -21,7 +21,7 @@ from .errors import DimMismatch, InvalidIndex, NonFinite
 _MIN_CAT_NORM = 1e-6  # smallest cat normalization N the closed forms take
 
 
-@dataclass(frozen=True)
+@dataclass
 class CatSpec:
     """Parameters of an M-component cat state: amplitude alpha, component
     count M, modular index j (photon numbers = j mod M)."""
@@ -39,7 +39,7 @@ class CatSpec:
             raise NonFinite("alpha is not finite")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PhaseGrid:
     """Rectangular sampling of the phase plane z = x + iy for Wigner maps."""
 

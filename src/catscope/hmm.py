@@ -27,9 +27,9 @@ from .measurement import (
     build_transition_matrix,
 )
 
-@dataclass(frozen=True)
+@dataclass
 class HmmModel:
-    """Immutable (transition, emission, prior) bundle.
+    """(transition, emission, prior) bundle of read-only arrays.
 
     States are ordered sector-major with the qubit inside each pair:
     (sector 0, g), (sector 0, e), (sector 1, g), ...
@@ -56,9 +56,9 @@ class HmmModel:
             raise ConfigError("transition rows must sum to 1")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ConfigError(f"prior sums to {float(p.sum())!r}, not 1")
-        for name, arr in (("transition", t), ("emission", e), ("prior", p)):
+        for arr in (t, e, p):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.transition, self.emission, self.prior = t, e, p
 
     @property
     def n_states(self) -> int:

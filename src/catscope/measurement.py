@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,7 @@ CODE_LEAK = 2
 _MODES = ("compass", "vacuum")
 
 
-@dataclass(frozen=True)
+@dataclass
 class DeviceParams:
     """Calibrated device numbers shared by simulation and inference.
 
@@ -98,7 +99,7 @@ class DeviceParams:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class TrialConfig:
     """One trial template.  init is the compass probe (None = vacuum probe);
     at most one of injected_beta (mimic displacement) and p_signal (the
@@ -128,7 +129,7 @@ class TrialConfig:
         return "compass" if self.init is not None else "vacuum"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Records:
     """Columnar record set, one row per trial.
 
@@ -339,8 +340,7 @@ def _initial_sector_probs(cfg: TrialConfig) -> np.ndarray:
 # record simulation
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     records: Records
 
 

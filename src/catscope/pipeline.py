@@ -26,8 +26,9 @@ import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,9 +311,9 @@ G_FLOOR = 1.0 / math.sqrt(sys.float_info.max)
 # squares that
 N_INJ_FLOOR = G_FLOOR
 # the largest calibrated efficiency search and tune-scan accept.  The
-# physical bound is 1, which a slope fit to few trials overshoots (tune-scan
-# clips it there): 40-trial self-calibrations read 2.0 for the a12 probe and
-# 10.2 for an alpha_sq = 0.05 one, and both runs are kept
+# physical bound is 1, which a slope fit to few trials overshoots (both
+# commands clip it there): 40-trial self-calibrations read 2.0 for the a12
+# probe and 10.2 for an alpha_sq = 0.05 one, and both runs are kept
 ETA_CEILING = 100.0
 
 
@@ -426,8 +427,7 @@ def module_versions() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """What produced a run directory: the command, the config hash, the seed,
     library versions, and a name -> sha256 registry of the artifacts."""
 
@@ -439,7 +439,7 @@ class RunManifest:
     files: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self._asdict(), sort_keys=True, indent=2) + "\n"
 
 
 class RunWriter:
@@ -562,9 +562,10 @@ def _signal_probabilities(where: str, eps: float, halo, cases) -> list[float]:
 
 
 def _calibrated_eta(etas_by_label: dict, label: str, mode: str, hint: str = "") -> float:
-    """The probe's calibrated efficiency; a missing or non-positive one, or
-    one above ETA_CEILING, cannot scale a signal rate.  A tiny one is left
-    alone: it gives a weak limit, by valid arithmetic."""
+    """The probe's calibrated efficiency, clipped to its physical bound 1; a
+    missing or non-positive one, or one above ETA_CEILING, cannot scale a
+    signal rate.  A tiny one is left alone: it gives a weak limit, by valid
+    arithmetic."""
     if label not in etas_by_label:
         raise MissingCalibration(f"calibration has no entry for probe {label!r}{hint}")
     eta = etas_by_label[label]
@@ -578,7 +579,7 @@ def _calibrated_eta(etas_by_label: dict, label: str, mode: str, hint: str = "") 
             f"calibrated efficiency for {label!r} is {eta!r}, above {ETA_CEILING:g}; "
             f"rerun calibration with more trials"
         )
-    return eta
+    return min(eta, 1.0)
 
 
 def _leakage_error(exc: DegenerateDesign) -> DegenerateDesign:
@@ -856,9 +857,6 @@ def run_tune_scan(cfg: dict):
     model = build_model(device, alpha_sq=a2, mode="compass")
     etas_by_label, files = _load_calibration(cfg)
     eta = _calibrated_eta(etas_by_label, label, "compass", "; add it to probes")
-    # the calibration slope is an efficiency estimate and can overshoot 1
-    # at small trial counts; project it back to the physical boundary
-    eta = min(eta, 1.0)
     thr = float(cfg["thresholds"]["compass"])
     templates = [_trial_config(cfg, init, "tune", i, p=p) for i, p in enumerate(p_signal)]
     calls = _campaigns(cfg, device, sc["trials"], model, thr, templates)

@@ -194,3 +194,30 @@ def test_only_darkmatter_names_the_lineshape_offset():
             if "OMEGA_M_OFFSET" in (getattr(node, a, None) for a in ("id", "attr", "name")):
                 named.add(path.stem)
     assert named <= {"darkmatter"}, named
+
+
+def test_dataclasses_are_plain_and_earn_their_machinery():
+    # a value type is a plain dataclass: one that checks its fields at
+    # construction (__post_init__) or has a method of its own.  A bare
+    # record of values is a typing.NamedTuple, and no class is frozen
+    frozen, bare = [], []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for deco in node.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else None
+                target = call.func if call else deco
+                if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                    continue
+                name = f"{path.stem}.{node.name}"
+                keywords = call.keywords if call else []
+                if any(
+                    k.arg == "frozen" and getattr(k.value, "value", None) is True
+                    for k in keywords
+                ):
+                    frozen.append(name)
+                if not any(isinstance(s, ast.FunctionDef) for s in node.body):
+                    bare.append(name)
+    assert not frozen, sorted(frozen)
+    assert not bare, sorted(bare)

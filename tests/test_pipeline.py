@@ -105,6 +105,15 @@ def test_load_config_overlay_and_unknown_keys(tmp_path):
     with pytest.raises(ConfigError):
         pipeline.load_config(notyaml)
 
+    # YAML reads an empty file as null, which overlays nothing
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    cfg = pipeline.load_config(empty)
+    want = pipeline.canonical_config_text(pipeline.default_config())
+    assert pipeline.canonical_config_text(cfg) == want
+    for command in pipeline.COMMANDS:
+        assert _run_id(cfg, command) == pipeline.run_id(want, command)
+
 
 def test_apply_overrides():
     cfg = pipeline.default_config()
@@ -302,6 +311,20 @@ def test_calibrate_artifacts_and_enhancement(tmp_path):
     assert man["config_sha256"] == pipeline.config_sha256(txt)
     assert "wall_clock_s" not in man
     assert set(man["files"]) == {"calibration.json", "calibration.csv"}
+
+
+def test_search_clips_a_calibrated_eta_to_one(tmp_path):
+    # at 40 trials both probes self-calibrate above the physical bound 1;
+    # search scales the signal rate by the clipped value, as tune-scan does
+    cfg = _small_cfg(seed=1, trials=40)
+    final, _ = pipeline.run_command("search", cfg, out_root=tmp_path)
+    cal = json.loads((final / "calibration.json").read_text())
+    etas = {p["label"]: p["eta"] for p in cal["probes"]}
+    assert min(etas.values()) > 1.0
+    rows = _read_csv(final / "rates.csv")
+    assert {r["probe"] for r in rows} == set(etas)
+    for r in rows:
+        assert float(r["eta"]) == min(etas[r["probe"]], 1.0), r
 
 
 def test_search_requires_calibration(tmp_path):
@@ -572,13 +595,13 @@ _GOLDEN_FILES = {
             "babfb7c80bcda79d4c37234ad93d915a0dcfb9c75cbd2095f155be7c7509c5df"
         ),
         "fit.json": (
-            "de9495dce68e546c1b5f86a7512363f3ec1b2fc51b172fab4ae6f976598a1c1f"
+            "a49eb7edb6d356a2d1693e00da006c741439846931ff84180db03d24df122e66"
         ),
         "limits.csv": (
-            "b909994632fcb8681f29b180b881e629ec261e4212b49d64f8de8aaf6a760aeb"
+            "836e5222521c18bf1e34f196a5c5e9ba467adbade5b6c0115a9024ba560a14d1"
         ),
         "rates.csv": (
-            "900e26938e883e42d109b47c07e624e73475d5ade64ce41f591ff602d2d2e6b2"
+            "f397146c882a2b672c10620b0ddec7195d4bccb37c6763149dbc044750b0db33"
         ),
         "records.jsonl": (
             "e12d32a6160731673abf811985326cbc5822418d8e6ab4d635305a54b299e055"
@@ -837,6 +860,39 @@ def test_writer_slices_keep_the_bytes_and_hash(tmp_path):
     assert len(texts["big.txt"]) > 1 << 18
 
 
+def test_manifest_text_is_pinned():
+    # the golden tables compare only the files map; this pins the rest of
+    # the bytes RunManifest.to_json writes
+    man = pipeline.RunManifest(
+        command="search",
+        run_id="0123456789ab",
+        config_sha256="f" * 64,
+        master_seed=7,
+        versions={"python": "3.11.7", "numpy": "2.4.6", "catscope": "0.1.0"},
+        files={"rates.csv": "a" * 64, "fit.json": "b" * 64},
+    )
+    assert man.to_json() == (
+        "{\n"
+        '  "command": "search",\n'
+        '  "config_sha256": '
+        '"ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",\n'
+        '  "files": {\n'
+        '    "fit.json": '
+        '"bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb",\n'
+        '    "rates.csv": '
+        '"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"\n'
+        "  },\n"
+        '  "master_seed": 7,\n'
+        '  "run_id": "0123456789ab",\n'
+        '  "versions": {\n'
+        '    "catscope": "0.1.0",\n'
+        '    "numpy": "2.4.6",\n'
+        '    "python": "3.11.7"\n'
+        "  }\n"
+        "}\n"
+    )
+
+
 _PROMOTE_LOOP = """
 import sys
 from catscope import pipeline
@@ -1046,6 +1102,18 @@ def test_figures_artifact_flow(tmp_path):
     manifest_path.unlink()
     with pytest.raises(MissingArtifact, match="calibration.json.*manifest"):
         pipeline.run_command("figures", cfg, out_root=tmp_path, which=["enhancement"])
+
+
+def test_enhancement_figure_without_a_vacuum_probe(tmp_path):
+    # with no vacuum probe there is no reference efficiency: no compass
+    # probe has an enhancement, and the table holds its header alone
+    cfg = _small_cfg(seed=1, trials=40)
+    cfg["probes"] = [{"kind": "compass", "alpha_sq": a2} for a2 in (12.0, 4.0)]
+    pipeline.run_command("calibrate", cfg, out_root=tmp_path)
+    final, _ = pipeline.run_command(
+        "figures", cfg, out_root=tmp_path, which=["enhancement"]
+    )
+    assert (final / "enhancement.csv").read_text() == "probe,alpha_sq,eta,enhancement\n"
 
 
 # ---------------------------------------------------------------------------
