@@ -279,7 +279,9 @@ def g_curve_to_csv(times, point: SearchPoint, halo: HaloParams = HaloParams()) -
     accumulation function."""
     tau = coherence_time(point, halo)
     times = np.asarray(times, dtype=float)
+    columns = zip(
+        times.tolist(), g_of_t(times, point, halo), (times * times).tolist(), (tau * times).tolist()
+    )
     lines = ["t,g,coherent_t_sq,incoherent_tau_t"]
-    for t, g in zip(times, g_of_t(times, point, halo)):
-        lines.append(f"{float(t)!r},{g!r},{float(t * t)!r},{float(tau * t)!r}")
+    lines += [f"{t!r},{g!r},{t_sq!r},{tau_t!r}" for t, g, t_sq, tau_t in columns]
     return "\n".join(lines) + "\n"

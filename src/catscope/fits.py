@@ -71,11 +71,11 @@ class CalibrationCurve:
         self.points = pts
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     """Named estimates, covariance (ordered like params), the binomial
     log-likelihood without its combinatorial constant, and the number of
-    solver iterations."""
+    solver iterations.  Results compare by identity."""
 
     params: dict
     covariance: np.ndarray
@@ -482,8 +482,10 @@ class SweepPoint(NamedTuple):
 
 def threshold_sweep(campaign, model, thresholds) -> list[SweepPoint]:
     """Efficiency and false-positive rate against the decision threshold on
-    one truth-labeled campaign.  Posteriors are computed once; each threshold
-    only re-cuts the likelihood ratios."""
+    one truth-labeled campaign.  Posteriors are computed once and each
+    class's likelihood ratios sorted once, so a threshold's count of lam
+    strictly above it is one binary search (lam is never NaN: it is inf
+    where batch_posteriors' denominator is not positive)."""
     records, _ = postselect(campaign.records)
     if not records:
         raise DegenerateDesign("campaign has no analyzable records")
@@ -491,13 +493,16 @@ def threshold_sweep(campaign, model, thresholds) -> list[SweepPoint]:
         raise ConfigError("threshold sweep needs truth-labeled records")
     _, lams = batch_posteriors(model, records)
     injected = records.injected
-    n_pos = int(np.sum(injected))
-    n_neg = injected.size - n_pos
+    pos_lams = np.sort(lams[injected])
+    neg_lams = np.sort(lams[~injected])
+    n_pos, n_neg = pos_lams.size, neg_lams.size
+    ths = sorted(float(t) for t in thresholds)
+    above_pos = (n_pos - np.searchsorted(pos_lams, ths, side="right")).tolist()
+    above_neg = (n_neg - np.searchsorted(neg_lams, ths, side="right")).tolist()
     rows = []
-    for th in sorted(float(t) for t in thresholds):
-        pos = lams > th
-        eta = float(np.mean(pos[injected])) if n_pos else math.nan
-        delta = float(np.mean(pos[~injected])) if n_neg else math.nan
+    for th, k_pos, k_neg in zip(ths, above_pos, above_neg):
+        eta = k_pos / n_pos if n_pos else math.nan
+        delta = k_neg / n_neg if n_neg else math.nan
         if math.isnan(eta) or math.isnan(delta):
             ratio = math.nan
         elif eta > 0.0:

@@ -132,12 +132,14 @@ def wigner(spec: CatSpec, grid: PhaseGrid) -> np.ndarray:
 
 
 def wigner_to_csv(grid: PhaseGrid, w: np.ndarray) -> str:
-    """CSV dump (Re z, Im z, W), row-major over the grid (Re outer, Im inner)."""
+    """CSV dump (Re z, Im z, W), row-major over the grid (Re outer, Im inner).
+    Each axis value is formatted once; a line joins those reprs to the
+    repr of its W."""
     w = np.asarray(w, dtype=float)
     if w.shape != (grid.n_re, grid.n_im):
         raise DimMismatch(f"field shape {w.shape} != ({grid.n_re}, {grid.n_im})")
-    res = np.repeat(grid.re_axis(), grid.n_im).tolist()
-    ims = np.tile(grid.im_axis(), grid.n_re).tolist()
+    ims = [f",{i!r}," for i in grid.im_axis().tolist()]
     lines = ["re_z,im_z,w"]
-    lines += [f"{r!r},{i!r},{v!r}" for r, i, v in zip(res, ims, w.ravel().tolist())]
+    for r, row in zip(map(repr, grid.re_axis().tolist()), w.tolist()):
+        lines += [f"{r}{i}{v!r}" for i, v in zip(ims, row)]
     return "\n".join(lines) + "\n"

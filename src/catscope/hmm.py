@@ -27,9 +27,11 @@ from .measurement import (
     build_transition_matrix,
 )
 
-@dataclass
+@dataclass(eq=False)
 class HmmModel:
-    """(transition, emission, prior) bundle of read-only arrays.
+    """(transition, emission, prior) bundle of read-only arrays, copied
+    from the caller's so that theirs stay writable.  Models compare by
+    identity.
 
     States are ordered sector-major with the qubit inside each pair:
     (sector 0, g), (sector 0, e), (sector 1, g), ...
@@ -40,9 +42,9 @@ class HmmModel:
     prior: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
-        e = np.asarray(self.emission, dtype=float)
-        p = np.asarray(self.prior, dtype=float)
+        t = np.array(self.transition, dtype=float)
+        e = np.array(self.emission, dtype=float)
+        p = np.array(self.prior, dtype=float)
         n = t.shape[0]
         if t.ndim != 2 or t.shape != (n, n) or n % 2:
             raise DimMismatch(f"transition must be square with even size, got {t.shape}")

@@ -24,8 +24,11 @@ fock.wigner; cat_transition_probability, one (t, j, l) cell of the loss
 transition sum, against lindblad.transition_curves_to_csv;
 simulate_record, the scalar simulator that measurement.run_campaign is
 checked against, with record_rows, the row view of a Records set;
-prepare_compass, the trajectory-level compass preparation; and
-threshold_complement.
+prepare_compass, the trajectory-level compass preparation;
+threshold_complement; and the figure writers one row at a time
+(wigner_to_csv_reference, transition_curves_to_csv_reference and
+threshold_sweep_reference), against the array-built fock.wigner_to_csv,
+lindblad.transition_curves_to_csv and fits.threshold_sweep.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from catscope.darkmatter import C_KM_S, HaloParams, SearchPoint
 from catscope.errors import (
     CatscopeError,
     ConfigError,
+    DegenerateDesign,
     DimMismatch,
     InvalidIndex,
     LeakageSymbol,
@@ -51,7 +55,8 @@ from catscope.errors import (
     QuadratureFailure,
 )
 from catscope.fock import CatSpec, PhaseGrid, _sector_norm
-from catscope.hmm import HmmModel
+from catscope.fits import SweepPoint
+from catscope.hmm import HmmModel, batch_posteriors, postselect
 from catscope.measurement import (
     SYMBOL_ALPHABET,
     SYMBOL_EXCITED,
@@ -888,3 +893,95 @@ def g_of_t_reference(t: float, point: SearchPoint, halo: HaloParams = HaloParams
             f"accumulated quadrature error {err!r} on g({t!r}) = {total!r}"
         )
     return total
+
+
+# ---------------------------------------------------------------------------
+# figure tables, one row at a time
+
+
+def wigner_to_csv_reference(grid: PhaseGrid, w: np.ndarray) -> str:
+    """fock.wigner_to_csv formatted cell by cell: every (Re z, Im z, W)
+    triple is three reprs of its own."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (grid.n_re, grid.n_im):
+        raise DimMismatch(f"field shape {w.shape} != ({grid.n_re}, {grid.n_im})")
+    res = np.repeat(grid.re_axis(), grid.n_im).tolist()
+    ims = np.tile(grid.im_axis(), grid.n_re).tolist()
+    lines = ["re_z,im_z,w"]
+    lines += [f"{r!r},{i!r},{v!r}" for r, i, v in zip(res, ims, w.ravel().tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def transition_curves_to_csv_reference(
+    m: int, alpha: complex, kappa: float, times: np.ndarray
+) -> str:
+    """lindblad.transition_curves_to_csv one time at a time: each time's
+    factors are their own small exponentials, its block is the 6-d
+    broadcast product weight * f_pq * ov_qr * ov_sp, and each (j, l) cell is
+    checked, clamped by Python's min/max and formatted on its own."""
+    if m < 2:
+        raise InvalidIndex(f"m must be >= 2, got {m}")
+    if kappa < 0.0:
+        raise ValueError(f"kappa must be >= 0, got {kappa!r}")
+    times = np.asarray(times, dtype=float).tolist()
+    for t in times:
+        if t < 0.0:
+            raise ValueError(f"t must be >= 0, got {t!r}")
+    a = abs(complex(alpha))
+    a2 = a * a
+    phi = 2.0 * np.pi * np.arange(m) / m
+    p_ = phi[:, None, None, None]
+    q_ = phi[None, :, None, None]
+    r_ = phi[None, None, :, None]
+    s_ = phi[None, None, None, :]
+    weight = np.array(
+        [
+            [np.exp(-1j * j * (p_ - q_)) * np.exp(-1j * l * (r_ - s_)) for l in range(m)]
+            for j in range(m)
+        ]
+    )
+    norms = [1.0 / _sector_norm(m, idx, a2) for idx in range(m)]
+    lines = ["t,j,l,p"]
+    for t in times:
+        ap = a * np.exp(-kappa * t / 2.0)
+        decay = 1.0 - np.exp(-kappa * t)
+        f_pq = np.exp(-a2 * decay * (1.0 - np.exp(1j * (p_ - q_))))
+        ov_qr = np.exp(-0.5 * (ap * ap + a2) + ap * a * np.exp(1j * (r_ - q_)))
+        ov_sp = np.exp(-0.5 * (a2 + ap * ap) + a * ap * np.exp(1j * (p_ - s_)))
+        block = weight * f_pq * ov_qr * ov_sp
+        totals = np.real(block.reshape(m, m, -1).sum(axis=-1)).tolist()
+        for j in range(m):
+            for l in range(m):
+                prob = norms[j] * norms[l] * totals[j][l]
+                if not -1e-9 <= prob <= 1.0 + 1e-9:
+                    raise NonFinite(f"transition probability {prob!r} outside [0, 1]")
+                lines.append(f"{t!r},{j},{l},{min(max(prob, 0.0), 1.0)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def threshold_sweep_reference(campaign, model, thresholds) -> list[SweepPoint]:
+    """fits.threshold_sweep with one masked mean per class and threshold:
+    eta and delta are the shares of injected and background records with
+    lam strictly above the threshold."""
+    records, _ = postselect(campaign.records)
+    if not records:
+        raise DegenerateDesign("campaign has no analyzable records")
+    if records.injected is None:
+        raise ConfigError("threshold sweep needs truth-labeled records")
+    _, lams = batch_posteriors(model, records)
+    injected = records.injected
+    n_pos = int(np.sum(injected))
+    n_neg = injected.size - n_pos
+    rows = []
+    for th in sorted(float(t) for t in thresholds):
+        pos = lams > th
+        eta = float(np.mean(pos[injected])) if n_pos else math.nan
+        delta = float(np.mean(pos[~injected])) if n_neg else math.nan
+        if math.isnan(eta) or math.isnan(delta):
+            ratio = math.nan
+        elif eta > 0.0:
+            ratio = delta / eta
+        else:
+            ratio = math.nan if delta == 0.0 else math.inf
+        rows.append(SweepPoint(th, eta, delta, ratio))
+    return rows

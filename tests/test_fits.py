@@ -13,6 +13,7 @@ from conftest import records_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import threshold_sweep_reference
 from scipy.special import xlogy
 from scipy.stats import truncnorm
 
@@ -52,7 +53,7 @@ from catscope.fits import (
     threshold_sweep,
 )
 from catscope.fock import CatSpec
-from catscope.hmm import build_model
+from catscope.hmm import HmmModel, batch_posteriors, build_model, postselect
 from catscope.measurement import (
     CampaignResult,
     DeviceParams,
@@ -98,6 +99,13 @@ def test_fit_result_validation():
         FitResult({"a": 1.0, "b": 2.0}, np.array([[1.0, 2.0], [2.0, 1.0]]), -10.0)
     with pytest.raises(ConfigError):
         FitResult({"a": 1.0}, np.array([[np.nan]]), -10.0)
+
+
+def test_fit_results_compare_by_identity():
+    # a field-wise __eq__ would raise on the 2 x 2 covariance
+    a = FitResult({"a": 1.0, "b": 2.0}, np.eye(2), -10.0)
+    b = FitResult({"a": 1.0, "b": 2.0}, np.eye(2), -10.0)
+    assert a == a and not a == b and a != b
 
 
 def test_exclusion_point_validation():
@@ -486,6 +494,58 @@ def test_threshold_sweep_monotone():
     for r in rows:
         if r.eta > 0.0:
             assert_allclose(r.ratio, r.delta / r.eta, rtol=1e-12)
+
+
+def _sweep_reprs(rows):
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def test_threshold_sweep_matches_per_threshold_oracle():
+    campaign, device = _mixed_campaign(n_each=40)
+    model = build_model(device, alpha_sq=4.0, mode="compass")
+    records, _ = postselect(campaign.records)
+    _, lams = batch_posteriors(model, records)
+    # unsorted, repeated, and equal to some lam exactly (the cut is lam > th)
+    exact = sorted(set(lams.tolist()))[::5]
+    thresholds = [84.0, 0.5, *exact, 84.0, exact[0], 1e6, 0.0, -math.inf, math.inf, 2.0]
+    rows = threshold_sweep(campaign, model, thresholds)
+    assert _sweep_reprs(rows) == _sweep_reprs(
+        threshold_sweep_reference(campaign, model, thresholds)
+    )
+    # each class alone: the other's share is NaN
+    for keep in (records.injected, ~records.injected):
+        part = CampaignResult(records[keep])
+        got = threshold_sweep(part, model, thresholds)
+        assert _sweep_reprs(got) == _sweep_reprs(
+            threshold_sweep_reference(part, model, thresholds)
+        )
+        assert all(math.isnan(r.ratio) for r in got)
+
+
+def test_threshold_sweep_counts_infinite_lambdas_like_oracle():
+    # sector 0 always reads G and sector 1 either symbol, so a record with
+    # an E rules sector 0 out and has lam = inf; GGG has lam = 1/8
+    model = HmmModel(
+        np.eye(4),
+        np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]),
+        np.array([0.5, 0.0, 0.5, 0.0]),
+    )
+    records = replace(
+        records_of("GGG", "GEG", "EEE", "GGE", "GGG"),
+        injected=np.array([False, True, True, False, True]),
+    )
+    _, lams = batch_posteriors(model, records)
+    lam_ggg = lams[0].item()
+    assert lams.tolist() == [lam_ggg, math.inf, math.inf, math.inf, lam_ggg]
+    assert lam_ggg == pytest.approx(0.125, rel=1e-15)
+    campaign = CampaignResult(records)
+    thresholds = (math.inf, lam_ggg, 1e300, lam_ggg, 0.0, -math.inf)
+    rows = threshold_sweep(campaign, model, thresholds)
+    assert _sweep_reprs(rows) == _sweep_reprs(
+        threshold_sweep_reference(campaign, model, thresholds)
+    )
+    assert [r.eta for r in rows] == [1.0, 1.0, 2 / 3, 2 / 3, 2 / 3, 0.0]
+    assert [r.delta for r in rows] == [1.0, 1.0, 0.5, 0.5, 0.5, 0.0]
 
 
 def test_threshold_sweep_needs_truth():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +19,7 @@ from oracles import (
     populations,
     required_dim,
     transition_probability,
+    wigner_to_csv_reference,
 )
 from scipy.special import gammaln, pdtrc
 
@@ -378,6 +381,50 @@ def test_wigner_csv_layout():
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
     assert float(second[0]) == 0.0 and float(second[1]) == 1.0
     assert float(lines[6].split(",")[2]) == 5.0
+
+
+@pytest.mark.parametrize("m, j", [(1, 0), (2, 1), (4, 0), (4, 3)])
+def test_wigner_csv_matches_per_cell_oracle(m, j):
+    spec = CatSpec(alpha=1.5 + 0.5j, m=m, j=j)
+    grid = PhaseGrid(-3.5, 3.5, 61, -3.0, 3.0, 41)
+    w = wigner(spec, grid)
+    assert wigner_to_csv(grid, w) == wigner_to_csv_reference(grid, w)
+
+
+def test_wigner_csv_matches_per_cell_oracle_on_hostile_values():
+    # both signed zeros on each axis, and W values with special reprs:
+    # equal floats (0.0 == -0.0) and unequal ones (NaN) must each keep the
+    # repr of their own cell
+    grid = PhaseGrid(0.0, -0.0, 2, 0.0, -0.0, 5)
+    assert np.signbit(grid.re_axis()).tolist() == [False, True]
+    assert np.signbit(grid.im_axis()).tolist() == [False] * 4 + [True]
+    w = np.array(
+        [
+            [np.nan, np.inf, -np.inf, -0.0, 0.0],
+            [5e-324, -2.5e-310, np.nextafter(0.0, 1.0) * 3, np.nan, -0.0],
+        ]
+    )
+    text = wigner_to_csv(grid, w)
+    assert text == wigner_to_csv_reference(grid, w)
+    assert "\n0.0,-0.0,0.0\n-0.0,0.0,5e-324\n" in text
+    assert text.endswith("\n-0.0,-0.0,-0.0\n")
+    with pytest.raises(DimMismatch):
+        wigner_to_csv(grid, w.T)
+
+
+def test_wigner_csv_scratch_stays_bounded():
+    # the figure's 61 x 61 table, about 200 KB of text; its 3,722 line
+    # strings are most of the rest of the peak
+    grid = PhaseGrid(-4.0, 4.0, 61, -4.0, 4.0, 61)
+    w = wigner(CatSpec(2.0), grid)
+    tracemalloc.start()
+    try:
+        text = wigner_to_csv(grid, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + 61 * 61
+    assert peak <= 1.5 * 2**20, peak / 2**10
 
 
 def test_dim_property_random_states():

@@ -50,6 +50,29 @@ def test_model_validation():
         hmm.HmmModel(2 * t, e, p)
 
 
+def test_model_copies_callers_arrays():
+    # the model's arrays are read-only copies: the caller's stay writable,
+    # and writing to them leaves the model as it was built
+    base = hmm.build_model(ms.DeviceParams(), alpha_sq=4.0)
+    t, e, p = np.array(base.transition), np.array(base.emission), np.array(base.prior)
+    model = hmm.HmmModel(t, e, p)
+    for callers, models in ((t, model.transition), (e, model.emission), (p, model.prior)):
+        assert callers.flags.writeable and not models.flags.writeable
+        before = models.copy()
+        callers[0] = 0.5
+        assert np.array_equal(models, before)
+    with pytest.raises(ValueError, match="read-only"):
+        model.transition[0, 0] = 0.5
+
+
+def test_models_compare_by_identity():
+    # a field-wise __eq__ would raise on the array fields
+    a = hmm.build_model(ms.DeviceParams())
+    b = hmm.build_model(ms.DeviceParams())
+    assert a == a and not a == b and a != b
+    assert a in [b, a] and len({a, b}) == 2
+
+
 def test_single_symbol_posterior_tracks_prior():
     # fully scrambled readout carries no information
     device = ms.DeviceParams(readout_Fge=0.5, readout_Fge_inv=0.5)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from oracles import (
     EvolutionResult,
     LossChannel,
@@ -11,8 +14,10 @@ from oracles import (
     lindblad_evolve,
     required_dim,
     to_density,
+    transition_curves_to_csv_reference,
 )
 
+from catscope import lindblad
 from catscope.errors import InvalidIndex, NonFinite
 from catscope.fock import CatSpec
 from catscope.lindblad import transition_curves_to_csv
@@ -207,3 +212,67 @@ def test_transition_curves_refuse_rounded_out_probabilities():
     times = np.linspace(0.0, 0.25 / kappa, 51)
     with pytest.raises(NonFinite, match=r"outside \[0, 1\]"):
         transition_curves_to_csv(4, np.sqrt(0.02), kappa, times)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("a2, kappa", [(4.0, 0.0), (4.0, 1.0 / 3.0e-4), (0.3, 2.0), (20.0, 1.0)])
+def test_transition_curves_match_per_time_oracle(m, a2, kappa):
+    # t = 0 twice, a repeated time and times out of order, each row its own
+    scale = 1.0 / kappa if kappa else 1.0
+    times = scale * np.array([0.0, 0.25, 0.0, 1e-6, 0.25, 0.05, 3.0])
+    got = transition_curves_to_csv(m, np.sqrt(a2), kappa, times)
+    assert got == transition_curves_to_csv_reference(m, np.sqrt(a2), kappa, times)
+    assert got.count("\n") == 1 + times.size * m * m
+
+
+def test_transition_curves_clamp_like_per_time_oracle():
+    # at m = 3 and |alpha|^2 = 0.005 the sums round some probabilities to
+    # about -2e-12, inside the 1e-9 tolerance, and both writers clamp them
+    # to 0.0
+    args = (3, np.sqrt(0.005), 1.0, np.array([0.0, 0.3, 0.3]))
+    got = transition_curves_to_csv(*args)
+    assert got == transition_curves_to_csv_reference(*args)
+    ps = [float(row.split(",")[3]) for row in got.splitlines()[1:]]
+    assert min(ps) == 0.0
+
+
+def test_transition_curves_keep_negative_zero_like_per_time_oracle(monkeypatch):
+    # normalizations of 1e300 underflow N_j N_l to 0.0, so a sum that rounds
+    # below 0 gives p = -0.0; Python's min/max clamp keeps its sign, and so
+    # must the array clamp (np.maximum(-0.0, 0.0) would not)
+    def huge(m, j, a2):
+        return 1e300
+
+    monkeypatch.setattr(lindblad, "_sector_norm", huge)
+    monkeypatch.setattr(oracles, "_sector_norm", huge)
+    args = (3, np.sqrt(0.005), 1.0, np.array([0.0, 0.3]))
+    got = transition_curves_to_csv(*args)
+    assert got == transition_curves_to_csv_reference(*args)
+    assert ",-0.0\n" in got and ",0.0\n" in got
+
+
+@pytest.mark.parametrize("m, a2", [(3, 0.001), (4, 0.001), (4, 0.02)])
+def test_transition_curves_refuse_like_per_time_oracle(m, a2):
+    # past the tolerance (about -1.1e-8 at m = 3 and |alpha|^2 = 0.001, both
+    # ways at m = 4) both writers name the first such cell in row order
+    args = (m, np.sqrt(a2), 1.0, np.array([0.0, 0.3]))
+    with pytest.raises(NonFinite) as ref:
+        transition_curves_to_csv_reference(*args)
+    with pytest.raises(NonFinite, match=r"outside \[0, 1\]") as got:
+        transition_curves_to_csv(*args)
+    assert str(got.value) == str(ref.value)
+
+
+def test_transition_curves_scratch_stays_bounded():
+    # one time's (m^2, m^4) block at a time: the figure's 51 times at m = 4
+    # hold about 64 KB of block and 35 KB of text
+    kappa = 1.0 / 3.0e-4
+    times = np.linspace(0.0, 0.25 / kappa, 51)
+    tracemalloc.start()
+    try:
+        text = transition_curves_to_csv(4, 2.0, kappa, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + 51 * 16
+    assert peak <= 2**20, peak / 2**10
