@@ -41,6 +41,19 @@ def _small_cfg(seed=11, trials=200):
     return cfg
 
 
+def _supplied_calibration(cfg, tmp_path, report=None):
+    """cfg reading a calibration.json written to tmp_path, by default
+    _SMALL_SEARCH_CALIBRATION: a test that needs a clean search or tune-scan
+    run takes one, since a self-calibration's efficiencies at 40-60 trials
+    rest on the seed (a non-positive one at 63 of 200 seeds at 40 trials)."""
+    if report is None:
+        report = _SMALL_SEARCH_CALIBRATION
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(report))
+    cfg["calibration"]["path"] = str(cal)
+    return cfg
+
+
 def _run_id(cfg, command):
     return pipeline.run_id(pipeline.canonical_config_text(cfg), command)
 
@@ -153,7 +166,7 @@ def test_validate_rejects_bad_values():
 def test_only_search_warns_past_coherence_time(tmp_path):
     # the warning is about search times, so only the search command gives
     # it; validate_config once gave it for every command
-    cfg = _small_cfg(seed=1, trials=40)
+    cfg = _supplied_calibration(_small_cfg(seed=1, trials=40), tmp_path)
     tau_dm = coherence_time(SearchPoint(**cfg["point"]), HaloParams(**cfg["halo"]))
     cfg["search"]["tau_grid"] = [tau_dm / 2.0, 2.0 * tau_dm]
     with warnings.catch_warnings(record=True) as caught:
@@ -167,7 +180,7 @@ def test_only_search_warns_past_coherence_time(tmp_path):
 
 def test_search_past_coherence_time_warns_once(tmp_path):
     # run_search flags the schedule; the fit once warned a second time
-    cfg = _small_cfg(seed=1, trials=40)
+    cfg = _supplied_calibration(_small_cfg(seed=1, trials=40), tmp_path)
     cfg["search"]["tau_grid"] = [2.0e-5, 1.0e-3, 3.0e-3]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -284,7 +297,9 @@ def test_derive_seed_is_stage_and_index_dependent():
 
 
 def test_calibrate_artifacts_and_enhancement(tmp_path):
-    cfg = _small_cfg(trials=800)
+    # at 8000 trials every assertion below held at 200 of 200 seeds (1-200);
+    # at 800 the enhancement fell outside [6, 12] at 70 of them
+    cfg = _small_cfg(trials=8000)
     final, summary = pipeline.run_command("calibrate", cfg, out_root=tmp_path)
     assert final == tmp_path / "results" / _run_id(cfg, "calibrate")
     assert (final / "manifest.json").exists()
@@ -314,13 +329,13 @@ def test_calibrate_artifacts_and_enhancement(tmp_path):
 
 
 def test_search_clips_a_calibrated_eta_to_one(tmp_path):
-    # at 40 trials both probes self-calibrate above the physical bound 1;
-    # search scales the signal rate by the clipped value, as tune-scan does
-    cfg = _small_cfg(seed=1, trials=40)
+    # a slope fit to few trials can calibrate above the physical bound 1;
+    # search scales the signal rate by the clipped value, as tune-scan does,
+    # and keeps an efficiency below 1 as it is
+    etas = {"vacuum": 0.68, "a12": 2.0}
+    report = {"probes": [{"label": k, "eta": v} for k, v in etas.items()]}
+    cfg = _supplied_calibration(_small_cfg(seed=1, trials=40), tmp_path, report)
     final, _ = pipeline.run_command("search", cfg, out_root=tmp_path)
-    cal = json.loads((final / "calibration.json").read_text())
-    etas = {p["label"]: p["eta"] for p in cal["probes"]}
-    assert min(etas.values()) > 1.0
     rows = _read_csv(final / "rates.csv")
     assert {r["probe"] for r in rows} == set(etas)
     for r in rows:
@@ -1058,7 +1073,7 @@ def test_config_text_is_dumped_once_per_command(monkeypatch, tmp_path):
         return dump(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "canonical_config_text", counted)
-    cfg = _small_cfg(seed=1, trials=40)  # calibrates positive efficiencies
+    cfg = _supplied_calibration(_small_cfg(seed=1, trials=40), tmp_path)
     final, _ = pipeline.run_command("search", cfg, out_root=tmp_path)
     assert len(calls) == 1
     assert final.name == _run_id(cfg, "search")
@@ -1066,6 +1081,9 @@ def test_config_text_is_dumped_once_per_command(monkeypatch, tmp_path):
 
 def test_figures_artifact_flow(tmp_path):
     cfg = _small_cfg(trials=60)
+    # the enhancement table needs both efficiencies > 0: at 800 trials they
+    # were at 200 of 200 seeds (1-200)
+    cfg["calibration"]["trials"] = 800
     with pytest.raises(MissingArtifact, match="calibration.csv"):
         pipeline.run_command(
             "figures", cfg, out_root=tmp_path, which=["calibration-curve"]
@@ -1137,18 +1155,25 @@ def test_cli_search_and_timing(tmp_path, capsys):
 def test_records_line_sums_the_campaign_tables(tmp_path, capsys):
     # the summary and the timing sidecar end with the records simulated,
     # dropped for leakage and classified positive, over every campaign
-    # table the command wrote (search and tune-scan self-calibrate)
+    # table the command wrote (search and tune-scan self-calibrate, at 800
+    # trials, where both efficiencies were > 0 at 200 of 200 seeds)
+    trials = {"calibration.csv": 800, "rates.csv": 60, "bins.csv": 60}
+    overlay = tmp_path / "trials.yaml"
+    overlay.write_text(
+        "calibration: {trials: 800}\nsearch: {trials: 60}\nscan: {trials: 60}\n"
+    )
     tables = {
         "calibrate": ["calibration.csv"],
         "search": ["calibration.csv", "rates.csv"],
         "tune-scan": ["calibration.csv", "bins.csv"],
     }
     for command, names in tables.items():
-        argv = [command, "--trials", "60", "--seed", "4", "--out", str(tmp_path)]
+        argv = [command, "--seed", "4", "--config", str(overlay), "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         out = capsys.readouterr().out.splitlines()
         final = Path(out[0].removeprefix("wrote "))
-        rows = [r for name in names for r in _read_csv(final / name)]
+        read = {name: _read_csv(final / name) for name in names}
+        rows = [r for name in names for r in read[name]]
         dropped = sum(int(r["n_dropped"]) for r in rows)
         simulated = sum(int(r["n_kept"]) for r in rows) + dropped
         positive = sum(int(r["k_pos"]) for r in rows)
@@ -1156,7 +1181,8 @@ def test_records_line_sums_the_campaign_tables(tmp_path, capsys):
             f"records: {simulated} simulated, {dropped} dropped for leakage, "
             f"{positive} classified positive"
         )
-        assert simulated == 60 * len(rows) and dropped > 0 and positive > 0
+        assert simulated == sum(trials[name] * len(read[name]) for name in names)
+        assert dropped > 0 and positive > 0
         assert out[-1] == f"  {line}", command
         timing = (tmp_path / "logs" / f"{final.name}-timing.txt").read_text()
         assert timing.splitlines()[-1] == line, command
@@ -1164,15 +1190,18 @@ def test_records_line_sums_the_campaign_tables(tmp_path, capsys):
 
 def test_timing_sidecar_holds_the_printed_summary(tmp_path, capsys):
     # the sidecar is the wall-clock line followed by the printed summary,
-    # whose fit lines report the iterations the artifacts record
+    # whose fit lines report the iterations the artifacts record; search
+    # reads a supplied calibration
     fits = {
         "calibrate": lambda d: json.loads((d / "calibration.json").read_text())["probes"][0],
         "search": lambda d: json.loads((d / "fit.json").read_text()),
         "figures": None,
     }
+    overlay = tmp_path / "cfg.yaml"
+    overlay.write_text(yaml.safe_dump(_supplied_calibration({"calibration": {}}, tmp_path)))
     for command, fit in fits.items():
-        argv = [command, "--trials", "60", "--seed", "4", "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
+        argv = [command, "--trials", "60", "--seed", "4", "--config", str(overlay)]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
         wrote, *summary = capsys.readouterr().out.splitlines()
         final = Path(wrote.removeprefix("wrote "))
         timing = (tmp_path / "logs" / f"{final.name}-timing.txt").read_text()
@@ -1666,7 +1695,10 @@ def test_every_config_leaf_is_read_by_a_command(monkeypatch):
     # command passes them all to the constructor; the point's omega_c is
     # read, so a search by name cannot tell a device omega_c from it
     reads, fields = set(), set()
-    base = _small_cfg(seed=1, trials=40)  # calibrates positive efficiencies
+    base = _small_cfg(seed=1, trials=40)
+    # search and tune-scan self-calibrate: at 800 trials both efficiencies
+    # were > 0 at 200 of 200 seeds (1-200)
+    base["calibration"]["trials"] = 800
     for section, name in (
         ("device", "DeviceParams"),
         ("halo", "HaloParams"),

@@ -6,11 +6,15 @@ scaled entry by entry), the two integer leaves that admit any size at
 records.probe around the cat closed forms' limits: each config runs every
 command.  A value a command cannot use exits 2 naming a config leaf;
 nothing ends in a traceback or a raw RuntimeWarning (an error under
-pyproject.toml), and no written artifact holds a NaN or an inf.
+pyproject.toml), and no written artifact holds a NaN or an inf.  Every run
+but the threshold runs reads a supplied calibration, so that no exit 0
+rests on what a 40-trial self-calibration gives at the default seed.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import re
 import warnings
 from pathlib import Path
@@ -30,6 +34,9 @@ THRESHOLD_RUNS = {
     for value in EXTREMES
     for command in ("search", "tune-scan")
 } | {("thresholds.vacuum", value, "search") for value in EXTREMES}
+
+# the supplied calibration's efficiency for every probe label the sweep uses
+SUPPLIED_ETAS = {"vacuum": 0.68, "a12": 0.69} | {f"a{a2:g}": 0.69 for a2 in AMPLITUDES}
 
 # readout-roc.csv's delta_over_eta is NaN by design where eta = 0
 NAN_BY_DESIGN = ("readout-roc.csv", "delta_over_eta")
@@ -94,17 +101,25 @@ def _non_finite_files(run_dir: Path) -> list:
 def test_hostile_sweep_exits_cleanly(tmp_path, capsys):
     failures = []
     exits = {0: 0, 1: 0, 2: 0}
+    cal = tmp_path / "calibration.json"
+    probes = [{"label": k, "eta": v} for k, v in SUPPLIED_ETAS.items()]
+    cal.write_text(json.dumps({"probes": probes}))
     for i, (leaf, value, overlay) in enumerate(_sweep_inputs()):
-        cfg_file = tmp_path / f"in{i}.yaml"
-        cfg_file.write_text(yaml.safe_dump(overlay))
+        supplied = copy.deepcopy(overlay)
+        supplied.setdefault("calibration", {})["path"] = str(cal)
+        files = [tmp_path / f"in{i}.yaml", tmp_path / f"in{i}-supplied.yaml"]
+        for cfg_file, tree in zip(files, (overlay, supplied)):
+            cfg_file.write_text(yaml.safe_dump(tree))
         for command in pipeline.COMMANDS:
+            case = (leaf, value, command)
+            # a threshold run's exit 1 is its self-calibration's eta = 0
+            cfg_file = files[case not in THRESHOLD_RUNS]
             argv = [command, "--trials", "40", "--config", str(cfg_file)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 rc = cli.main([*argv, "--out", str(tmp_path / "out")])
             out, err = capsys.readouterr()
             exits[rc] += 1
-            case = (leaf, value, command)
             if rc == 0:
                 run_dir = Path(out.splitlines()[0].removeprefix("wrote "))
                 bad = _non_finite_files(run_dir)
