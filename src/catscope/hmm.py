@@ -129,8 +129,8 @@ def batch_posteriors(model: HmmModel, records: Records) -> tuple[np.ndarray, np.
     weights = un / norm[:, None]
     sectors = weights.reshape(n_records, model.n_sectors, 2).sum(axis=2)
     sectors = sectors / sectors.sum(axis=1, keepdims=True)
-    p1 = sectors[:, 1]
-    den = sectors.sum(axis=1) - p1
+    # the other sectors summed directly: sum(p) - p1 cancels when p1 is near 1
+    p1, den = sectors[:, 1], sectors[:, 0] + sectors[:, 2:].sum(axis=1)
     lam = np.where(den > 0.0, p1 / np.where(den > 0.0, den, 1.0), np.inf)
     return sectors, lam
 

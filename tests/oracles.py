@@ -774,7 +774,7 @@ class Posterior:
 
 def _lambda_of(p) -> float:
     num = p[1]
-    den = sum(p) - p[1]
+    den = p[0] + sum(p[2:])
     if den <= 0.0:
         return math.inf
     return num / den
