@@ -54,7 +54,7 @@ from catscope.errors import (
     NonFinite,
     QuadratureFailure,
 )
-from catscope.fock import CatSpec, PhaseGrid, _sector_norm
+from catscope.fock import _MIN_CAT_NORM, CatSpec, PhaseGrid, _sector_norm
 from catscope.fits import SweepPoint
 from catscope.hmm import HmmModel, batch_posteriors, postselect
 from catscope.measurement import (
@@ -940,7 +940,15 @@ def transition_curves_to_csv_reference(
             for j in range(m)
         ]
     )
-    norms = [1.0 / _sector_norm(m, idx, a2) for idx in range(m)]
+    norms = []
+    for idx in range(m):
+        norm = _sector_norm(m, idx, a2)
+        if not norm > _MIN_CAT_NORM:
+            raise NonFinite(
+                f"sector j={idx} of the {m}-component cat at |alpha|^2 = {a2!r} has "
+                f"normalization {norm!r}, too small for the closed form"
+            )
+        norms.append(1.0 / norm)
     lines = ["t,j,l,p"]
     for t in times:
         ap = a * np.exp(-kappa * t / 2.0)

@@ -251,15 +251,40 @@ def test_transition_curves_keep_negative_zero_like_per_time_oracle(monkeypatch):
     assert ",-0.0\n" in got and ",0.0\n" in got
 
 
-@pytest.mark.parametrize("m, a2", [(3, 0.001), (4, 0.001), (4, 0.02)])
-def test_transition_curves_refuse_like_per_time_oracle(m, a2):
-    # past the tolerance (about -1.1e-8 at m = 3 and |alpha|^2 = 0.001, both
-    # ways at m = 4) both writers name the first such cell in row order
+@pytest.mark.parametrize(
+    "m, a2, refusal",
+    [
+        (3, 0.001, r"outside \[0, 1\]"),
+        (4, 0.001, r"sector j=3 .* normalization 2\.66"),
+        (4, 0.02, r"outside \[0, 1\]"),
+    ],
+    ids=["3-0.001", "4-0.001", "4-0.02"],
+)
+def test_transition_curves_refuse_like_per_time_oracle(m, a2, refusal):
+    # past the tolerance (about -1.1e-8 at m = 3 and |alpha|^2 = 0.001, and
+    # at m = 4 and 0.02) both writers name the first such cell in row order;
+    # at m = 4 and 0.001 sector 3's normalization, 2.7e-9, is refused first
     args = (m, np.sqrt(a2), 1.0, np.array([0.0, 0.3]))
     with pytest.raises(NonFinite) as ref:
         transition_curves_to_csv_reference(*args)
-    with pytest.raises(NonFinite, match=r"outside \[0, 1\]") as got:
+    with pytest.raises(NonFinite, match=refusal) as got:
         transition_curves_to_csv(*args)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("m, alpha, sector", [(4, 1e-5, 1), (2, 3e-4, 1), (3, 0.0, 1)])
+def test_transition_curves_refuse_a_vanishing_sector_normalization(m, alpha, sector):
+    # a normalization at or below fock._MIN_CAT_NORM, which rounding
+    # dominates, is a catscope error naming the first such sector.  At
+    # alpha = 1e-5 and 0 one rounds to 0, where 1/N once raised a bare
+    # ZeroDivisionError; at m = 2 and alpha = 3e-4 (N = 3.6e-7) rounding
+    # took a probability to 1.00057 instead
+    args = (m, alpha, 1.0, np.array([0.0, 1.0]))
+    pattern = rf"sector j={sector} of the {m}-component cat .* normalization"
+    with pytest.raises(NonFinite, match=pattern) as got:
+        transition_curves_to_csv(*args)
+    with pytest.raises(NonFinite) as ref:
+        transition_curves_to_csv_reference(*args)
     assert str(got.value) == str(ref.value)
 
 
