@@ -22,16 +22,15 @@ from the transition matrix augmented with a per-step demolition channel
 (the sector is scrambled uniformly with probability p_d), and returns them
 as one columnar Records set.  One call may also run several campaigns of
 one probe, each with its own seed and signal, one after another in the
-records: at few trials a call is mostly fixed cost.  Its uniforms come
-draw-major, one row per draw and a column per trial, from numpy's
-SeedSequence and PCG64 recipes run on arrays (_trial_uniforms): PCG64 group
-heads are jumped to and the draws between them stepped from a head by one
-product with a constant, so every step of the chain reads its draws as
-contiguous rows.  A record depends on its campaign's seed and its trial id
-alone, not on the columns beside it.  Records is the one record format:
-inference, post-selection and records_to_jsonl take nothing else.  The
-scalar per-record simulator run_campaign is checked against, and the
-compass-state preparation, are test oracles (tests/oracles.py).
+records: at few trials a call is mostly fixed cost.  Each campaign draws
+its uniforms from one stream, Generator(PCG64(SeedSequence([seed]))), in
+trial-major order: trial k reads stream positions k (1 + 4 repeats)
+onward (_trial_uniforms).  A record depends on its campaign's seed, its
+trial id and repeats, not on the trials or campaigns beside it.  Records
+is the one record format: inference, post-selection and records_to_jsonl
+take nothing else.  The scalar per-record simulator run_campaign is
+checked against, and the compass-state preparation, are test oracles
+(tests/oracles.py).
 
 build_transition_matrix returns the pure, un-augmented matrix, which is
 what the inference side assumes; the mismatch is deliberate and mirrors
@@ -344,156 +343,36 @@ class CampaignResult(NamedTuple):
     records: Records
 
 
-# numpy's SeedSequence hash constants and the PCG64 multiplier (O'Neill,
-# PCG, HMC-CS-2014-0905), which _trial_uniforms runs on arrays
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_BLOCK = 128  # group heads jumped to at once, and the fewest columns per tile
-_TILE = 1 << 14  # uint64 words per scratch array: bounds the scratch memory
-
-
-def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of uint32 words; h is the running hash constant."""
-    value = value ^ h
-    h = h * mult & _M32
-    value = value * h
-    return value ^ value >> 16, h
-
-
-def _seed_states(seeds: Sequence[int], n: int) -> list[np.ndarray]:
-    """SeedSequence([seed, k]).generate_state(4, np.uint64) for k < n under
-    each seed in turn, as four uint64 columns of len(seeds) n entries.  A
-    seed fills one pool word, or two from 2**32 on, k the next one, and the
-    words left over hash as 0."""
-    pool = [np.zeros(len(seeds) * n, np.uint32) for _ in range(4)]
-    k = np.arange(n, dtype=np.uint32)
-    for c, seed in enumerate(seeds):
-        words = [seed & _M32, seed >> 32][: 1 + (seed > _M32)] + [k]
-        for column, word in zip(pool, words):
-            column[c * n : (c + 1) * n] = word
-    h = _INIT_A
-    for i in range(4):
-        pool[i], h = _hashmix(pool[i], h, _MULT_A)
-    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
-        mixed, h = _hashmix(pool[src], h, _MULT_A)
-        r = pool[dst] * _MIX_MULT_L - mixed * _MIX_MULT_R
-        pool[dst] = r ^ r >> 16
-    h, words = _INIT_B, []
-    for i in range(8):
-        word, h = _hashmix(pool[i % 4], h, _MULT_B)
-        words.append(word.astype(np.uint64))
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _mulhi(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """High words of the 128-bit products of uint64 words, by 32-bit limbs."""
-    k_hi, k_lo, x_hi, x_lo = k >> 32, k & _M32, x >> 32, x & _M32
-    lo_hi, hi_lo = k_lo * x_hi, k_hi * x_lo
-    mid = (k_lo * x_lo >> 32) + (lo_hi & _M32) + (hi_lo & _M32)
-    return k_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
-
-
-def _words(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) uint64 columns, shape (len, 1), of 128-bit constants."""
-    hi, lo = ([v >> shift & _M64 for v in values] for shift in (64, 0))
-    return np.array(hi, np.uint64)[:, None], np.array(lo, np.uint64)[:, None]
-
-
-def _mul128(c_hi, c_lo, hi, lo) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) words of c (hi, lo) mod 2^128, c given by its words."""
-    return _mulhi(c_lo, lo) + c_lo * hi + c_hi * lo, c_lo * lo
-
-
-def _add128(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) words of a + b mod 2^128, for (hi, lo) word pairs."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
-
-
-def _draw_stride(n_cols: int, n_draws: int) -> int:
-    """K, the draws per group of _trial_uniforms: one more for every 50
-    columns of the call, up to ceil(sqrt(n_draws)), which balances the group
-    heads against the draws stepped from them.  K = 1 (below 100 columns)
-    jumps to every draw; at few columns each further group step costs more
-    in array calls than its products save."""
-    return max(1, min(n_cols // 50, math.isqrt(n_draws - 1) + 1))
-
-
 def _trial_uniforms(seeds: Sequence[int], n_trials: int, repeats: int) -> np.ndarray:
-    """(1 + 4 repeats, len(seeds) n_trials) uniforms, draw-major: column
-    c n_trials + k is what Generator(PCG64(SeedSequence([seeds[c], k])))
-    .random(1 + 4 repeats) gives, the initial-sector draw and then the
-    (repeats, 4) step draws.
-
-    With s, q the 128-bit halves of the seed state, inc = 2 q + 1 and the
-    setseq init x0 = M s + (M + 1) inc, draw j is the XSL-RR output of x0
-    stepped j + 1 times, M^(j+2) s + (1 + M + ... + M^(j+2)) inc, held as
-    (hi, lo) uint64 pairs.  The draws fall in groups of K = _draw_stride:
-    each group head j = gK is jumped to by that formula, two outer products,
-    and draw gK + r is the head stepped r times, M^r y + (1 + ... + M^(r-1))
-    inc, one product of a per-column state by a scalar (Brown, Trans. Am.
-    Nucl. Soc. 71, 202, 1994), whose inc term is shared by every group.
-    At most _BLOCK heads and _TILE words of scratch are held at once."""
-    n_draws, n_cols = 1 + 4 * repeats, len(seeds) * n_trials
-    stride = _draw_stride(n_cols, n_draws)
-    n_groups = -(-n_draws // stride)
-    s_hi, s_lo, q_hi, q_lo = _seed_states(seeds, n_trials)
-    i_hi, i_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-    u = np.empty((n_draws, n_cols))
-    steps = [(1, 0)]  # (M^r, 1 + M + ... + M^(r-1)) for r <= K
-    for _ in range(stride):
-        power, total = steps[-1]
-        steps.append((power * _PCG_MULT & _M128, total + power & _M128))
-    leap = steps.pop()
-    step_powers = [(np.uint64(p >> 64), np.uint64(p & _M64)) for p, _ in steps]
-    step_sums = _words([t for _, t in steps])
-    head = (_PCG_MULT**2 & _M128, 1 + _PCG_MULT + _PCG_MULT**2 & _M128)
-    for g0 in range(0, n_groups, _BLOCK):
-        jumps = []  # (M^(j+2), 1 + M + ... + M^(j+2)) at the chunk's heads j
-        for _ in range(min(_BLOCK, n_groups - g0)):
-            jumps.append(head)
-            head = (leap[0] * head[0] & _M128, leap[0] * head[1] + leap[1] & _M128)
-        powers, sums = (_words([v[i] for v in jumps]) for i in (0, 1))
-        width = max(_BLOCK, _TILE // len(jumps))
-        for start in range(0, n_cols, width):
-            cols = slice(start, start + width)
-            inc = i_hi[cols], i_lo[cols]
-            y_hi, y_lo = _add128(
-                _mul128(*powers, s_hi[cols], s_lo[cols]), _mul128(*sums, *inc)
-            )
-            shared = _mul128(*step_sums, *inc)  # row r: (1 + ... + M^(r-1)) inc
-            for r, power in enumerate(step_powers):
-                rows = u[g0 * stride + r : (g0 + len(jumps)) * stride : stride, cols]
-                hi, lo = y_hi[: len(rows)], y_lo[: len(rows)]
-                if r:
-                    hi, lo = _add128(_mul128(*power, hi, lo), [w[r] for w in shared])
-                # XSL-RR; a shift by 64 gives 0 in numpy, so rot = 0 is a no-op
-                out, rot = hi ^ lo, hi >> 58
-                out = out >> rot | out << (64 - rot)
-                # out >> 11 < 2^53 converts from int64 faster than from uint64
-                np.multiply((out >> 11).view(np.int64), 2.0**-53, out=rows)
+    """(len(seeds) n_trials, 1 + 4 repeats) uniforms, trial-major: the rows
+    of campaign c are Generator(PCG64(SeedSequence([seeds[c]])))
+    .random((n_trials, 1 + 4 repeats)), filled in place.  Row k is trial k's
+    initial-sector draw and then its (repeats, 4) step draws."""
+    u = np.empty((len(seeds) * n_trials, 1 + 4 * repeats))
+    for c, seed in enumerate(seeds):
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+        stream.random(out=u[c * n_trials : (c + 1) * n_trials])
     return u
 
 
 def run_campaign(
     n_trials: int, cfg: TrialConfig | Sequence[TrialConfig], device: DeviceParams
 ) -> CampaignResult:
-    """Simulate n_trials <= 2**32 independent records from one template, or
-    from each template of a batch in turn: the campaigns of one probe (one
-    init and repeats) with their own seeds and signals.  The records hold
-    the campaigns one after another, trial ids restarting at 0 in each.
+    """Simulate n_trials independent records from one template, or from
+    each template of a batch in turn: the campaigns of one probe (one init
+    and repeats) with their own seeds and signals.  The records hold the
+    campaigns one after another, trial ids restarting at 0 in each.
 
-    Trial k of a template draws from PCG64(SeedSequence([rng_seed, k]))
-    exactly what the scalar per-record simulator in tests/oracles.py draws
-    for trial k (see _trial_uniforms), and the hidden chain of every trial
-    advances together, one vectorized step per readout slot, with the same
-    comparisons in the same order; so each row equals that record, whichever
-    campaigns share the call.
+    A template's trials read one stream, PCG64(SeedSequence([rng_seed])),
+    in trial-major order (see _trial_uniforms): trial k the 1 + 4 repeats
+    draws from position k (1 + 4 repeats) on, which is what the scalar
+    per-record simulator in tests/oracles.py draws for trial k.  The hidden
+    chain of every trial advances together, one vectorized step per readout
+    slot, with the same comparisons in the same order; so each row equals
+    that record, whichever campaigns share the call.
     """
-    if not 1 <= n_trials <= 2**32:
-        raise ConfigError(f"n_trials must lie in [1, 2**32], got {n_trials!r}")
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials!r}")
     cfgs = (cfg,) if isinstance(cfg, TrialConfig) else tuple(cfg)
     if not cfgs:
         raise ConfigError("run_campaign needs at least one TrialConfig")
@@ -512,7 +391,8 @@ def run_campaign(
     to_g = np.array([_qubit_kernel(k, factors)[:, 0] for k in _sector_kinds(mode)])
     p_read_g = np.array([1.0 - device.readout_Fge_inv, device.readout_Fge])
 
-    u = _trial_uniforms([c.rng_seed for c in cfgs], n_trials, repeats)
+    # draw-major: a view of the trial-major block, a column per trial
+    u = _trial_uniforms([c.rng_seed for c in cfgs], n_trials, repeats).T
     # slot-major (repeats, n) views of the sector, qubit, leak and symbol draws
     u_sec, u_qubit, u_leak, u_symbol = u[1:].reshape(repeats, 4, -1).swapaxes(0, 1)
     sectors = np.zeros((repeats, u.shape[1]), dtype=np.uint8)

@@ -292,15 +292,17 @@ def _check_mimic(
         )
 
 
-# A campaign of n trials draws its (1 + 4 repeats) x n uniforms up front
-# (measurement._trial_uniforms), 8 bytes each, with scratch bounded per trial
-# tile beside them; this many, 1 GiB, is the most one campaign should
-# allocate, about 1,000 times the default calibration campaign's 81 x 1500.
+# A campaign of n trials draws its n x (1 + 4 repeats) uniforms up front
+# (measurement._trial_uniforms), 8 bytes each, filled in place with no
+# scratch beside them; this many, 1 GiB, is the most one campaign should
+# allocate, about 1,000 times the default calibration campaign's 1500 x 81.
 MAX_CAMPAIGN_DRAWS = 2**27
 # A probe's consecutive campaigns share one run_campaign call while its
 # uniforms stay within this many, or one campaign's if that is more: at few
-# trials a call is mostly fixed cost.  The default calibration (81 x 1500)
-# and search (81 x 1200) campaigns still run one to a call.
+# trials a call is mostly fixed cost.  Ten 100-trial searches (six campaigns
+# a probe) took 0.065 s batched against 0.108 s one campaign to a call (in
+# process, best of 7, 2-CPU host, numpy 2.4.6).  The default calibration
+# (1500 x 81) and search (1200 x 81) campaigns still run one to a call.
 CALL_DRAWS = 2**17
 ROC_TRIALS = 800  # trials of the readout-roc figure's campaign
 ROC_BETA = 0.15  # mimic displacement of the readout-roc figure's campaign

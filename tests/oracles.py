@@ -456,19 +456,25 @@ def _pick(cum: np.ndarray, u: float) -> int:
     return min(idx, cum.size - 1)
 
 
+def trial_stream(cfg: TrialConfig, trial_id: int) -> np.random.Generator:
+    """The campaign's one stream, PCG64(SeedSequence([cfg.rng_seed])),
+    advanced past the 1 + 4 repeats draws of each earlier trial."""
+    bits = np.random.PCG64(np.random.SeedSequence([cfg.rng_seed]))
+    return np.random.Generator(bits.advance(trial_id * (1 + 4 * cfg.repeats)))
+
+
 def simulate_record(
     cfg: TrialConfig, device: DeviceParams, trial_id: int = 0
 ) -> ReadoutRecord:
     """Draw one record: hidden (sector, qubit) path plus readout symbols.
 
     The scalar reference that run_campaign is tested against, trial for
-    trial.  The per-trial stream is seeded as
-    SeedSequence([cfg.rng_seed, trial_id]).  The sector chain uses the
-    demolition-augmented kernel (uniform scramble with probability p_d per
-    step); the first symbol is emitted from the post-preparation state
-    (qubit g) before any transition.
+    trial.  Its draws come from trial_stream, one scalar at a time.  The
+    sector chain uses the demolition-augmented kernel (uniform scramble
+    with probability p_d per step); the first symbol is emitted from the
+    post-preparation state (qubit g) before any transition.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, trial_id]))
+    rng = trial_stream(cfg, trial_id)
     mode = cfg.mode
     alpha_sq = abs(cfg.init.alpha) ** 2 if cfg.init is not None else 1.0
 
@@ -489,21 +495,22 @@ def simulate_record(
 
     p_read_g = (1.0 - device.readout_Fge_inv, device.readout_Fge)
 
-    u = rng.random((cfg.repeats, 4))  # columns: sector, qubit, leak, symbol
     symbols = []
     sectors = [sector]
     qubits = [qubit]
     for k in range(cfg.repeats):
+        # four draws per slot: sector, qubit, leak, symbol
+        u_sector, u_qubit, u_leak, u_symbol = (rng.random() for _ in range(4))
         if k > 0:
-            sector = _pick(cav_cum[sector], u[k, 0])
-            qubit = 0 if u[k, 1] < to_g[sector][qubit] else 1
+            sector = _pick(cav_cum[sector], u_sector)
+            qubit = 0 if u_qubit < to_g[sector][qubit] else 1
             sectors.append(sector)
             qubits.append(qubit)
-        if u[k, 2] < device.p_leak:
+        if u_leak < device.p_leak:
             symbols.append(SYMBOL_LEAK)
         else:
             symbols.append(
-                SYMBOL_GROUND if u[k, 3] < p_read_g[qubit] else SYMBOL_EXCITED
+                SYMBOL_GROUND if u_symbol < p_read_g[qubit] else SYMBOL_EXCITED
             )
 
     truth = {

@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from conftest import noiseless_device
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+import oracles
 from oracles import (
     PrepFailed,
     ReadoutRecord,
@@ -279,55 +279,26 @@ def test_campaign_determinism():
 
 
 # ---------------------------------------------------------------------------
-# per-trial streams against numpy's own generator
+# one stream per campaign, trial-major
 
 
-def _numpy_streams(rng_seed, n_trials, n_draws):
-    """Column k: Generator(PCG64([rng_seed, k])).random(n_draws), one
-    generator per trial as numpy builds it."""
-    return np.array(
-        [
-            np.random.Generator(np.random.PCG64([rng_seed, k])).random(n_draws)
-            for k in range(n_trials)
-        ]
-    ).T
-
-
-def _vector_streams(rng_seed, n_trials, repeats):
-    """_trial_uniforms with every warning raised: its uint64 arithmetic
-    must wrap silently, without numpy's overflow warnings."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return ms._trial_uniforms([rng_seed], n_trials, repeats)
+def _campaign_stream(rng_seed, n_trials, repeats):
+    """Row k: trial k's 1 + 4 repeats draws, as one generator per campaign,
+    built as numpy builds it, gives them in turn."""
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed])))
+    return stream.random((n_trials, 1 + 4 * repeats))
 
 
 @pytest.mark.parametrize("repeats", [1, 2, 20, 32, 37])
 @pytest.mark.parametrize("n_trials", [1, 99, 100, 127, 128, 129, 149, 150, 257])
 @pytest.mark.parametrize("rng_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_trial_uniforms_match_numpy_streams(rng_seed, n_trials, repeats):
-    # seeds of one and two uint32 words, k = 0, both sides of the first two
-    # group-stride switches (100 and 150 trials) and of the 128 group heads
-    # held at once (repeats 32 and 37 jump to 129 and 149 heads below 100
-    # trials); draw counts 5, 9, 81, 129 and 149 are and are not multiples
-    # of the stride.  A change to numpy's SeedSequence or PCG64 also trips it
-    got = _vector_streams(rng_seed, n_trials, repeats)
-    assert got.shape == (1 + 4 * repeats, n_trials)
-    assert np.array_equal(got, _numpy_streams(rng_seed, n_trials, 1 + 4 * repeats))
-
-
-@pytest.mark.parametrize("repeats", [1, 2, 20, 32, 37])
-def test_trial_uniforms_match_numpy_at_every_switch(repeats):
-    # both sides of every trial count where the group stride K changes, and
-    # of the first trial-tile edge at the largest K
-    n_draws = 1 + 4 * repeats
-    strides = [ms._draw_stride(n, n_draws) for n in range(1, 2000)]
-    switches = [n for n in range(2, 2000) if strides[n - 1] != strides[n - 2]]
-    groups = -(-n_draws // strides[-1])
-    width = max(ms._BLOCK, ms._TILE // groups)
-    assert strides[-1] == math.ceil(math.sqrt(n_draws)) and len(switches) >= 2
-    for n_trials in sorted({n + d for n in switches + [width + 1] for d in (-1, 0)}):
-        expected = _numpy_streams(2**64 - 1, n_trials, n_draws)
-        assert np.array_equal(_vector_streams(2**64 - 1, n_trials, repeats), expected)
+    # seeds of one and two uint32 entropy words, at odd and even trial and
+    # draw counts: the block is the campaign stream's, trial-major, so a
+    # change to numpy's SeedSequence or PCG64 trips it too
+    got = ms._trial_uniforms([rng_seed], n_trials, repeats)
+    assert got.shape == (n_trials, 1 + 4 * repeats)
+    assert np.array_equal(got, _campaign_stream(rng_seed, n_trials, repeats))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -337,34 +308,23 @@ def test_trial_uniforms_match_numpy_at_every_switch(repeats):
     repeats=st.integers(1, 40),
 )
 def test_trial_uniforms_match_numpy_for_any_seed(rng_seed, n_trials, repeats):
-    expected = _numpy_streams(rng_seed, n_trials, 1 + 4 * repeats)
-    assert np.array_equal(_vector_streams(rng_seed, n_trials, repeats), expected)
+    expected = _campaign_stream(rng_seed, n_trials, repeats)
+    assert np.array_equal(ms._trial_uniforms([rng_seed], n_trials, repeats), expected)
 
 
 def test_trial_uniforms_scratch_stays_bounded():
-    # the draws are built per trial tile, so beyond its output the call
-    # holds only the per-trial seed words (about 90 bytes a trial) and a
-    # tile's scratch, whatever the trial count
+    # each campaign's block is filled in place, so beyond its output the
+    # call holds a generator per campaign and nothing the size of a block:
+    # drawing a block and copying it in would double the peak
+    ms._trial_uniforms([3], 1, 1)  # numpy.random's first use allocates
     tracemalloc.start()
     try:
-        u = ms._trial_uniforms([3], 50_000, 20)
+        u = ms._trial_uniforms([3, 4], 25_000, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert u.shape == (81, 50_000)
-    assert peak <= u.nbytes + 6e6, (peak - u.nbytes) / 1e6
-
-
-def test_campaign_rejects_trial_ids_beyond_uint32(monkeypatch):
-    # trial ids are single uint32 entropy words; the guard must fire before
-    # the draws (terabytes at this size) are built, which the stub refuses
-    def refuse(seeds, n_trials, repeats):
-        raise AssertionError(f"drawing {n_trials} trials")
-
-    monkeypatch.setattr(ms, "_trial_uniforms", refuse)
-    cfg = ms.TrialConfig(init=CatSpec(2.0), repeats=20)
-    with pytest.raises(ConfigError, match="n_trials"):
-        ms.run_campaign(2**32 + 1, cfg, ms.DeviceParams())
+    assert u.shape == (50_000, 81)
+    assert peak <= u.nbytes + 2**16, (peak - u.nbytes) / 2**10
 
 
 def test_prepare_ideal_lands_on_cat():
@@ -510,21 +470,22 @@ _TRUTH = ("symbols", "trial_ids", "init_sector", "injected", "sectors", "qubits"
 @pytest.mark.parametrize("init", [CatSpec(2.0), None], ids=["compass", "vacuum"])
 def test_batched_campaigns_equal_their_own_calls(init):
     # a record depends neither on the trials beside it nor on the campaigns
-    # sharing its call; 4 x 60 columns also draw at another group stride
-    # than 60 alone
+    # sharing its call: the batch's rows equal each campaign's own call, and
+    # that call's first rows when it runs 17 more trials
     device = ms.DeviceParams(p_leak=0.05)
     cfgs = [
         ms.TrialConfig(init=init, rng_seed=seed, **signal)
         for seed, signal in zip(_BATCH_SEEDS, _BATCH_SIGNALS)
     ]
     n = 60
-    assert ms._draw_stride(n * len(cfgs), 81) != ms._draw_stride(n, 81)
     batch = ms.run_campaign(n, cfgs, device).records
     assert len(batch) == n * len(cfgs) and batch.mode == cfgs[0].mode
     for c, cfg in enumerate(cfgs):
         own, part = ms.run_campaign(n, cfg, device).records, batch[c * n : (c + 1) * n]
+        longer = ms.run_campaign(n + 17, cfg, device).records[:n]
         for col in _TRUTH:
             assert np.array_equal(getattr(part, col), getattr(own, col)), (c, col)
+            assert np.array_equal(getattr(longer, col), getattr(own, col)), (c, col)
     rows = record_rows(batch)
     for c, k in [(0, 0), (1, 59), (2, 17), (3, 33), (1, 0)]:
         ref = simulate_record(cfgs[c], device, trial_id=k)
@@ -537,12 +498,12 @@ def test_batched_campaigns_equal_their_own_calls(init):
 
 
 def test_trial_uniforms_of_mixed_seed_widths_match_numpy():
-    # one and two seed words share a call, so k takes the second pool word
-    # in some columns and the third in others
+    # campaigns of one and two seed words share a call, each block its own
+    # campaign's stream whatever blocks lie beside it
     n, repeats = 37, 3
     got = ms._trial_uniforms(list(_BATCH_SEEDS), n, repeats)
-    expected = [_numpy_streams(seed, n, 1 + 4 * repeats) for seed in _BATCH_SEEDS]
-    assert np.array_equal(got, np.hstack(expected))
+    expected = [_campaign_stream(seed, n, repeats) for seed in _BATCH_SEEDS]
+    assert np.array_equal(got, np.vstack(expected))
 
 
 def test_campaign_batch_must_share_a_probe():
@@ -559,7 +520,7 @@ def test_campaign_batch_must_share_a_probe():
 
 
 class _Replay:
-    """Stands in for one trial's Generator: random() hands out that trial's
+    """Stands in for one trial's stream: random() hands out that trial's
     row of a fixed uniform matrix, in order."""
 
     def __init__(self, row):
@@ -585,16 +546,14 @@ def test_campaign_clamps_picks_past_a_row_sum_below_one(monkeypatch):
     assert np.all(cav_cum[:, -1] < 1.0 - 2.0**-53)
     n = 64
     u = ms._trial_uniforms([cfg.rng_seed], n, cfg.repeats)
-    draws = u[1:].reshape(cfg.repeats, 4, n)  # a view: edits reach u
-    draws[:, 0, ::2] = 1.0 - 2.0**-53
-    ties = np.random.default_rng(3).choice(cav_cum.ravel(), draws[:, 0, 1::2].shape)
-    draws[:, 0, 1::2] = ties
+    draws = u[:, 1:].reshape(n, cfg.repeats, 4)  # a view: edits reach u
+    draws[::2, :, 0] = 1.0 - 2.0**-53
+    ties = np.random.default_rng(3).choice(cav_cum.ravel(), draws[1::2, :, 0].shape)
+    draws[1::2, :, 0] = ties
     monkeypatch.setattr(ms, "_trial_uniforms", lambda seeds, n_trials, repeats: u)
     records = ms.run_campaign(n, cfg, device).records
     assert np.all(records.sectors[::2, 1:] == 3)
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: _Replay(u[:, seed.entropy[1]])
-    )
+    monkeypatch.setattr(oracles, "trial_stream", lambda cfg, k: _Replay(u[k]))
     for k, got in enumerate(record_rows(records)):
         ref = simulate_record(cfg, device, trial_id=k)
         assert (got.symbols, got.truth) == (ref.symbols, ref.truth), k
