@@ -521,16 +521,13 @@ def test_campaign_batch_must_share_a_probe():
 
 class _Replay:
     """Stands in for one trial's stream: random() hands out that trial's
-    row of a fixed uniform matrix, in order."""
+    row of a fixed uniform matrix, one number at a time."""
 
     def __init__(self, row):
-        self.row, self.used = row, 0
+        self.draws = iter(row)
 
-    def random(self, size=None):
-        n = 1 if size is None else int(np.prod(size))
-        out = self.row[self.used : self.used + n]
-        self.used += n
-        return out[0] if size is None else out.reshape(size)
+    def random(self):
+        return next(self.draws)
 
 
 def test_campaign_clamps_picks_past_a_row_sum_below_one(monkeypatch):

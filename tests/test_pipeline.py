@@ -298,7 +298,7 @@ def test_derive_seed_is_stage_and_index_dependent():
 
 def test_calibrate_artifacts_and_enhancement(tmp_path):
     # at 8000 trials every assertion below held at 200 of 200 seeds (1-200);
-    # at 800 the enhancement fell outside [6, 12] at 70 of them
+    # at 800 they held at 142 (the enhancement fell outside [6, 12] at 53)
     cfg = _small_cfg(trials=8000)
     final, summary = pipeline.run_command("calibrate", cfg, out_root=tmp_path)
     assert final == tmp_path / "results" / _run_id(cfg, "calibrate")
