@@ -90,6 +90,20 @@ def _sector_norm(m: int, j: int, a2: float) -> float:
     return float(np.real(np.sum(np.exp(_dyad_log_weights(m, j, a2)))))
 
 
+def sector_norms(m: int, a2: float) -> list[float]:
+    """The normalizations N of the m sectors of the m-component cat at
+    |alpha|^2 = a2; raises NonFinite naming the first sector whose N is not
+    above _MIN_CAT_NORM."""
+    norms = [_sector_norm(m, j, a2) for j in range(m)]
+    for j, norm in enumerate(norms):
+        if not norm > _MIN_CAT_NORM:
+            raise NonFinite(
+                f"sector j={j} of the {m}-component cat at |alpha|^2 = {a2!r} has "
+                f"normalization {norm!r}, too small for the closed form"
+            )
+    return norms
+
+
 def wigner(spec: CatSpec, grid: PhaseGrid) -> np.ndarray:
     """Wigner function of the M-component cat, sampled on the grid:
 

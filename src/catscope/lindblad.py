@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidIndex, NonFinite
-from .fock import _MIN_CAT_NORM, _sector_norm
+from .fock import sector_norms
 
 
 def transition_curves_to_csv(
@@ -32,8 +32,8 @@ def transition_curves_to_csv(
     once; each time's m^2 sums over the m^4 terms (p, q, r, s) are then one
     (m^2, m^4) block, the weights times each factor in turn, summed along
     its contiguous last axis.  Only one time's block is held at a time.  A
-    sector normalization below _MIN_CAT_NORM, or a probability that
-    rounding takes more than 1e-9 outside [0, 1], raises NonFinite.
+    sector normalization that fock.sector_norms refuses, or a probability
+    that rounding takes more than 1e-9 outside [0, 1], raises NonFinite.
     """
     if m < 2:
         raise InvalidIndex(f"m must be >= 2, got {m}")
@@ -45,13 +45,7 @@ def transition_curves_to_csv(
         raise ValueError(f"t must be >= 0, got {times[early.argmax()].item()!r}")
     a = abs(complex(alpha))
     a2 = a * a
-    norms = [_sector_norm(m, j, a2) for j in range(m)]
-    for j, norm in enumerate(norms):
-        if not norm > _MIN_CAT_NORM:
-            raise NonFinite(
-                f"sector j={j} of the {m}-component cat at |alpha|^2 = {a2!r} has "
-                f"normalization {norm!r}, too small for the closed form"
-            )
+    norms = sector_norms(m, a2)
     phi = 2.0 * np.pi * np.arange(m) / m
     p_ = phi[:, None, None, None]
     q_ = phi[None, :, None, None]

@@ -59,7 +59,7 @@ from .fits import (
     sweep_to_csv,
     threshold_sweep,
 )
-from .fock import _MIN_CAT_NORM, CatSpec, PhaseGrid, _sector_norm, wigner
+from .fock import CatSpec, PhaseGrid, sector_norms, wigner
 from .fock import wigner_to_csv
 from .hmm import batch_posteriors, build_model, postselect
 from .lindblad import transition_curves_to_csv
@@ -271,7 +271,7 @@ def _check_mimic(
 ) -> None:
     """Reject a drive beta (config path where), simulated as the displacement
     applied, past MAX_MIMIC_AMPLITUDE or on a compass probe (config path at)
-    with a sector normalization below _MIN_CAT_NORM."""
+    with a cat sector that fock.sector_norms refuses."""
     if beta == 0.0:
         return  # no displacement is simulated
     init, _, label, a2 = _probe_parts(probe)
@@ -282,14 +282,14 @@ def _check_mimic(
             f"{MAX_MIMIC_AMPLITUDE:g}; on probe {label}, {beta!r} displaces by "
             f"{applied!r}"
         )
-    if init is not None and not min(
-        _sector_norm(init.m, j, a2) for j in range(init.m)
-    ) > _MIN_CAT_NORM:
-        raise ConfigError(
-            f"{at}.alpha_sq must be large enough that every cat sector's "
-            f"normalization exceeds {_MIN_CAT_NORM:g} when it is displaced by "
-            f"{applied!r}, got {a2!r}"
-        )
+    if init is not None:
+        try:
+            sector_norms(init.m, a2)
+        except NonFinite as exc:
+            raise ConfigError(
+                f"{at}.alpha_sq must be large enough that every cat sector "
+                f"resolves when it is displaced by {applied!r}: {exc}"
+            ) from None
 
 
 # A campaign of n trials draws its n x (1 + 4 repeats) uniforms up front

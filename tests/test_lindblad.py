@@ -17,7 +17,7 @@ from oracles import (
     transition_curves_to_csv_reference,
 )
 
-from catscope import lindblad
+from catscope import fock
 from catscope.errors import InvalidIndex, NonFinite
 from catscope.fock import CatSpec
 from catscope.lindblad import transition_curves_to_csv
@@ -243,7 +243,7 @@ def test_transition_curves_keep_negative_zero_like_per_time_oracle(monkeypatch):
     def huge(m, j, a2):
         return 1e300
 
-    monkeypatch.setattr(lindblad, "_sector_norm", huge)
+    monkeypatch.setattr(fock, "_sector_norm", huge)
     monkeypatch.setattr(oracles, "_sector_norm", huge)
     args = (3, np.sqrt(0.005), 1.0, np.array([0.0, 0.3]))
     got = transition_curves_to_csv(*args)

@@ -665,8 +665,9 @@ _GOLDEN_FILES = {
 
 # manifest "files" of the injected runs, recorded the same way: they pin the
 # p_signal bits.  search runs at seed 3 with search.inject_epsilon 1e-15,
-# tune-scan at seed 1 with scan.inject_epsilon 2e-16 in bin 5, both at 800
-# calibration trials
+# tune-scan at seed 1 with scan.inject_epsilon 2e-16 in bin 5 and 400 scan
+# trials, enough that the injection moves bins 5 and 6's positive counts;
+# both at 800 calibration trials
 _GOLDEN_INJECTED_FILES = {
     "search": {
         "calibration.csv": (
@@ -691,10 +692,10 @@ _GOLDEN_INJECTED_FILES = {
     "tune-scan": {
         **_GOLDEN_FILES["calibrate"],
         "bins.csv": (
-            "20555a004fea8c70c52cc1e7205e4b9fb6228d18383ff634ed1c047ca03ebe90"
+            "610cf4b216d24163b14dae71de9111693224cff4525e08851afb99d50e6cd7e9"
         ),
         "limits.csv": (
-            "2b2fb1022675ce004d795e7ecc98ab8b20cf66194601e743f7b0daa1767cb943"
+            "0ad1f864b3b054120aa1c1a917f4bef5b812f6aac3a2ec18c0bb885a31f0df08"
         ),
     },
 }
@@ -719,12 +720,22 @@ def test_artifact_hashes_match_recorded_table(tmp_path):
     search["search"]["inject_epsilon"] = 1e-15
     scan = _small_cfg(seed=1, trials=40)
     scan["calibration"]["trials"] = 800
+    scan["scan"]["trials"] = 400
     scan["scan"]["inject_epsilon"] = 2e-16
     scan["scan"]["inject_bin"] = 5
-    for command, cfg in (("search", search), ("tune-scan", scan)):
+    # a pin the injection does not move pins no p_signal bit: the same run
+    # without it must give other counts
+    for command, cfg, section, table in (
+        ("search", search, "search", "rates.csv"),
+        ("tune-scan", scan, "scan", "bins.csv"),
+    ):
         final, _ = pipeline.run_command(command, cfg, out_root=tmp_path)
         man = json.loads((final / "manifest.json").read_text())
         assert man["files"] == _GOLDEN_INJECTED_FILES[command], f"injected {command}"
+        cfg[section]["inject_epsilon"] = None
+        final, _ = pipeline.run_command(command, cfg, out_root=tmp_path)
+        man = json.loads((final / "manifest.json").read_text())
+        assert man["files"][table] != _GOLDEN_INJECTED_FILES[command][table], command
 
 
 # manifest "files" of search at 100 trials on a supplied calibration, per
