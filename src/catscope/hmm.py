@@ -3,13 +3,14 @@
 The generative model is a hidden Markov chain over joint (sector, qubit)
 states with one readout symbol per step.  batch_posteriors returns the
 posterior of the sector at the first slot, marginalized over the qubit,
-computed in log-domain so the extreme likelihood ratios that the vacuum
-threshold (1e5) relies on do not underflow.  The likelihood ratio compares
-the signal sector against everything else; records containing leakage
-symbols are dropped before inference (postselect).  Both take the columnar
-measurement.Records set and nothing else.  The scalar recursion the batch
-is checked against lives with the other oracles in the tests, with its own
-symbol encoder.
+computed on probabilities with each record's column rescaled to a maximum
+of 1 at every slot, so the long products behind the extreme likelihood
+ratios that the vacuum threshold (1e5) relies on do not underflow.  The
+likelihood ratio compares the signal sector against everything else;
+records containing leakage symbols are dropped before inference
+(postselect).  Both take the columnar measurement.Records set and nothing
+else.  The scalar log-domain recursion the batch is checked against lives
+with the other oracles in the tests, with its own symbol encoder.
 """
 
 from __future__ import annotations
@@ -90,38 +91,33 @@ def batch_posteriors(model: HmmModel, records: Records) -> tuple[np.ndarray, np.
     """Sector posteriors and likelihood ratios of a Records set.
 
     The path sum prior[s0] E[s0,r0] prod_k T[s_{k-1},s_k] E[s_k,r_k] is
-    evaluated with a log-domain backward recursion, marginalized over the
-    qubit at slot 0, and renormalized once at the end.  The uint8 symbol
+    evaluated with a backward recursion on probabilities, marginalized over
+    the qubit at slot 0, and renormalized once at the end.  The uint8 symbol
     codes index the emission columns directly, and all records run one
-    state-major recursion (log_beta[state, record]) with a max-shift
-    normalization per step, so the results match the logsumexp recursion of
-    the tests' forward_backward oracle to rounding.  lam is the signal
-    sector against the rest, p[1]/(p[0]+p[2]+p[3]) for four sectors and
-    p[1]/p[0] for two, and inf where that denominator is 0.  Returns
-    (p_phi, lam) arrays in record order, shapes (n_records, n_sectors) and
-    (n_records,).
+    state-major recursion (beta[state, record]).  Each step divides a
+    record's column by its maximum (an all-zero column by 1); that scale is
+    common to every state of the record, so it cancels in the final
+    normalization and is not carried.  The results match the log-domain
+    logsumexp recursion of the tests' forward_backward oracle to rounding.
+    lam is the signal sector against the rest, p[1]/(p[0]+p[2]+p[3]) for
+    four sectors and p[1]/p[0] for two, and inf where that denominator is 0.
+    Returns (p_phi, lam) arrays in record order, shapes (n_records,
+    n_sectors) and (n_records,).
     """
     idx = records.symbols
     if np.any(idx == CODE_LEAK):
         raise LeakageSymbol("record contains a leaked readout; post-select first")
     n_records = len(records)
-    with np.errstate(divide="ignore"):
-        log_e = np.log(model.emission)  # column c: log emission of symbol c
-        log_p = np.log(model.prior)
-    log_beta = np.zeros((model.n_states, n_records))
+    emission = model.emission  # column c: emission of symbol c
+    beta = np.ones((model.n_states, n_records))
     slots = idx.T.copy()
     for k in range(idx.shape[1] - 1, 0, -1):
-        tail = log_e.take(slots[k], axis=1) + log_beta
-        shift = tail.max(axis=0)
-        shift[~np.isfinite(shift)] = 0.0
-        acc = model.transition @ np.exp(tail - shift)
-        with np.errstate(divide="ignore"):
-            log_beta = shift + np.log(acc)
+        y = emission.take(slots[k], axis=1) * beta
+        scale = y.max(axis=0)
+        scale[scale == 0.0] = 1.0
+        beta = model.transition @ (y / scale)
     # record-major (C order) again: the state sums below run along rows
-    log_joint = log_p[None, :] + log_e.T[idx[:, 0]] + log_beta.T
-    shift = log_joint.max(axis=1, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    un = np.exp(log_joint - shift)
+    un = model.prior * emission.T[idx[:, 0]] * beta.T
     norm = un.sum(axis=1)
     if np.any(norm <= 0.0):
         bad = int(np.argmax(norm <= 0.0))
@@ -130,8 +126,10 @@ def batch_posteriors(model: HmmModel, records: Records) -> tuple[np.ndarray, np.
     sectors = weights.reshape(n_records, model.n_sectors, 2).sum(axis=2)
     sectors = sectors / sectors.sum(axis=1, keepdims=True)
     # the other sectors summed directly: sum(p) - p1 cancels when p1 is near 1
+    # a subnormal den can put lam past the largest double: it reads inf
     p1, den = sectors[:, 1], sectors[:, 0] + sectors[:, 2:].sum(axis=1)
-    lam = np.where(den > 0.0, p1 / np.where(den > 0.0, den, 1.0), np.inf)
+    with np.errstate(over="ignore"):
+        lam = np.where(den > 0.0, p1 / np.where(den > 0.0, den, 1.0), np.inf)
     return sectors, lam
 
 

@@ -411,7 +411,7 @@ def run_campaign(
         for col in columns:
             hop += col.take(prev) <= u_k
         qubits[k] = u_qubit[k] >= to_g.take(2 * hop + qubits[k - 1])
-    symbols = np.where(u_symbol < p_read_g[qubits], 0, 1).astype(np.uint8)
+    symbols = (u_symbol >= p_read_g.take(qubits)).view(np.uint8)
     symbols[u_leak < device.p_leak] = CODE_LEAK
     sectors, qubits, symbols = sectors.T.copy(), qubits.T.copy(), symbols.T.copy()
 
